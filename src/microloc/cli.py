@@ -443,12 +443,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("MICROLOC_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -15,12 +15,12 @@ behind the ``sign_convention`` flag for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import factorial
 
 import numpy as np
 
 from .grids import GridSymbol, symbol_derivative
+from .metric import _multi_indices
 from .partition import Partition, localizer_symbol
 from .quantize import DiscreteOperator, operator_norm, weyl_quantize
 
@@ -44,11 +44,6 @@ class MoyalTruncation:
             raise ValueError("h must lie in (0, 1]")
         if self.sign_convention not in ("exponential", "series"):
             raise ValueError("sign_convention must be exponential or series")
-
-
-def _multi_indices(dim: int, total: int):
-    return [m for m in iproduct(range(total + 1), repeat=dim)
-            if sum(m) == total]
 
 
 def moyal_truncated(a: GridSymbol, b: GridSymbol,

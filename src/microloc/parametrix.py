@@ -22,7 +22,7 @@ import numpy as np
 from .grids import GridSpec, GridSymbol
 from .metric import MetricField
 from .moyal import MoyalTruncation, moyal_truncated
-from .partition import Partition, localizer_symbol
+from .partition import Partition, _grid_points, localizer_symbol
 from .quantize import (DiscreteOperator, fourier_multiplier, operator_norm,
                        weyl_quantize)
 
@@ -55,22 +55,6 @@ class Parametrix:
     step_residuals: dict = field(default_factory=dict)
 
 
-def fiber_norm_pairs(metric: MetricField, grid: GridSpec) -> np.ndarray:
-    """||xi||_{g_x} over (doubled x lattice) x (xi lattice), flat (P, Q)."""
-    from .partition import _grid_points
-
-    x_pts, xi_pts = _grid_points(grid)
-    mats = np.stack([metric.sqrt_at(p) for p in x_pts])
-    flat = np.round(mats.reshape(len(x_pts), -1), 12)
-    _, first, inv = np.unique(flat, axis=0, return_index=True,
-                              return_inverse=True)
-    uniq = mats[first]
-    out = np.empty((len(uniq), len(xi_pts)))
-    for ti, t in enumerate(uniq):
-        out[ti] = np.linalg.norm(xi_pts @ t.T, axis=1)
-    return out[inv]
-
-
 def bandwise_inverse(p: EllipticSymbol, part: Partition, j: int, k: int,
                      grid: GridSpec,
                      region: np.ndarray | None = None) -> GridSymbol:
@@ -84,7 +68,9 @@ def bandwise_inverse(p: EllipticSymbol, part: Partition, j: int, k: int,
     flat_sup = sup.reshape((2 * grid.n_grid) ** grid.dim, -1)
     if region is not None:
         flat_sup = flat_sup & region.reshape(-1, 1)
-    fn = fiber_norm_pairs(p.metric, grid)
+    x_pts, xi_pts = _grid_points(grid)
+    t_uniq, inv = part.fiber_transforms(x_pts)
+    fn = np.linalg.norm(xi_pts @ t_uniq.transpose(0, 2, 1), axis=-1)[inv]
     floor = 0.5 * p.c0 * (1.0 + fn) ** p.m2
     pv = p.symbol.values.reshape(flat_sup.shape)
     bad = flat_sup & (np.abs(pv) < floor) & (fn >= p.big_r)

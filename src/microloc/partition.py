@@ -16,14 +16,13 @@ prune to the few bands and centers whose supports can reach the point
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import backend
 from .grids import GridSpec, GridSymbol
-from .metric import MetricField
+from .metric import MetricField, _fd_derivative
 
 
 class EmptyNetError(ValueError):
@@ -189,11 +188,6 @@ class Partition:
     def tree(self, k: int) -> cKDTree:
         return self._trees[k]
 
-    def patches(self) -> Iterator["Microlocalizer"]:
-        for k in self.bands:
-            for j in range(self.nets[k].size):
-                yield Microlocalizer(self, j, k)
-
     # vectorized core ----------------------------------------------------
 
     def fiber_transforms(self, x_arr: np.ndarray):
@@ -209,84 +203,108 @@ class Partition:
                                   return_inverse=True)
         return mats[first], inv
 
-    def _phi_neighbor_sums(self, k: int, u: np.ndarray) -> np.ndarray:
-        """Sum over net centers of phi(|u - zeta|); u has shape (M, n)."""
-        net = self.nets[k]
-        if net.size == 0:
-            return np.zeros(len(u))
-        # separation 1/2 packs at most 5^n centers within distance 1
-        kq = min(net.size, 5 ** self.dim + 2)
-        d, _ = self.tree(k).query(u, k=kq, distance_upper_bound=1.0)
-        d = np.atleast_2d(d.reshape(len(u), -1))
-        if kq < net.size and np.any(np.isfinite(d[:, -1])):
-            raise RuntimeError("neighbor budget exceeded; net separation broken")
-        return self.bumps.phi_profile(d).sum(axis=1)
+    def _band_eval(self, t_uniq: np.ndarray, xi_arr: np.ndarray, bands,
+                   term, dtype=float) -> np.ndarray:
+        """Sum over k in bands of term(k, rho_k, u), per distinct T_x.
 
-    def sigma_pairs(self, x_arr: np.ndarray, xi_arr: np.ndarray) -> np.ndarray:
-        """Sigma(x, xi) on the product of point sets; shape (P, Q)."""
-        xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
+        For each band, term receives rho(2^{-k}|xi|) and the fiber
+        coordinates u = T_x xi on the frequencies where rho > 0, and returns
+        one value per frequency; frequencies with rho = 0 get nothing from
+        that band.  Returns shape (len(t_uniq), len(xi_arr)).
+        """
         xi_norm = np.linalg.norm(xi_arr, axis=1)
-        t_uniq, inv = self.fiber_transforms(x_arr)
-        out = np.zeros((len(t_uniq), len(xi_arr)))
-        for k in self.bands:
+        out = np.zeros((len(t_uniq), len(xi_arr)), dtype=dtype)
+        for k in bands:
             rho = self.bumps.rho(xi_norm / 2.0 ** k)
             act = rho > 0.0
             if not act.any():
                 continue
             for ti, t in enumerate(t_uniq):
-                u = xi_arr[act] @ t.T
-                out[ti, act] += rho[act] * self._phi_neighbor_sums(k, u)
+                out[ti, act] += term(k, rho[act], xi_arr[act] @ t.T)
+        return out
+
+    def _neighbor_distances(self, k: int, u: np.ndarray) -> np.ndarray:
+        """Distances from each row of u to the band-k centers within 1.
+
+        Shape (M, kq); entries beyond distance 1 are inf.
+        """
+        net = self.nets[k]
+        # separation 1/2 packs at most 5^n centers within distance 1
+        kq = min(net.size, 5 ** self.dim + 2)
+        if kq == 0:
+            return np.empty((len(u), 0))
+        d, _ = self.tree(k).query(u, k=kq, distance_upper_bound=1.0)
+        d = d.reshape(len(u), kq)
+        if kq < net.size and np.any(np.isfinite(d[:, -1])):
+            raise RuntimeError("neighbor budget exceeded; net separation broken")
+        return d
+
+    def _chi_band_sum(self, k: int, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """rho * sum over band-k centers of phi(|u - zeta|)."""
+        return rho * self.bumps.phi_profile(
+            self._neighbor_distances(k, u)).sum(axis=1)
+
+    def _sigma(self, t_uniq: np.ndarray, xi_arr: np.ndarray,
+               term=None) -> np.ndarray:
+        """Sigma on distinct T_x rows: band sums of term plus the cap."""
+        out = self._band_eval(t_uniq, xi_arr, self.bands,
+                              term or self._chi_band_sum)
         if self.low_freq_cap:
-            out += self.bumps.phi_profile(xi_norm / 2.0 ** self.k_min)
+            out += self.bumps.phi_profile(
+                np.linalg.norm(xi_arr, axis=1) / 2.0 ** self.k_min)
+        return out
+
+    def _normalized(self, k: int, term, x_arr: np.ndarray,
+                    xi_arr: np.ndarray) -> np.ndarray:
+        """(band-k sum of term) / Sigma, exactly 0 where the numerator is 0."""
+        xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
+        t_uniq, inv = self.fiber_transforms(x_arr)
+        num = self._band_eval(t_uniq, xi_arr, [k], term)
+        out = np.zeros_like(num)
+        mask = num > 0.0
+        if mask.any():
+            out[mask] = num[mask] / self._sigma(t_uniq, xi_arr)[mask]
         return out[inv]
+
+    def _chi_term(self, j: int, k: int):
+        """Band term of chi_{j,k}: rho * phi(|u - zeta_{j,k}|)."""
+        zeta = self.nets[k].centers[j]
+
+        def term(_, rho, u):
+            return rho * self.bumps.phi_profile(np.linalg.norm(u - zeta, axis=1))
+
+        return term
+
+    def sigma_pairs(self, x_arr: np.ndarray, xi_arr: np.ndarray) -> np.ndarray:
+        """Sigma(x, xi) on the product of point sets; shape (P, Q)."""
+        xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
+        t_uniq, inv = self.fiber_transforms(x_arr)
+        return self._sigma(t_uniq, xi_arr)[inv]
 
     def chi_pairs(self, j: int, k: int, x_arr: np.ndarray,
                   xi_arr: np.ndarray) -> np.ndarray:
         """chi_{j,k}(x, xi) on the product of point sets; shape (P, Q)."""
+        term = self._chi_term(j, k)
         xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
-        xi_norm = np.linalg.norm(xi_arr, axis=1)
-        zeta = self.nets[k].centers[j]
-        rho = self.bumps.rho(xi_norm / 2.0 ** k)
         t_uniq, inv = self.fiber_transforms(x_arr)
-        out = np.zeros((len(t_uniq), len(xi_arr)))
-        act = rho > 0.0
-        if act.any():
-            for ti, t in enumerate(t_uniq):
-                u = xi_arr[act] @ t.T
-                r = np.linalg.norm(u - zeta, axis=1)
-                out[ti, act] = rho[act] * self.bumps.phi_profile(r)
-        return out[inv]
+        return self._band_eval(t_uniq, xi_arr, [k], term)[inv]
 
     def localizer_pairs(self, j: int, k: int, x_arr: np.ndarray,
                         xi_arr: np.ndarray) -> np.ndarray:
         """Lambda_{j,k} = chi/Sigma with exact zeros off supp chi."""
-        chi = self.chi_pairs(j, k, x_arr, xi_arr)
-        out = np.zeros_like(chi)
-        mask = chi > 0.0
-        if mask.any():
-            sigma = self.sigma_pairs(x_arr, xi_arr)
-            out[mask] = chi[mask] / sigma[mask]
-        return out
+        return self._normalized(k, self._chi_term(j, k), x_arr, xi_arr)
 
     def overlap_pairs(self, x_arr: np.ndarray, xi_arr: np.ndarray) -> np.ndarray:
         """Number of (j,k) with chi_{j,k} > 0, per (x, xi) pair."""
         xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
-        xi_norm = np.linalg.norm(xi_arr, axis=1)
         t_uniq, inv = self.fiber_transforms(x_arr)
-        out = np.zeros((len(t_uniq), len(xi_arr)), dtype=np.int64)
-        for k in self.bands:
-            rho = self.bumps.rho(xi_norm / 2.0 ** k)
-            act = rho > 0.0
-            if not act.any() or self.nets[k].size == 0:
-                continue
-            kq = min(self.nets[k].size, 5 ** self.dim + 2)
-            for ti, t in enumerate(t_uniq):
-                u = xi_arr[act] @ t.T
-                d, _ = self.tree(k).query(u, k=kq, distance_upper_bound=1.0)
-                d = np.atleast_2d(d.reshape(len(u), -1))
-                counts = (self.bumps.phi_profile(d) > 0.0).sum(axis=1)
-                out[ti, act] += counts
-        return out[inv]
+
+        def count(k, rho, u):
+            return (self.bumps.phi_profile(
+                self._neighbor_distances(k, u)) > 0.0).sum(axis=1)
+
+        return self._band_eval(t_uniq, xi_arr, self.bands, count,
+                               dtype=np.int64)[inv]
 
     def radial_band_count(self, xi_arr: np.ndarray) -> np.ndarray:
         """Number of integers k (all of Z) with rho(2^{-k}|xi|) > 0."""
@@ -336,14 +354,6 @@ class Microlocalizer:
     @property
     def center(self) -> np.ndarray:
         return self.partition.nets[self.k].centers[self.j]
-
-    def precut(self, x, xi) -> np.ndarray:
-        """u_{j,k}(x, xi) = T_x xi - zeta_{j,k}."""
-        t = self.partition.metric.sqrt_at(x)
-        return t @ np.atleast_1d(np.asarray(xi, dtype=float)) - self.center
-
-    def chi_tilde(self, x, xi) -> float:
-        return float(self.partition.bumps.phi(self.precut(x, xi)))
 
 
 def build_partition(metric: MetricField, k_min: int, k_max: int,
@@ -405,23 +415,9 @@ def localizer_symbol(part: Partition, j: int, k: int,
 def band_sum_symbol(part: Partition, k: int, grid: GridSpec) -> GridSymbol:
     """sum_j Lambda_{j,k} sampled as a GridSymbol."""
     x_pts, xi_pts = _grid_points(grid)
-    xi_norm = np.linalg.norm(xi_pts, axis=1)
-    t_uniq, inv = part.fiber_transforms(x_pts)
-    chi_sum = np.zeros((len(t_uniq), len(xi_pts)))
-    rho = part.bumps.rho(xi_norm / 2.0 ** k)
-    act = rho > 0.0
-    if act.any():
-        for ti, t in enumerate(t_uniq):
-            u = xi_pts[act] @ t.T
-            chi_sum[ti, act] = rho[act] * part._phi_neighbor_sums(k, u)
-    chi_sum = chi_sum[inv]
-    out = np.zeros_like(chi_sum)
-    mask = chi_sum > 0.0
-    if mask.any():
-        sigma = part.sigma_pairs(x_pts, xi_pts)
-        out[mask] = chi_sum[mask] / sigma[mask]
+    vals = part._normalized(k, part._chi_band_sum, x_pts, xi_pts)
     shape = (2 * grid.n_grid,) * grid.dim + (2 * grid.n_grid,) * grid.dim
-    return GridSymbol(grid=grid, values=out.astype(complex).reshape(shape))
+    return GridSymbol(grid=grid, values=vals.astype(complex).reshape(shape))
 
 
 def _grid_points(grid: GridSpec):
@@ -441,30 +437,22 @@ def pou_deviation(part: Partition, x_arr: np.ndarray,
     The numerator accumulates per-patch cutoff values by direct distance
     evaluation, independently of the tree-pruned normalizer path.
     """
-    x_arr = np.atleast_2d(np.asarray(x_arr, dtype=float))
     xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
-    xi_norm = np.linalg.norm(xi_arr, axis=1)
-    t_uniq, inv = part.fiber_transforms(x_arr)
-    num = np.zeros((len(t_uniq), len(xi_arr)))
-    for k in part.bands:
-        rho = part.bumps.rho(xi_norm / 2.0 ** k)
-        act = rho > 0.0
-        if not act.any():
-            continue
-        centers = part.nets[k].centers
-        for ti, t in enumerate(t_uniq):
-            u = xi_arr[act] @ t.T
-            for zeta in centers:
-                r = np.linalg.norm(u - zeta, axis=1)
-                near = r < 1.0
-                if near.any():
-                    vals = np.zeros(len(u))
-                    vals[near] = part.bumps.phi_profile(r[near])
-                    num[ti, act] += rho[act] * vals
-    if part.low_freq_cap:
-        num += part.bumps.phi_profile(xi_norm / 2.0 ** part.k_min)
-    num = num[inv]
-    sigma = part.sigma_pairs(x_arr, xi_arr)
+
+    def direct(k, rho, u):
+        acc = np.zeros(len(u))
+        for zeta in part.nets[k].centers:
+            r = np.linalg.norm(u - zeta, axis=1)
+            near = r < 1.0
+            if near.any():
+                vals = np.zeros(len(u))
+                vals[near] = part.bumps.phi_profile(r[near])
+                acc += rho * vals
+        return acc
+
+    t_uniq, _ = part.fiber_transforms(x_arr)
+    num = part._sigma(t_uniq, xi_arr, direct)
+    sigma = part._sigma(t_uniq, xi_arr)
     mask = sigma > 0.0
     if not mask.any():
         return 0.0
@@ -509,21 +497,8 @@ def verify_localizer_derivatives(part: Partition, samples,
             centers - np.r_[1.5 * 2.0 ** k, np.zeros(n - 1)], axis=1)))
         reps.append(Microlocalizer(part, j, k))
 
-    def lam(m, z):
-        return eval_localizer(m, z[:n], z[n:], strict=False)
-
-    def fd(m, z, gamma, h):
-        pts = [(1.0, z.copy())]
-        for ax, order in enumerate(gamma):
-            for _ in range(order):
-                new = []
-                e = np.zeros_like(z)
-                e[ax] = h
-                for w, p in pts:
-                    new.append((w / (2 * h), p + e))
-                    new.append((-w / (2 * h), p - e))
-                pts = new
-        return sum(w * lam(m, p) for w, p in pts)
+    def lam(m):
+        return lambda z: eval_localizer(m, z[:n], z[n:], strict=False)
 
     from itertools import product as iproduct
     gammas = [g for g in iproduct(range(max_order + 1), repeat=2 * n)
@@ -531,6 +506,7 @@ def verify_localizer_derivatives(part: Partition, samples,
 
     per_patch: dict[str, dict] = {}
     for m in reps:
+        f = lam(m)
         consts, stable = {}, {}
         for g in gammas:
             a_ord = sum(g[:n])
@@ -543,7 +519,7 @@ def verify_localizer_derivatives(part: Partition, samples,
                     z = np.concatenate([x, xi])
                     w = ((1.0 + x @ x) ** ((a_ord + tot) / 2.0)
                          * (1.0 + xi @ xi) ** ((b_ord + 1 + tot) / 2.0))
-                    sup = max(sup, abs(fd(m, z, g, h)) / w)
+                    sup = max(sup, abs(_fd_derivative(f, z, g, h)) / w)
                 ests.append(sup)
             key = str(g)
             consts[key] = ests[1]

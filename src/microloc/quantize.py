@@ -123,6 +123,11 @@ def _power_norm(m: np.ndarray, tol: float, max_iter: int,
     return float(est), False
 
 
+def _specnorm(m: np.ndarray) -> float:
+    """Largest singular value of a dense matrix by full SVD."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
 def operator_norm(t: DiscreteOperator, s_in: float = 0.0, s_out: float = 0.0,
                   method: str = "svd", xi_scale: float = 1.0,
                   tol: float = 1e-6, max_iter: int = 500) -> float:
@@ -139,7 +144,7 @@ def operator_norm(t: DiscreteOperator, s_in: float = 0.0, s_out: float = 0.0,
     if method == "svd":
         if m.shape[0] > 4096:
             raise ValueError("svd norm limited to dimension 4096")
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+        return _specnorm(m)
     if method == "power":
         val, converged = _power_norm(m, tol, max_iter)
         if not converged:

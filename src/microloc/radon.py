@@ -20,8 +20,8 @@ import numpy as np
 from . import backend
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
-from .quantize import fit_log2_slope, weyl_quantize
-from .recombine import CotlarCertificate, CoverageGapError
+from .quantize import _specnorm, fit_log2_slope, weyl_quantize
+from .recombine import CoverageGapError, _cotlar_certificate
 
 _PAD = 2
 
@@ -309,7 +309,7 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
         t = (chi_sino.ravel()[:, None] * rmat) \
             @ (chi_img.ravel()[:, None] * op.matrix
                * chi_img_prime.ravel()[None, :])
-        norm = scale * float(np.linalg.svd(t, compute_uv=False)[0])
+        norm = scale * _specnorm(t)
         rows.append({"k": k, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5)),
                      "skipped": False})
@@ -335,29 +335,10 @@ def radon_recombine(blocks: list[tuple[tuple[int, int], np.ndarray]],
             raise CoverageGapError(missing)
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
     mats = [scale * m for (_, m) in blocks]
-    p = len(mats)
-    star = np.zeros((p, p))
-    adj = np.zeros((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            star[i, j] = np.sqrt(np.linalg.svd(mats[i].conj().T @ mats[j],
-                                               compute_uv=False)[0])
-            adj[i, j] = np.sqrt(np.linalg.svd(mats[i] @ mats[j].conj().T,
-                                              compute_uv=False)[0])
-            star[j, i] = star[i, j]
-            adj[j, i] = adj[i, j]
-    a_bound = float(star.sum(axis=1).max())
-    b_bound = float(adj.sum(axis=1).max())
-    total = sum(mats)
-    achieved = float(np.linalg.svd(total, compute_uv=False)[0])
-    cert = CotlarCertificate(
-        a_bound=a_bound, b_bound=b_bound,
-        bound=float(np.sqrt(a_bound * b_bound)), achieved=achieved,
-        star_pair_matrix=star, adj_pair_matrix=adj,
-        indices=[idx for (idx, _) in blocks])
+    cert = _cotlar_certificate(mats, [idx for (idx, _) in blocks])
     ref = scale * reference
-    ref_norm = float(np.linalg.svd(ref, compute_uv=False)[0])
-    disc = float(np.linalg.svd(total - ref, compute_uv=False)[0])
+    ref_norm = _specnorm(ref)
+    disc = _specnorm(sum(mats) - ref)
     return {
         "certificate": cert,
         "reference_norm": ref_norm,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .quantize import DiscreteOperator, sobolev_multiplier
+from .quantize import DiscreteOperator, _specnorm, sobolev_multiplier
 
 
 class CoverageGapError(ValueError):
@@ -73,15 +73,12 @@ class CotlarCertificate:
         return self.achieved <= self.bound * (1.0 + 1e-8)
 
 
-def _specnorm(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def _cotlar_certificate(blocks: list[np.ndarray],
+                        indices) -> CotlarCertificate:
+    """Exact pair norms, row sums A and B, and sqrt(AB) for plain-L2 blocks.
 
-
-def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
-    """Exact pairwise norms, row sums A and B, and the sqrt(AB) certificate."""
-    if len(fam) == 0:
-        raise ValueError("empty block family")
-    blocks = fam.weighted()
+    Blocks may be non-square; each pair product is formed as given.
+    """
     p = len(blocks)
     star = np.zeros((p, p))
     adj = np.zeros((p, p))
@@ -93,13 +90,19 @@ def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
             adj[j, i] = adj[i, j]
     a_bound = float(star.sum(axis=1).max())
     b_bound = float(adj.sum(axis=1).max())
-    total = sum(blocks)
     return CotlarCertificate(
         a_bound=a_bound, b_bound=b_bound,
         bound=float(np.sqrt(a_bound * b_bound)),
-        achieved=_specnorm(total),
+        achieved=_specnorm(sum(blocks)),
         star_pair_matrix=star, adj_pair_matrix=adj,
-        indices=list(fam.indices))
+        indices=list(indices))
+
+
+def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
+    """Exact pairwise norms, row sums A and B, and the sqrt(AB) certificate."""
+    if len(fam) == 0:
+        raise ValueError("empty block family")
+    return _cotlar_certificate(fam.weighted(), fam.indices)
 
 
 def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,

@@ -3,12 +3,12 @@ import pytest
 
 from microloc.grids import GridSpec
 from microloc.metric import conformal_field, identity_field
-from microloc.partition import (EmptyNetError, Microlocalizer, OutOfRangeError,
-                                band_sum_symbol, build_bumps, build_net,
-                                build_partition, eval_cut, eval_localizer,
-                                eval_normalizer, localizer_symbol,
-                                overlap_count, packing_bound, pou_deviation,
-                                validate_net)
+from microloc.partition import (DyadicNet, EmptyNetError, Microlocalizer,
+                                OutOfRangeError, Partition, band_sum_symbol,
+                                build_bumps, build_net, build_partition,
+                                eval_cut, eval_localizer, eval_normalizer,
+                                localizer_symbol, overlap_count,
+                                packing_bound, pou_deviation, validate_net)
 
 
 def test_bump_profiles():
@@ -97,6 +97,33 @@ def test_overlap_and_radial_bounds():
     assert counts.max() <= 5
     # |xi| = 1: rho(2^-k) > 0 exactly for k in {-1, 0, 1}
     assert part.radial_band_count(np.array([[1.0, 0.0]]))[0] == 3
+
+
+def test_overlap_pairs_matches_direct_count():
+    # the tree-pruned count against the brute-force count over every patch
+    met = conformal_field(lambda x: 2.0 + np.sin(x[0]) * np.cos(x[1]), 2,
+                          lambda_min=1.0, lambda_max=3.0)
+    part = build_partition(met, 1, 3)
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-3, 3, (5, 2))
+    xi = rng.uniform(-12, 12, (80, 2))
+    direct = sum((part.chi_pairs(j, k, x, xi) > 0.0).astype(np.int64)
+                 for k in part.bands for j in range(part.nets[k].size))
+    counts = part.overlap_pairs(x, xi)
+    assert np.array_equal(counts, direct)
+    assert counts.max() >= 10
+
+
+def test_broken_net_exceeds_neighbor_budget():
+    # centers 0.1 apart break the 1/2-separation that bounds the neighbor
+    # query; both tree-pruned sums must refuse instead of undercounting
+    net = DyadicNet(k=2, centers=np.arange(4.0, 8.0, 0.1)[:, None])
+    part = Partition(identity_field(1), 2, 2, build_bumps(), {2: net})
+    x, xi = np.zeros((1, 1)), np.array([[6.0]])
+    with pytest.raises(RuntimeError, match="neighbor budget"):
+        part.sigma_pairs(x, xi)
+    with pytest.raises(RuntimeError, match="neighbor budget"):
+        part.overlap_pairs(x, xi)
 
 
 def test_pou_deviation_interior():
