@@ -30,7 +30,7 @@ _SCHEMAS = {
     "cotlar": {"grid", "metric", "bands", "lattice_step", "bump", "symbol",
                "s", "cutoff", "active_bands"},
     "parametrix": {"grid", "metric", "bands", "lattice_step", "bump",
-                   "low_freq_cap", "symbol", "m2", "c0", "big_c0", "big_r",
+                   "low_freq_cap", "symbol", "m2", "c0", "big_r",
                    "order", "cutoff", "tests"},
     "radon-block": {"grid", "metric", "bands", "lattice_step", "bump",
                     "symbol", "m2", "k_range", "radon", "cutoff"},
@@ -65,8 +65,16 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_pow2(n) -> bool:
-    return isinstance(n, int) and n >= 2 and (n & (n - 1)) == 0
+    return _is_int(n) and n >= 2 and (n & (n - 1)) == 0
 
 
 def validate_config(cfg: dict, experiment: str) -> list[str]:
@@ -90,7 +98,7 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         else:
             dim = grid.get("dim")
             n = grid.get("n_grid")
-            if dim not in (1, 2):
+            if not (_is_int(dim) and dim in (1, 2)):
                 errors.append("grid.dim must be 1 or 2")
             if not _is_pow2(n):
                 errors.append("grid.n_grid must be a power of two")
@@ -100,23 +108,36 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                 errors.append("grid.n_grid exceeds the dim-2 ceiling of 64")
             elif dim == 2 and n > 256:
                 errors.append("grid.n_grid exceeds the Radon ceiling of 256")
-            if not (isinstance(grid.get("half_width"), (int, float))
+            if not (_is_number(grid.get("half_width"))
                     and grid.get("half_width", 0) > 0):
                 errors.append("grid.half_width must be positive")
     if experiment == "moyal-order":
         for n in cfg.get("orders_n", []):
-            if not (isinstance(n, int) and 1 <= n <= 6):
+            if not (_is_int(n) and 1 <= n <= 6):
                 errors.append(f"moyal order {n} outside 1..6")
     if experiment == "parametrix":
-        if not (isinstance(cfg.get("order"), int)
+        if not (_is_int(cfg.get("order"))
                 and 1 <= cfg.get("order", 0) <= 3):
             errors.append("parametrix order must lie in 1..3")
-    bands = cfg.get("bands")
-    if bands is not None and isinstance(bands, dict):
-        if bands.get("k_min", 0) > bands.get("k_max", 0):
+    if "bands" in _SCHEMAS[experiment]:
+        bands = cfg.get("bands")
+        if not (isinstance(bands, dict) and _is_int(bands.get("k_min"))
+                and _is_int(bands.get("k_max"))):
+            errors.append("bands must be an object with int k_min, k_max")
+        elif bands["k_min"] > bands["k_max"]:
             errors.append("bands.k_min must be <= bands.k_max")
+    if "radon" in _SCHEMAS[experiment]:
+        radon = cfg.get("radon")
+        if not isinstance(radon, dict):
+            errors.append("radon must be an object")
+        else:
+            if not (_is_int(radon.get("n_angles")) and radon["n_angles"] >= 1):
+                errors.append("radon.n_angles must be an int >= 1")
+            if not (_is_int(radon.get("n_offsets"))
+                    and radon["n_offsets"] >= 2):
+                errors.append("radon.n_offsets must be an int >= 2")
     ls = cfg.get("lattice_step")
-    if ls is not None and not (isinstance(ls, (int, float)) and 0 < ls <= 0.125):
+    if ls is not None and not (_is_number(ls) and 0 < ls <= 0.125):
         errors.append("lattice_step must lie in (0, 1/8]")
     return errors
 
@@ -286,7 +307,7 @@ def _run_cotlar(cfg, outdir):
     import numpy as np
 
     from .quantize import assemble_block, weyl_quantize
-    from .recombine import BlockFamily, cotlar_bounds, recombine_sum
+    from .recombine import BlockFamily, recombine_sum
     grid = _build_grid(cfg)
     metric = _build_metric(cfg, grid.dim)
     part = _build_partition(cfg, metric)
@@ -327,7 +348,7 @@ def _run_cotlar(cfg, outdir):
 def _run_parametrix(cfg, outdir):
     import numpy as np
 
-    from .parametrix import (EllipticSymbol, Parametrix, build_parametrix,
+    from .parametrix import (EllipticSymbol, build_parametrix,
                              gaussian_wavepacket, parametrix_residual)
     grid = _build_grid(cfg)
     metric = _build_metric(cfg, grid.dim)
@@ -335,8 +356,7 @@ def _run_parametrix(cfg, outdir):
     p_sym = _build_symbol(cfg["symbol"], grid)
     p = EllipticSymbol(symbol=p_sym, m2=float(cfg["m2"]),
                        c0=float(cfg.get("c0", 0.5)),
-                       big_c0=float(cfg.get("big_c0", 1e6)),
-                       big_r=float(cfg.get("big_r", 0.0)), metric=metric)
+                       big_r=float(cfg.get("big_r", 0.0)))
     chi = _build_cutoff(cfg, grid)
     px = build_parametrix(p, part, int(cfg["order"]), chi, chi, grid)
     t = cfg.get("tests", {})
@@ -345,10 +365,7 @@ def _run_parametrix(cfg, outdir):
                                  xi0, sigma)
              for xi0 in t.get("xi0_list", [[8.0] + [0.0] * (grid.dim - 1)])]
     report = parametrix_residual(px, p, tests, grid)
-    out = {k: v for k, v in report.items() if k != "rel_errors"}
-    out["rel_errors"] = report["rel_errors"]
-    out["excluded_patches"] = [list(e) for e in report["excluded_patches"]]
-    write_json(os.path.join(outdir, "parametrix.json"), out)
+    write_json(os.path.join(outdir, "parametrix.json"), report)
     checks = [("no_rejected_tests", not report["rejected"]),
               ("residuals_finite",
                all(np.isfinite(r) for r in report["rel_errors"]))]
@@ -455,11 +472,15 @@ def main(argv=None) -> int:
         print(json.dumps({"errors": errors}))
         return 2
 
+    from .expressions import ExpressionError
     os.makedirs(args.out, exist_ok=True)
     try:
         _, checks = _RUNNERS[args.experiment](cfg, args.out)
     except ValidationFailure as exc:
         print(json.dumps({"errors": exc.errors}))
+        return 2
+    except ExpressionError as exc:
+        print(json.dumps({"errors": [f"invalid expression: {exc}"]}))
         return 2
     failed = [name for name, ok in checks if not ok]
     print(json.dumps({"checks": {name: bool(ok) for name, ok in checks},

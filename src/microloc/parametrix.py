@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec, GridSymbol
-from .metric import MetricField
 from .moyal import MoyalTruncation, moyal_truncated
 from .partition import Partition, _grid_points, localizer_symbol
 from .quantize import (DiscreteOperator, fourier_multiplier, operator_norm,
@@ -38,9 +37,7 @@ class EllipticSymbol:
     symbol: GridSymbol
     m2: float
     c0: float
-    big_c0: float
     big_r: float
-    metric: MetricField
 
 
 @dataclass
@@ -55,38 +52,56 @@ class Parametrix:
     step_residuals: dict = field(default_factory=dict)
 
 
-def bandwise_inverse(p: EllipticSymbol, part: Partition, j: int, k: int,
-                     grid: GridSpec,
-                     region: np.ndarray | None = None) -> GridSymbol:
-    """(p^{-1})_{j,k} = Lambda_{j,k} / p, zero off the patch support.
+def _below_floor(p: EllipticSymbol, part: Partition,
+                 grid: GridSpec) -> np.ndarray:
+    """Lattice points where |p| < c0 (1 + |T_x xi|)^m2 / 2 and |T_x xi| >= big_r.
 
-    ``region`` optionally restricts the ellipticity check to a spatial
-    mask on the doubled lattice (flattened); default is everywhere.
+    Shape (x points, xi points) of the doubled lattice.  The mask does not
+    depend on the patch, so it is computed once per grid.
     """
-    lam = localizer_symbol(part, j, k, grid)
-    sup = np.abs(lam.values.reshape(lam.values.shape)) > 0.0
-    flat_sup = sup.reshape((2 * grid.n_grid) ** grid.dim, -1)
-    if region is not None:
-        flat_sup = flat_sup & region.reshape(-1, 1)
     x_pts, xi_pts = _grid_points(grid)
     t_uniq, inv = part.fiber_transforms(x_pts)
     fn = np.linalg.norm(xi_pts @ t_uniq.transpose(0, 2, 1), axis=-1)[inv]
     floor = 0.5 * p.c0 * (1.0 + fn) ** p.m2
-    pv = p.symbol.values.reshape(flat_sup.shape)
-    bad = flat_sup & (np.abs(pv) < floor) & (fn >= p.big_r)
+    return (np.abs(p.symbol.values.reshape(fn.shape)) < floor) \
+        & (fn >= p.big_r)
+
+
+def bandwise_inverse(p: EllipticSymbol, lam: GridSymbol,
+                     below_floor: np.ndarray) -> GridSymbol:
+    """(p^{-1})_{j,k} = Lambda_{j,k} / p, zero off the patch support.
+
+    ``lam`` is the patch's sampled localizer and ``below_floor`` the
+    ellipticity-floor mask of ``_below_floor`` on the same grid; a patch
+    whose support meets the mask is rejected.
+    """
+    sup = np.abs(lam.values) > 0.0
+    bad = sup.reshape(below_floor.shape) & below_floor
     if bad.any():
-        xi_idx = int(np.argwhere(bad)[0][1])
+        x_idx, xi_idx = np.argwhere(bad)[0]
         raise PatchRejectedError(
-            f"patch (j={j}, k={k}): |p| below the ellipticity floor at "
-            f"flat grid point (x={int(np.argwhere(bad)[0][0])}, xi={xi_idx})")
+            "|p| below the ellipticity floor on the patch support at flat "
+            f"grid point (x={int(x_idx)}, xi={int(xi_idx)})")
     vals = np.zeros_like(lam.values)
-    mask = np.abs(lam.values) > 0.0
-    vals[mask] = lam.values[mask] / p.symbol.values[mask]
-    return GridSymbol(grid=grid, values=vals)
+    vals[sup] = lam.values[sup] / p.symbol.values[sup]
+    return GridSymbol(grid=lam.grid, values=vals)
 
 
-def _sup(values: np.ndarray) -> float:
-    return float(np.abs(values).max())
+def _residual_projector(chi0: np.ndarray, chi0_prime: np.ndarray,
+                        xi_ok: np.ndarray, grid: GridSpec):
+    """The plateau of both cutoffs, and plateau * Pi_covered as a matrix."""
+    plateau = (chi0 >= 1.0 - 1e-9) & (chi0_prime >= 1.0 - 1e-9)
+    pi = fourier_multiplier(np.where(xi_ok, 1.0, 0.0), grid).matrix
+    return plateau, plateau.ravel().astype(float)[:, None] * pi
+
+
+def _operator_residual(comp: np.ndarray, proj: np.ndarray,
+                       grid: GridSpec) -> float:
+    """||(Q Op(p) - I) proj||: dense SVD up to dimension 4096, power beyond."""
+    restr = (comp - np.eye(grid.npoints())) @ proj
+    method = "svd" if grid.npoints() <= 4096 else "power"
+    return operator_norm(DiscreteOperator(matrix=restr, grid=grid),
+                         method=method)
 
 
 def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
@@ -100,19 +115,18 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     excluded: list[tuple[int, int]] = []
     covered = set()
 
-    q_sum = None
-    lam_sum = None
+    below_floor = _below_floor(p, part, grid)
+    q_sum = lam_sum = None
     for k in bands:
         for j in range(part.nets[k].size):
+            lam = localizer_symbol(part, j, k, grid)
             try:
-                q0 = bandwise_inverse(p, part, j, k, grid)
+                q0 = bandwise_inverse(p, lam, below_floor)
             except PatchRejectedError:
                 excluded.append((j, k))
                 continue
-            lam = localizer_symbol(part, j, k, grid)
             if q_sum is None:
-                q_sum = q0.values.copy()
-                lam_sum = lam.values.copy()
+                q_sum, lam_sum = q0.values, lam.values
             else:
                 q_sum += q0.values
                 lam_sum += lam.values
@@ -126,44 +140,34 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     # spectral derivatives of the aggregate symbol ring off the coverage
     # boundary
     kp = weyl_quantize(p.symbol).matrix
-    xi_ok = covered_xi_mask(part, grid, sorted(covered))
-    plateau = ((chi0 >= 1.0 - 1e-9) & (chi0_prime >= 1.0 - 1e-9)).ravel()
-    pi = fourier_multiplier(np.where(xi_ok, 1.0, 0.0), grid).matrix
-    eye = np.eye(grid.npoints())
+    _, proj = _residual_projector(
+        chi0, chi0_prime, covered_xi_mask(part, grid, sorted(covered)), grid)
 
     def assemble(sym: GridSymbol) -> np.ndarray:
         return chi0.ravel()[:, None] * weyl_quantize(sym).matrix \
             * chi0_prime.ravel()[None, :]
 
-    def op_res(mat: np.ndarray) -> float:
-        restr = (mat @ kp - eye) @ (plateau.astype(float)[:, None] * pi)
-        method = "svd" if grid.npoints() <= 4096 else "power"
-        return operator_norm(DiscreteOperator(matrix=restr, grid=grid),
-                             method=method)
-
     q = GridSymbol(grid=grid, values=q_sum)
     total = assemble(q)
-    hist = [op_res(total)]
-    res = lam_sum - moyal_truncated(q, p.symbol, trunc).values
+    hist = [_operator_residual(total @ kp, proj, grid)]
     for _ in range(order - 1):
+        res = lam_sum - moyal_truncated(q, p.symbol, trunc).values
         corr = np.zeros_like(res)
         nz = np.abs(res) > 0.0
         corr[nz] = res[nz] / p.symbol.values[nz]
         cand = GridSymbol(grid=grid, values=q.values + corr)
         cand_total = assemble(cand)
-        cand_res = op_res(cand_total)
+        cand_res = _operator_residual(cand_total @ kp, proj, grid)
         if cand_res > hist[-1]:
             # damping: keep the previous iterate
             break
         q, total = cand, cand_total
-        res = lam_sum - moyal_truncated(q, p.symbol, trunc).values
         hist.append(cand_res)
-    step_residuals = {"aggregate": hist}
     return Parametrix(operator=DiscreteOperator(matrix=total, grid=grid),
                       order=order, partition=part, chi0=chi0,
                       chi0_prime=chi0_prime,
                       covered_bands=sorted(covered), excluded=excluded,
-                      step_residuals=step_residuals)
+                      step_residuals={"aggregate": hist})
 
 
 def covered_xi_mask(part: Partition, grid: GridSpec,
@@ -208,7 +212,7 @@ def parametrix_residual(px: Parametrix, p: EllipticSymbol,
     kp = weyl_quantize(p.symbol).matrix
     comp = px.operator.matrix @ kp
     xi_ok = covered_xi_mask(px.partition, grid, px.covered_bands)
-    plateau = (px.chi0 >= 1.0 - 1e-9) & (px.chi0_prime >= 1.0 - 1e-9)
+    plateau, proj = _residual_projector(px.chi0, px.chi0_prime, xi_ok, grid)
 
     rels, rejected = [], []
     for idx, u in enumerate(test_functions):
@@ -234,18 +238,11 @@ def parametrix_residual(px: Parametrix, p: EllipticSymbol,
         rels.append(float(np.linalg.norm(v - u.ravel())
                           / np.linalg.norm(u.ravel())))
 
-    # operator-level residual restricted to the covered frequency range
-    from .quantize import fourier_multiplier
-    pi = fourier_multiplier(np.where(xi_ok, 1.0, 0.0), grid).matrix
-    restr = (comp - np.eye(grid.npoints())) \
-        @ (plateau.ravel().astype(float)[:, None] * pi)
-    op_res = operator_norm(DiscreteOperator(matrix=restr, grid=grid))
-
     return {
         "rel_errors": rels,
         "max_rel_error": max(rels) if rels else float("nan"),
         "median_rel_error": float(np.median(rels)) if rels else float("nan"),
         "rejected": rejected,
-        "operator_residual": op_res,
+        "operator_residual": _operator_residual(comp, proj, grid),
         "excluded_patches": px.excluded,
     }

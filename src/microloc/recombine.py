@@ -48,14 +48,20 @@ class BlockFamily:
 
     def weighted(self) -> list[np.ndarray]:
         """Blocks conjugated to plain L2: <D>^{s_out} T <D>^{-s_in}."""
-        out = list(self.matrices)
-        if self.s_out != 0.0:
-            w = sobolev_multiplier(self.s_out, self.grid).matrix
-            out = [w @ m for m in out]
-        if self.s_in != 0.0:
-            wi = sobolev_multiplier(-self.s_in, self.grid).matrix
-            out = [m @ wi for m in out]
-        return out
+        return _weighted(self.matrices, self.grid, self.s_in, self.s_out)
+
+
+def _weighted(mats: list[np.ndarray], grid: GridSpec, s_in: float,
+              s_out: float) -> list[np.ndarray]:
+    """<D>^{s_out} M <D>^{-s_in} for each matrix M."""
+    out = list(mats)
+    if s_out != 0.0:
+        w = sobolev_multiplier(s_out, grid).matrix
+        out = [w @ m for m in out]
+    if s_in != 0.0:
+        wi = sobolev_multiplier(-s_in, grid).matrix
+        out = [m @ wi for m in out]
+    return out
 
 
 @dataclass
@@ -79,6 +85,8 @@ def _cotlar_certificate(blocks: list[np.ndarray],
 
     Blocks may be non-square; each pair product is formed as given.
     """
+    if not blocks:
+        raise ValueError("empty block family")
     p = len(blocks)
     star = np.zeros((p, p))
     adj = np.zeros((p, p))
@@ -100,8 +108,6 @@ def _cotlar_certificate(blocks: list[np.ndarray],
 
 def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
     """Exact pairwise norms, row sums A and B, and the sqrt(AB) certificate."""
-    if len(fam) == 0:
-        raise ValueError("empty block family")
     return _cotlar_certificate(fam.weighted(), fam.indices)
 
 
@@ -120,17 +126,13 @@ def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,
         if missing:
             raise CoverageGapError(missing)
 
-    blocks = fam.weighted()
-    ref = reference.matrix
-    if fam.s_out != 0.0:
-        ref = sobolev_multiplier(fam.s_out, fam.grid).matrix @ ref
-    if fam.s_in != 0.0:
-        ref = ref @ sobolev_multiplier(-fam.s_in, fam.grid).matrix
+    *blocks, ref = _weighted([*fam.matrices, reference.matrix], fam.grid,
+                             fam.s_in, fam.s_out)
 
     total = sum(blocks)
     ref_norm = _specnorm(ref)
     disc = _specnorm(total - ref)
-    cert = cotlar_bounds(fam)
+    cert = _cotlar_certificate(blocks, fam.indices)
 
     order = sorted(range(len(fam)), key=lambda i: (fam.indices[i][1],
                                                    fam.indices[i][0]))

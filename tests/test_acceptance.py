@@ -260,7 +260,7 @@ def test_criterion_08_parametrix_suites():
     part1 = build_partition(met1, 1, 6, low_freq_cap=True)
     p1 = EllipticSymbol(
         symbol=sample_on(g1, lambda x, xi: 1.0 + xi ** 2 + 0.0 * x),
-        m2=2, c0=0.4, big_c0=4.0, big_r=1.0, metric=met1)
+        m2=2, c0=0.4, big_r=1.0)
     ones1 = np.ones(g1.n_grid)
     px1 = build_parametrix(p1, part1, 2, ones1, ones1, g1)
     tests1 = [gaussian_wavepacket(g1, x0, s * 20.0, 0.4)
@@ -280,7 +280,7 @@ def test_criterion_08_parametrix_suites():
     for name, (met, rule) in suites.items():
         part = build_partition(met, 1, 5, low_freq_cap=True)
         p = EllipticSymbol(symbol=sample_on(g2, rule), m2=2, c0=0.4,
-                           big_c0=8.0, big_r=1.0, metric=met)
+                           big_r=1.0)
         ones2 = np.ones(g2.n_grid)
         tests = [gaussian_wavepacket(g2, 0.0, s * 14.0, 0.55)
                  for s in (-1, 1)]

@@ -80,7 +80,7 @@ def test_parametrix_runs(tmp_path):
                 grid={"dim": 1, "half_width": np.pi, "n_grid": 64},
                 metric={"kind": "identity"},
                 bands={"k_min": 1, "k_max": 5}, low_freq_cap=True,
-                symbol="1+xi1^2", m2=2, c0=0.4, big_c0=4.0, big_r=1.0,
+                symbol="1+xi1^2", m2=2, c0=0.4, big_r=1.0,
                 order=1, cutoff={"r_one": 2.6, "r_zero": 3.1},
                 tests={"sigma": 0.55, "x0": [0.0], "xi0_list": [[14.0]]})
     code, outdir = _run(tmp_path, "parametrix", cfg)
@@ -137,6 +137,39 @@ def test_validation_rejections(tmp_path, mutate, desc):
     mutate(cfg)
     code, _ = _run(tmp_path, "band-bound", cfg)
     assert code == 2, desc
+
+
+def _radon_invert(**radon):
+    return _base("radon-invert",
+                 grid={"dim": 2, "half_width": np.pi, "n_grid": 32},
+                 radon={"n_angles": 16, "n_offsets": 33, **radon})
+
+
+def _cotlar(**extra):
+    cfg = _base("cotlar", grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
+                metric={"kind": "identity"}, bands={"k_min": 2, "k_max": 3},
+                symbol="exp(-xi1^2)")
+    cfg.update(extra)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg,desc", [
+    (_radon_invert(n_offsets=1), "one Radon offset"),
+    (_radon_invert(n_angles=0), "no Radon angles"),
+    (_radon_invert(n_angles=True), "boolean Radon angle count"),
+    ({k: v for k, v in _cotlar().items() if k != "bands"}, "missing bands"),
+    (_cotlar(bands="oops"), "bands not an object"),
+    (_cotlar(bands={"k_min": True, "k_max": 3}), "boolean band index"),
+    (_cotlar(grid={"dim": True, "half_width": np.pi, "n_grid": 32}),
+     "boolean grid dim"),
+    (_base("moyal-order", grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
+           symbol_a="__import__(1)", symbol_b="xi1", orders_n=[1],
+           h_list=[0.5]), "unsafe expression"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
+    code, _ = _run(tmp_path, cfg["experiment"], cfg)
+    assert code == 2, desc
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
 
 
 def test_moyal_order_out_of_range_rejected(tmp_path):

@@ -1,12 +1,15 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from microloc import parametrix
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import identity_field
 from microloc.parametrix import (EllipticSymbol, PatchRejectedError,
-                                 bandwise_inverse, build_parametrix,
-                                 covered_xi_mask, gaussian_wavepacket,
-                                 parametrix_residual)
+                                 _below_floor, bandwise_inverse,
+                                 build_parametrix, covered_xi_mask,
+                                 gaussian_wavepacket, parametrix_residual)
 from microloc.partition import build_partition, localizer_symbol
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=64)
@@ -18,15 +21,14 @@ def _bracket_sq(grid):
 
 
 def _elliptic(grid, c0=0.4):
-    return EllipticSymbol(symbol=_bracket_sq(grid), m2=2, c0=c0,
-                          big_c0=4.0, big_r=1.0, metric=MET)
+    return EllipticSymbol(symbol=_bracket_sq(grid), m2=2, c0=c0, big_r=1.0)
 
 
 def test_bandwise_inverse_values():
     part = build_partition(MET, 2, 4)
     p = _elliptic(G)
-    q = bandwise_inverse(p, part, 0, 3, G)
     lam = localizer_symbol(part, 0, 3, G)
+    q = bandwise_inverse(p, lam, _below_floor(p, part, G))
     sup = np.abs(lam.values) > 0.0
     assert np.abs(q.values[~sup]).max() == 0.0
     assert np.abs(q.values[sup]
@@ -38,9 +40,51 @@ def test_ellipticity_floor_rejection():
     # c0 large enough that 0.5 c0 (1+|xi|)^2 exceeds 1+xi^2 on the patch
     p = _elliptic(G, c0=10.0)
     with pytest.raises(PatchRejectedError):
-        bandwise_inverse(p, part, 0, 3, G)
+        bandwise_inverse(p, localizer_symbol(part, 0, 3, G),
+                         _below_floor(p, part, G))
     with pytest.raises(PatchRejectedError):
         build_parametrix(p, part, 1, np.ones(G.n_grid), np.ones(G.n_grid), G)
+
+
+def test_build_parametrix_samples_each_localizer_once(monkeypatch):
+    part = build_partition(MET, 2, 4)
+    calls = []
+
+    def counting(part_, j, k, grid):
+        calls.append((j, k))
+        return localizer_symbol(part_, j, k, grid)
+
+    monkeypatch.setattr(parametrix, "localizer_symbol", counting)
+    ones = np.ones(G.n_grid)
+    build_parametrix(_elliptic(G), part, 1, ones, ones, G)
+    assert calls == [(j, k) for k in part.bands
+                     for j in range(part.nets[k].size)]
+
+
+def test_partial_exclusion_matches_patchwise_check():
+    part = build_partition(MET, 1, 5, low_freq_cap=True)
+    # 1 + xi^2 < 0.8 (1 + |xi|)^2 exactly for 0.13 < |xi| < 7.87, so the
+    # floor (checked from big_r = 1 on) rejects low-band patches only
+    p = _elliptic(G, c0=1.6)
+    ones = np.ones(G.n_grid)
+    px = build_parametrix(p, part, 1, ones, ones, G)
+
+    # brute force, patch by patch; the identity metric's fiber norm is |xi|
+    xi = np.abs(G.xi_axis_refined())
+    floor_bad = (np.abs(p.symbol.values) < 0.5 * p.c0 * (1.0 + xi) ** p.m2) \
+        & (xi >= p.big_r)
+    below = _below_floor(p, part, G)
+    excluded, kept = [], []
+    for k in part.bands:
+        for j in range(part.nets[k].size):
+            lam = localizer_symbol(part, j, k, G)
+            bad = bool((floor_bad & (np.abs(lam.values) > 0.0)).any())
+            with pytest.raises(PatchRejectedError) if bad else nullcontext():
+                bandwise_inverse(p, lam, below)
+            (excluded if bad else kept).append((j, k))
+    assert excluded and kept
+    assert px.excluded == excluded
+    assert px.covered_bands == sorted({k for (_, k) in kept})
 
 
 def test_build_parametrix_order_validation():
