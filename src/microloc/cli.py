@@ -77,6 +77,10 @@ def _is_pow2(n) -> bool:
     return _is_int(n) and n >= 2 and (n & (n - 1)) == 0
 
 
+def _is_pair(v, test) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(test, v))
+
+
 def validate_config(cfg: dict, experiment: str) -> list[str]:
     errors = []
     if not isinstance(cfg, dict):
@@ -86,13 +90,14 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
     if cfg.get("experiment") != experiment:
         errors.append(f"config experiment {cfg.get('experiment')!r} does not "
                       f"match requested {experiment!r}")
-    allowed = _COMMON_KEYS | _SCHEMAS[experiment]
+    schema = _SCHEMAS[experiment]
+    allowed = _COMMON_KEYS | schema
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         errors.append(f"unknown keys: {unknown}")
 
     grid = cfg.get("grid")
-    if grid is not None:
+    if "grid" in schema:
         if not isinstance(grid, dict):
             errors.append("grid must be an object")
         else:
@@ -104,8 +109,8 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                 errors.append("grid.n_grid must be a power of two")
             elif dim == 1 and n > 512:
                 errors.append("grid.n_grid exceeds the dim-1 ceiling of 512")
-            elif dim == 2 and experiment != "radon-invert" and n > 64:
-                errors.append("grid.n_grid exceeds the dim-2 ceiling of 64")
+            elif dim == 2 and experiment != "radon-invert" and n > 32:
+                errors.append("grid.n_grid exceeds the dim-2 ceiling of 32")
             elif dim == 2 and n > 256:
                 errors.append("grid.n_grid exceeds the Radon ceiling of 256")
             if not (_is_number(grid.get("half_width"))
@@ -119,14 +124,35 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         if not (_is_int(cfg.get("order"))
                 and 1 <= cfg.get("order", 0) <= 3):
             errors.append("parametrix order must lie in 1..3")
-    if "bands" in _SCHEMAS[experiment]:
+    # keys each runner reads without a default are required
+    for key in sorted({"symbol", "symbol_a", "symbol_b"} & schema):
+        if not isinstance(cfg.get(key), str):
+            errors.append(f"{key} must be a string")
+    if "k_range" in schema and not _is_pair(cfg.get("k_range"), _is_int):
+        errors.append("k_range must be a list of 2 ints")
+    if "orders" in schema and not _is_pair(cfg.get("orders"), _is_number):
+        errors.append("orders must be a list of 2 numbers")
+    if "m2" in schema and not _is_number(cfg.get("m2")):
+        errors.append("m2 must be a number")
+    if "metric" in schema:
+        metric = cfg.get("metric", {"kind": "identity"})
+        if not (isinstance(metric, dict)
+                and metric.get("kind") in ("identity", "conformal")):
+            errors.append("metric.kind must be 'identity' or 'conformal'")
+        elif metric["kind"] == "conformal":
+            lo, hi = metric.get("lambda_min"), metric.get("lambda_max")
+            if not (isinstance(metric.get("expr"), str) and _is_number(lo)
+                    and _is_number(hi) and lo <= hi):
+                errors.append("a conformal metric needs a string expr and "
+                              "numbers lambda_min <= lambda_max")
+    if "bands" in schema:
         bands = cfg.get("bands")
         if not (isinstance(bands, dict) and _is_int(bands.get("k_min"))
                 and _is_int(bands.get("k_max"))):
             errors.append("bands must be an object with int k_min, k_max")
         elif bands["k_min"] > bands["k_max"]:
             errors.append("bands.k_min must be <= bands.k_max")
-    if "radon" in _SCHEMAS[experiment]:
+    if "radon" in schema:
         radon = cfg.get("radon")
         if not isinstance(radon, dict):
             errors.append("radon must be an object")
@@ -151,22 +177,21 @@ def _build_grid(cfg):
 
 def _build_metric(cfg, dim):
     from .expressions import parse_expression
-    from .metric import MetricField, conformal_field, identity_field
+    from .metric import conformal_field, identity_field
     m = cfg.get("metric", {"kind": "identity"})
     if m["kind"] == "identity":
         return identity_field(dim)
-    if m["kind"] == "conformal":
-        f = parse_expression(m["expr"], dim, with_xi=False)
-        return conformal_field(lambda x: f(*x), dim,
-                               lambda_min=float(m["lambda_min"]),
-                               lambda_max=float(m["lambda_max"]))
-    raise ValidationFailure([f"unknown metric kind {m['kind']!r}"])
+    f = parse_expression(m["expr"], dim, with_xi=False)
+    return conformal_field(lambda x: f(*x), dim,
+                           lambda_min=float(m["lambda_min"]),
+                           lambda_max=float(m["lambda_max"]))
 
 
-def _build_partition(cfg, metric):
+def _build_partition(cfg, dim):
     from .partition import build_partition
     b = cfg["bands"]
-    return build_partition(metric, int(b["k_min"]), int(b["k_max"]),
+    return build_partition(_build_metric(cfg, dim),
+                           int(b["k_min"]), int(b["k_max"]),
                            lattice_step=float(cfg.get("lattice_step", 0.125)),
                            bump_kind=cfg.get("bump", {}).get(
                                "kind", "exp-mollified"),
@@ -193,8 +218,7 @@ def _run_partition_verify(cfg, outdir):
     from .partition import (overlap_scan, pou_deviation, validate_net,
                             verify_localizer_derivatives)
     dim = int(cfg.get("dim", 1))
-    metric = _build_metric(cfg, dim)
-    part = _build_partition(cfg, metric)
+    part = _build_partition(cfg, dim)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
 
     s = cfg.get("samples", {})
@@ -208,7 +232,7 @@ def _run_partition_verify(cfg, outdir):
     dirs = rng.standard_normal((n_xi, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # restrict to the effective support: fiber norm inside built annuli
-    scale = np.sqrt(metric.lambda_max)
+    scale = np.sqrt(part.metric.lambda_max)
     mags = np.clip(mags, lo, hi / scale * 0.999)
     xis = mags[:, None] * dirs
 
@@ -248,8 +272,7 @@ def _run_band_bound(cfg, outdir):
 
     from .quantize import band_bound_experiment, fit_log2_slope
     grid = _build_grid(cfg)
-    metric = _build_metric(cfg, grid.dim)
-    part = _build_partition(cfg, metric)
+    part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
     k_lo, k_hi = cfg["k_range"]
@@ -306,11 +329,10 @@ def _run_moyal_order(cfg, outdir):
 def _run_cotlar(cfg, outdir):
     import numpy as np
 
-    from .quantize import assemble_block, weyl_quantize
+    from .quantize import DiscreteOperator, assemble_block, weyl_quantize
     from .recombine import BlockFamily, recombine_sum
     grid = _build_grid(cfg)
-    metric = _build_metric(cfg, grid.dim)
-    part = _build_partition(cfg, metric)
+    part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
     indices, mats = [], []
@@ -325,7 +347,6 @@ def _run_cotlar(cfg, outdir):
                       s_out=float(cfg.get("s", 0.0)))
     ref_m = chi.ravel()[:, None] * weyl_quantize(a).matrix \
         * chi.ravel()[None, :]
-    from .quantize import DiscreteOperator
     report = recombine_sum(fam, DiscreteOperator(matrix=ref_m, grid=grid),
                            active_bands=cfg.get("active_bands"))
     cert = report["certificate"]
@@ -348,23 +369,26 @@ def _run_cotlar(cfg, outdir):
 def _run_parametrix(cfg, outdir):
     import numpy as np
 
-    from .parametrix import (EllipticSymbol, build_parametrix,
-                             gaussian_wavepacket, parametrix_residual)
+    from .parametrix import (EllipticSymbol, PatchRejectedError,
+                             build_parametrix, gaussian_wavepacket,
+                             parametrix_residual)
     grid = _build_grid(cfg)
-    metric = _build_metric(cfg, grid.dim)
-    part = _build_partition(cfg, metric)
+    part = _build_partition(cfg, grid.dim)
     p_sym = _build_symbol(cfg["symbol"], grid)
     p = EllipticSymbol(symbol=p_sym, m2=float(cfg["m2"]),
                        c0=float(cfg.get("c0", 0.5)),
                        big_r=float(cfg.get("big_r", 0.0)))
     chi = _build_cutoff(cfg, grid)
-    px = build_parametrix(p, part, int(cfg["order"]), chi, chi, grid)
+    try:
+        px = build_parametrix(p, part, int(cfg["order"]), chi, chi, grid)
+    except PatchRejectedError as exc:
+        raise ValidationFailure([str(exc)]) from exc
     t = cfg.get("tests", {})
     sigma = float(t.get("sigma", 0.2))
     tests = [gaussian_wavepacket(grid, t.get("x0", [0.0] * grid.dim),
                                  xi0, sigma)
              for xi0 in t.get("xi0_list", [[8.0] + [0.0] * (grid.dim - 1)])]
-    report = parametrix_residual(px, p, tests, grid)
+    report = parametrix_residual(px, tests, grid)
     write_json(os.path.join(outdir, "parametrix.json"), report)
     checks = [("no_rejected_tests", not report["rejected"]),
               ("residuals_finite",
@@ -378,8 +402,7 @@ def _run_radon_block(cfg, outdir):
     from .quantize import make_cutoff
     from .radon import RadonConfig, radon_block_experiment
     grid = _build_grid(cfg)
-    metric = _build_metric(cfg, grid.dim)
-    part = _build_partition(cfg, metric)
+    part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
     r = cfg["radon"]
     rcfg = RadonConfig(grid=grid, n_angles=int(r["n_angles"]),

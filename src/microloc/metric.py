@@ -35,7 +35,6 @@ class MetricField:
     dim: int
     lambda_min: float = 1.0
     lambda_max: float = 1.0
-    deriv_constants: tuple[float, ...] | None = None
 
     def __call__(self, x) -> np.ndarray:
         return eval_metric(self, x)
@@ -80,14 +79,15 @@ def eval_metric(field: MetricField, x) -> np.ndarray:
 
 
 def sqrt_metric(g: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive-definite matrix."""
+    """Principal square root of each SPD matrix in a stack (..., n, n)."""
     g = np.asarray(g, dtype=float)
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.abs(g).max()):
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), keepdims=True))
+    if np.any(np.abs(g - np.swapaxes(g, -1, -2)) > SYMMETRY_TOL * scale):
         raise InvalidFieldError("matrix is not symmetric")
     w, v = np.linalg.eigh(g)
     if w.min() <= 0.0:
         raise NotPositiveDefiniteError(f"eigenvalue {w.min():.3e} <= 0")
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def fiber_norm(field: MetricField, x, xi) -> float:
@@ -121,10 +121,6 @@ def _fd_derivative(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         val = w * f(p)
         out = val if out is None else out + val
     return out
-
-
-def _opnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
 
 
 @dataclass
@@ -175,9 +171,6 @@ def verify_metric_hypotheses(fld: MetricField, sample_grid,
             f"spectral range [{lmin:.6g}, {lmax:.6g}] outside declared "
             f"[{fld.lambda_min:.6g}, {fld.lambda_max:.6g}]")
 
-    def t_at(p):
-        return sqrt_metric(eval_metric(fld, p))
-
     consts: dict[tuple[int, ...], float] = {}
     stable: dict[tuple[int, ...], bool] = {}
     for order in range(1, max_order + 1):
@@ -187,7 +180,8 @@ def verify_metric_hypotheses(fld: MetricField, sample_grid,
                 sup = 0.0
                 for p in grid:
                     weight = (1.0 + float(p @ p)) ** (order / 2.0)
-                    sup = max(sup, _opnorm(_fd_derivative(t_at, p, beta, h)) / weight)
+                    d = _fd_derivative(fld.sqrt_at, p, beta, h)
+                    sup = max(sup, float(np.linalg.norm(d, 2)) / weight)
                 ests.append(sup)
             # Richardson: central differences are O(h^2)
             consts[beta] = max(0.0, (4 * ests[1] - ests[0]) / 3)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grids import GridSpec, GridSymbol
 from .moyal import MoyalTruncation, moyal_truncated
-from .partition import Partition, _grid_points, localizer_symbol
+from .partition import Partition, localizer_symbol
 from .quantize import (DiscreteOperator, fourier_multiplier, operator_norm,
                        weyl_quantize)
 
@@ -43,6 +43,7 @@ class EllipticSymbol:
 @dataclass
 class Parametrix:
     operator: DiscreteOperator
+    composition: np.ndarray  # the matrix of Q Op^w(p)
     order: int
     partition: Partition
     chi0: np.ndarray
@@ -59,8 +60,7 @@ def _below_floor(p: EllipticSymbol, part: Partition,
     Shape (x points, xi points) of the doubled lattice.  The mask does not
     depend on the patch, so it is computed once per grid.
     """
-    x_pts, xi_pts = _grid_points(grid)
-    t_uniq, inv = part.fiber_transforms(x_pts)
+    xi_pts, t_uniq, inv, _ = part._grid_sample(grid)
     fn = np.linalg.norm(xi_pts @ t_uniq.transpose(0, 2, 1), axis=-1)[inv]
     floor = 0.5 * p.c0 * (1.0 + fn) ** p.m2
     return (np.abs(p.symbol.values.reshape(fn.shape)) < floor) \
@@ -143,28 +143,30 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     _, proj = _residual_projector(
         chi0, chi0_prime, covered_xi_mask(part, grid, sorted(covered)), grid)
 
-    def assemble(sym: GridSymbol) -> np.ndarray:
-        return chi0.ravel()[:, None] * weyl_quantize(sym).matrix \
+    def assemble(sym: GridSymbol):
+        """Q = chi0 Op^w(sym) chi0' and Q Op^w(p)."""
+        total = chi0.ravel()[:, None] * weyl_quantize(sym).matrix \
             * chi0_prime.ravel()[None, :]
+        return total, total @ kp
 
     q = GridSymbol(grid=grid, values=q_sum)
-    total = assemble(q)
-    hist = [_operator_residual(total @ kp, proj, grid)]
+    total, comp = assemble(q)
+    hist = [_operator_residual(comp, proj, grid)]
     for _ in range(order - 1):
         res = lam_sum - moyal_truncated(q, p.symbol, trunc).values
         corr = np.zeros_like(res)
         nz = np.abs(res) > 0.0
         corr[nz] = res[nz] / p.symbol.values[nz]
         cand = GridSymbol(grid=grid, values=q.values + corr)
-        cand_total = assemble(cand)
-        cand_res = _operator_residual(cand_total @ kp, proj, grid)
+        cand_total, cand_comp = assemble(cand)
+        cand_res = _operator_residual(cand_comp, proj, grid)
         if cand_res > hist[-1]:
             # damping: keep the previous iterate
             break
-        q, total = cand, cand_total
+        q, total, comp = cand, cand_total, cand_comp
         hist.append(cand_res)
     return Parametrix(operator=DiscreteOperator(matrix=total, grid=grid),
-                      order=order, partition=part, chi0=chi0,
+                      composition=comp, order=order, partition=part, chi0=chi0,
                       chi0_prime=chi0_prime,
                       covered_bands=sorted(covered), excluded=excluded,
                       step_residuals={"aggregate": hist})
@@ -201,16 +203,15 @@ def gaussian_wavepacket(grid: GridSpec, x0, xi0, sigma: float) -> np.ndarray:
     return np.exp(-q / (2.0 * sigma ** 2)) * np.exp(1j * phase)
 
 
-def parametrix_residual(px: Parametrix, p: EllipticSymbol,
-                        test_functions, grid: GridSpec) -> dict:
+def parametrix_residual(px: Parametrix, test_functions,
+                        grid: GridSpec) -> dict:
     """Relative errors ||Q Op(p) u - u|| / ||u|| over admissible u.
 
     Test functions must be frequency-supported (to 1e-8 energy fraction)
     in the covered-band region and spatially supported on the plateau of
     both cutoffs; others are rejected with a reason.
     """
-    kp = weyl_quantize(p.symbol).matrix
-    comp = px.operator.matrix @ kp
+    comp = px.composition
     xi_ok = covered_xi_mask(px.partition, grid, px.covered_bands)
     plateau, proj = _residual_projector(px.chi0, px.chi0_prime, xi_ok, grid)
 

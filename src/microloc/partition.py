@@ -8,21 +8,22 @@ Sigma = sum of all chi (plus an optional low-frequency cap); and the
 localizers Lambda_{j,k} = chi_{j,k} / Sigma, which sum to 1 wherever
 Sigma > 0.
 
-Evaluation is lazy: nothing is tabulated globally, and per-point sums
-prune to the few bands and centers whose supports can reach the point
-(at most 5 radial bands, at most 5^n centers per band).
+Evaluation is lazy: per-point sums prune to the few bands and centers
+whose supports can reach the point (at most 5 radial bands, at most 5^n
+centers per band), and only the distinct T_x and Sigma of a quantization
+grid are tabulated, once per grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import backend
 from .grids import GridSpec, GridSymbol
-from .metric import MetricField, _fd_derivative
+from .metric import MetricField, _fd_derivative, sqrt_metric
 
 
 class EmptyNetError(ValueError):
@@ -53,14 +54,13 @@ _STEPS = {"polynomial-smoothstep": _smoothstep_poly, "exp-mollified": _smoothste
 
 @dataclass(frozen=True)
 class BumpProfiles:
-    """Radial mother cut phi and annular profile rho, with seminorm table.
+    """Radial mother cut phi and annular profile rho.
 
     phi(eta) = P(|eta|) with P = 1 on [0, 1/2] and 0 on [1, inf);
     rho = 1 on [1/2, 2] and 0 outside (1/4, 4).
     """
 
     kind: str
-    seminorms: dict[int, float] = field(default_factory=dict)
 
     def _step(self, t):
         return _STEPS[self.kind](t)
@@ -90,19 +90,7 @@ def build_bumps(transition: str = "exp-mollified") -> BumpProfiles:
     if transition not in _STEPS:
         raise ValueError(f"unknown transition {transition!r}; "
                          f"choose from {sorted(_STEPS)}")
-    prof = BumpProfiles(kind=transition)
-    # empirical seminorm table M_l(P) for l <= 4 by central differences
-    h = 1e-3
-    r = np.linspace(0.0, 1.2, 2401)
-    vals = prof.phi_profile(r)
-    table = {0: float(np.abs(vals).max())}
-    cur = vals
-    for order in range(1, 5):
-        cur = (np.roll(cur, -1) - np.roll(cur, 1))[1:-1] / (2 * h)
-        r = r[1:-1]
-        table[order] = float(np.abs(cur).max())
-    object.__setattr__(prof, "seminorms", table)
-    return prof
+    return BumpProfiles(kind=transition)
 
 
 @dataclass(frozen=True)
@@ -122,6 +110,12 @@ def packing_bound(k: int, dim: int) -> int:
     return int(np.floor(((2.0 ** (k + 1) + 0.25) / 0.25) ** dim))
 
 
+def _lattice(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The points of the product lattice axis^dim, one per row."""
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def build_net(k: int, dim: int, lattice_step: float = 0.125) -> DyadicNet:
     """Greedy maximal 1/2-separated net over a lexicographic lattice scan."""
     if lattice_step > 0.125:
@@ -130,8 +124,7 @@ def build_net(k: int, dim: int, lattice_step: float = 0.125) -> DyadicNet:
         raise ValueError("only dim 1 and 2 are supported")
     lo, hi = 2.0 ** k, 2.0 ** (k + 1)
     axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    cands = np.stack([m.ravel() for m in mesh], axis=-1)
+    cands = _lattice(axis, dim)
     r = np.linalg.norm(cands, axis=1)
     cands = np.ascontiguousarray(cands[(r >= lo) & (r < hi)])
     if cands.shape[0] == 0:
@@ -148,8 +141,7 @@ def validate_net(net: DyadicNet, dim: int, lattice_step: float = 0.125) -> dict:
     min_sep = float(d[:, 1].min()) if net.size > 1 else np.inf
     lo, hi = 2.0 ** net.k, 2.0 ** (net.k + 1)
     axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _lattice(axis, dim)
     r = np.linalg.norm(pts, axis=1)
     pts = pts[(r >= lo) & (r < hi)]
     cover, _ = tree.query(pts, k=1)
@@ -180,13 +172,11 @@ class Partition:
         self.lattice_step = lattice_step
         self.dim = metric.dim
         self._trees = {k: cKDTree(net.centers) for k, net in nets.items()}
+        self._grid_samples: dict[GridSpec, tuple] = {}
 
     @property
     def bands(self) -> list[int]:
         return list(range(self.k_min, self.k_max + 1))
-
-    def tree(self, k: int) -> cKDTree:
-        return self._trees[k]
 
     # vectorized core ----------------------------------------------------
 
@@ -197,7 +187,7 @@ class Partition:
         reproduces the full family.
         """
         x_arr = np.atleast_2d(np.asarray(x_arr, dtype=float))
-        mats = np.stack([self.metric.sqrt_at(p) for p in x_arr])
+        mats = sqrt_metric(np.stack([self.metric(p) for p in x_arr]))
         flat = np.round(mats.reshape(len(x_arr), -1), 12)
         _, first, inv = np.unique(flat, axis=0, return_index=True,
                                   return_inverse=True)
@@ -233,7 +223,7 @@ class Partition:
         kq = min(net.size, 5 ** self.dim + 2)
         if kq == 0:
             return np.empty((len(u), 0))
-        d, _ = self.tree(k).query(u, k=kq, distance_upper_bound=1.0)
+        d, _ = self._trees[k].query(u, k=kq, distance_upper_bound=1.0)
         d = d.reshape(len(u), kq)
         if kq < net.size and np.any(np.isfinite(d[:, -1])):
             raise RuntimeError("neighbor budget exceeded; net separation broken")
@@ -254,17 +244,31 @@ class Partition:
                 np.linalg.norm(xi_arr, axis=1) / 2.0 ** self.k_min)
         return out
 
-    def _normalized(self, k: int, term, x_arr: np.ndarray,
-                    xi_arr: np.ndarray) -> np.ndarray:
-        """(band-k sum of term) / Sigma, exactly 0 where the numerator is 0."""
-        xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
-        t_uniq, inv = self.fiber_transforms(x_arr)
-        num = self._band_eval(t_uniq, xi_arr, [k], term)
+    def _grid_sample(self, grid: GridSpec):
+        """(xi points, distinct T_x, inverse, Sigma on those rows) of a grid.
+
+        x runs over the doubled lattice and xi over the refined one, as
+        Weyl quantization samples symbols.  Computed once per grid and
+        shared by every caller, which must not modify the arrays.
+        """
+        if grid not in self._grid_samples:
+            xi_pts = _lattice(grid.xi_axis_refined(), grid.dim)
+            t_uniq, inv = self.fiber_transforms(
+                _lattice(grid.x_axis_doubled(), grid.dim))
+            self._grid_samples[grid] = (xi_pts, t_uniq, inv,
+                                        self._sigma(t_uniq, xi_pts))
+        return self._grid_samples[grid]
+
+    def _normalized(self, k: int, term, grid: GridSpec) -> GridSymbol:
+        """(band-k sum of term) / Sigma on the grid; 0 where the sum is 0."""
+        xi_pts, t_uniq, inv, sigma = self._grid_sample(grid)
+        num = self._band_eval(t_uniq, xi_pts, [k], term)
         out = np.zeros_like(num)
         mask = num > 0.0
-        if mask.any():
-            out[mask] = num[mask] / self._sigma(t_uniq, xi_arr)[mask]
-        return out[inv]
+        out[mask] = num[mask] / sigma[mask]
+        shape = (2 * grid.n_grid,) * (2 * grid.dim)
+        return GridSymbol(grid=grid,
+                          values=out[inv].astype(complex).reshape(shape))
 
     def _chi_term(self, j: int, k: int):
         """Band term of chi_{j,k}: rho * phi(|u - zeta_{j,k}|)."""
@@ -288,11 +292,6 @@ class Partition:
         xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
         t_uniq, inv = self.fiber_transforms(x_arr)
         return self._band_eval(t_uniq, xi_arr, [k], term)[inv]
-
-    def localizer_pairs(self, j: int, k: int, x_arr: np.ndarray,
-                        xi_arr: np.ndarray) -> np.ndarray:
-        """Lambda_{j,k} = chi/Sigma with exact zeros off supp chi."""
-        return self._normalized(k, self._chi_term(j, k), x_arr, xi_arr)
 
     def overlap_pairs(self, x_arr: np.ndarray, xi_arr: np.ndarray) -> np.ndarray:
         """Number of (j,k) with chi_{j,k} > 0, per (x, xi) pair."""
@@ -351,10 +350,6 @@ class Microlocalizer:
     j: int
     k: int
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.partition.nets[self.k].centers[self.j]
-
 
 def build_partition(metric: MetricField, k_min: int, k_max: int,
                     lattice_step: float = 0.125,
@@ -405,27 +400,13 @@ def overlap_count(part: Partition, x, xi) -> int:
 
 def localizer_symbol(part: Partition, j: int, k: int,
                      grid: GridSpec) -> GridSymbol:
-    """Lambda_{j,k} sampled as a GridSymbol on the quantization lattice."""
-    x_pts, xi_pts = _grid_points(grid)
-    vals = part.localizer_pairs(j, k, x_pts, xi_pts)
-    shape = (2 * grid.n_grid,) * grid.dim + (2 * grid.n_grid,) * grid.dim
-    return GridSymbol(grid=grid, values=vals.astype(complex).reshape(shape))
+    """Lambda_{j,k} = chi/Sigma as a GridSymbol, exactly 0 off supp chi."""
+    return part._normalized(k, part._chi_term(j, k), grid)
 
 
 def band_sum_symbol(part: Partition, k: int, grid: GridSpec) -> GridSymbol:
     """sum_j Lambda_{j,k} sampled as a GridSymbol."""
-    x_pts, xi_pts = _grid_points(grid)
-    vals = part._normalized(k, part._chi_band_sum, x_pts, xi_pts)
-    shape = (2 * grid.n_grid,) * grid.dim + (2 * grid.n_grid,) * grid.dim
-    return GridSymbol(grid=grid, values=vals.astype(complex).reshape(shape))
-
-
-def _grid_points(grid: GridSpec):
-    xd = np.meshgrid(*([grid.x_axis_doubled()] * grid.dim), indexing="ij")
-    xi = np.meshgrid(*([grid.xi_axis_refined()] * grid.dim), indexing="ij")
-    x_pts = np.stack([m.ravel() for m in xd], axis=-1)
-    xi_pts = np.stack([m.ravel() for m in xi], axis=-1)
-    return x_pts, xi_pts
+    return part._normalized(k, part._chi_band_sum, grid)
 
 
 # verification scans -----------------------------------------------------

@@ -265,7 +265,7 @@ def test_criterion_08_parametrix_suites():
     px1 = build_parametrix(p1, part1, 2, ones1, ones1, g1)
     tests1 = [gaussian_wavepacket(g1, x0, s * 20.0, 0.4)
               for x0 in (-0.4, 0.0, 0.4) for s in (-1, 1)]
-    rep1 = parametrix_residual(px1, p1, tests1, g1)
+    rep1 = parametrix_residual(px1, tests1, g1)
     results["multiplier"] = rep1
 
     # variable-coefficient and anisotropic suites at three orders
@@ -287,7 +287,7 @@ def test_criterion_08_parametrix_suites():
         errs = []
         for order in (1, 2, 3):
             px = build_parametrix(p, part, order, ones2, ones2, g2)
-            rep = parametrix_residual(px, p, tests, g2)
+            rep = parametrix_residual(px, tests, g2)
             assert not rep["rejected"]
             errs.append(rep["max_rel_error"])
         results[name] = errs

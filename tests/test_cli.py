@@ -153,6 +153,19 @@ def _cotlar(**extra):
     return cfg
 
 
+def _band_bound(**extra):
+    cfg = _base("band-bound",
+                grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
+                metric={"kind": "identity"}, bands={"k_min": 2, "k_max": 3},
+                symbol="ang(xi1)", orders=[0, 1], k_range=[2, 3])
+    cfg.update(extra)
+    return cfg
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
 @pytest.mark.parametrize("cfg,desc", [
     (_radon_invert(n_offsets=1), "one Radon offset"),
     (_radon_invert(n_angles=0), "no Radon angles"),
@@ -165,6 +178,16 @@ def _cotlar(**extra):
     (_base("moyal-order", grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
            symbol_a="__import__(1)", symbol_b="xi1", orders_n=[1],
            h_list=[0.5]), "unsafe expression"),
+    (_base("parametrix", grid={"dim": 1, "half_width": np.pi, "n_grid": 64},
+           metric={"kind": "identity"}, bands={"k_min": 2, "k_max": 4},
+           symbol="1+xi1^2", m2=2, c0=10, order=1), "every patch rejected"),
+    (_without(_band_bound(), "k_range"), "missing k_range"),
+    (_without(_band_bound(), "symbol"), "missing symbol"),
+    (_band_bound(symbol=3), "numeric symbol"),
+    (_band_bound(metric={"kind": "conformal"}), "conformal metric without expr"),
+    (_band_bound(grid={"dim": 2, "half_width": np.pi, "n_grid": 64}),
+     "grid above the dim-2 ceiling"),
+    (_without(_cotlar(), "grid"), "missing grid"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)

@@ -31,6 +31,23 @@ def test_sqrt_rejects_indefinite():
         sqrt_metric(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_sqrt_metric_on_a_stack():
+    # one call on a stack equals one call per matrix, bit for bit
+    rng = np.random.default_rng(3)
+    for dim, count in ((1, 64), (2, 4096)):
+        g = np.stack([_random_spd(rng, dim) for _ in range(count)])
+        assert np.array_equal(sqrt_metric(g),
+                              np.stack([sqrt_metric(m) for m in g]))
+    indefinite = g.copy()
+    indefinite[7] = np.diag([1.0, -0.5])
+    with pytest.raises(NotPositiveDefiniteError):
+        sqrt_metric(indefinite)
+    asymmetric = g.copy()
+    asymmetric[9, 0, 1] += 0.5
+    with pytest.raises(InvalidFieldError):
+        sqrt_metric(asymmetric)
+
+
 def test_eval_metric_validation():
     bad_shape = MetricField(evaluator=lambda x: np.eye(3), dim=2)
     with pytest.raises(InvalidFieldError):

@@ -123,7 +123,7 @@ def test_residual_rejects_uncovered_test_function():
     ones = np.ones(G.n_grid)
     px = build_parametrix(p, part, 1, ones, ones, G)
     bad = gaussian_wavepacket(G, 0.0, 1.0, 0.5)  # centered off the coverage
-    rep = parametrix_residual(px, p, [bad, np.zeros(G.n_grid)], G)
+    rep = parametrix_residual(px, [bad, np.zeros(G.n_grid)], G)
     assert len(rep["rejected"]) == 2
     assert "frequency" in rep["rejected"][0]["reason"]
     assert np.isnan(rep["max_rel_error"])
@@ -135,7 +135,7 @@ def test_parametrix_inverts_multiplier_symbol():
     ones = np.ones(G.n_grid)
     px = build_parametrix(p, part, 1, ones, ones, G)
     tests = [gaussian_wavepacket(G, 0.0, s * 14.0, 0.55) for s in (-1, 1)]
-    rep = parametrix_residual(px, p, tests, G)
+    rep = parametrix_residual(px, tests, G)
     assert not rep["rejected"]
     assert rep["max_rel_error"] < 1e-6
     assert not px.excluded

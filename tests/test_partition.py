@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from microloc.grids import GridSpec
+from microloc.grids import GridSpec, sample_on
 from microloc.metric import conformal_field, identity_field
+from microloc.parametrix import EllipticSymbol, build_parametrix
 from microloc.partition import (DyadicNet, EmptyNetError, Microlocalizer,
                                 OutOfRangeError, Partition, band_sum_symbol,
                                 build_bumps, build_net, build_partition,
@@ -163,3 +164,53 @@ def test_band_sum_symbol_equals_patch_sum():
                 for j in range(part.nets[2].size))
     agg = band_sum_symbol(part, 2, grid).values
     assert np.abs(total - agg).max() < 1e-12
+
+
+def _conformal_1d():
+    return conformal_field(lambda x: 2.0 + np.sin(x[0]), 1,
+                           lambda_min=1.0, lambda_max=3.0)
+
+
+def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
+    part = build_partition(_conformal_1d(), 1, 4, low_freq_cap=True)
+    grid = GridSpec(dim=1, half_width=np.pi, n_grid=32)
+    calls = {"_sigma": 0, "fiber_transforms": 0}
+
+    def counted(name):
+        method = getattr(part, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(part, name, counted(name))
+    p = EllipticSymbol(symbol=sample_on(grid, lambda x, xi: 1.0 + xi ** 2
+                                        * (2.0 + np.sin(x))),
+                       m2=2, c0=0.4, big_r=1.0)
+    ones = np.ones(grid.n_grid)
+    px = build_parametrix(p, part, 1, ones, ones, grid)
+    assert px.covered_bands == part.bands
+    assert calls == {"_sigma": 1, "fiber_transforms": 1}
+
+
+def test_grid_samples_are_keyed_by_grid():
+    # same n_grid, different box: a sample reused across the two grids
+    # would have the right shapes and the wrong values
+    grid_a = GridSpec(dim=1, half_width=np.pi, n_grid=16)
+    grid_b = GridSpec(dim=1, half_width=np.pi / 2, n_grid=16)
+    shared = build_partition(_conformal_1d(), 1, 3, low_freq_cap=True)
+    for grid in (grid_a, grid_b, grid_a):
+        fresh = build_partition(_conformal_1d(), 1, 3, low_freq_cap=True)
+        for got, want in zip(shared._grid_sample(grid),
+                             fresh._grid_sample(grid)):
+            assert np.array_equal(got, want)
+        for k in shared.bands:
+            assert np.array_equal(band_sum_symbol(shared, k, grid).values,
+                                  band_sum_symbol(fresh, k, grid).values)
+            for j in range(shared.nets[k].size):
+                assert np.array_equal(
+                    localizer_symbol(shared, j, k, grid).values,
+                    localizer_symbol(fresh, j, k, grid).values)
