@@ -116,10 +116,22 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
             if not (_is_number(grid.get("half_width"))
                     and grid.get("half_width", 0) > 0):
                 errors.append("grid.half_width must be positive")
+    if experiment == "partition-verify":
+        dim = cfg.get("dim", 1)
+        if not (_is_int(dim) and dim in (1, 2)):
+            errors.append("dim must be 1 or 2")
     if experiment == "moyal-order":
-        for n in cfg.get("orders_n", []):
-            if not (_is_int(n) and 1 <= n <= 6):
-                errors.append(f"moyal order {n} outside 1..6")
+        orders, hs = cfg.get("orders_n"), cfg.get("h_list")
+        if not (isinstance(orders, list) and orders):
+            errors.append("orders_n must be a non-empty list of ints")
+        else:
+            for n in orders:
+                if not (_is_int(n) and 1 <= n <= 6):
+                    errors.append(f"moyal order {n} outside 1..6")
+        if not (isinstance(hs, list) and hs
+                and all(_is_number(h) and 0 < h <= 1 for h in hs)):
+            errors.append("h_list must be a non-empty list of numbers in "
+                          "(0, 1]")
     if experiment == "parametrix":
         if not (_is_int(cfg.get("order"))
                 and 1 <= cfg.get("order", 0) <= 3):

@@ -87,12 +87,16 @@ def bandwise_inverse(p: EllipticSymbol, lam: GridSymbol,
     return GridSymbol(grid=lam.grid, values=vals)
 
 
+def _plateau(chi0: np.ndarray, chi0_prime: np.ndarray) -> np.ndarray:
+    """Lattice points where both cutoffs equal 1."""
+    return (chi0 >= 1.0 - 1e-9) & (chi0_prime >= 1.0 - 1e-9)
+
+
 def _residual_projector(chi0: np.ndarray, chi0_prime: np.ndarray,
-                        xi_ok: np.ndarray, grid: GridSpec):
-    """The plateau of both cutoffs, and plateau * Pi_covered as a matrix."""
-    plateau = (chi0 >= 1.0 - 1e-9) & (chi0_prime >= 1.0 - 1e-9)
+                        xi_ok: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """plateau * Pi_covered as a matrix."""
     pi = fourier_multiplier(np.where(xi_ok, 1.0, 0.0), grid).matrix
-    return plateau, plateau.ravel().astype(float)[:, None] * pi
+    return _plateau(chi0, chi0_prime).ravel().astype(float)[:, None] * pi
 
 
 def _operator_residual(comp: np.ndarray, proj: np.ndarray,
@@ -140,7 +144,7 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     # spectral derivatives of the aggregate symbol ring off the coverage
     # boundary
     kp = weyl_quantize(p.symbol).matrix
-    _, proj = _residual_projector(
+    proj = _residual_projector(
         chi0, chi0_prime, covered_xi_mask(part, grid, sorted(covered)), grid)
 
     def assemble(sym: GridSymbol):
@@ -209,11 +213,12 @@ def parametrix_residual(px: Parametrix, test_functions,
 
     Test functions must be frequency-supported (to 1e-8 energy fraction)
     in the covered-band region and spatially supported on the plateau of
-    both cutoffs; others are rejected with a reason.
+    both cutoffs; others are rejected with a reason.  The operator
+    residual is the accepted iterate's, as ``build_parametrix`` computed it.
     """
     comp = px.composition
     xi_ok = covered_xi_mask(px.partition, grid, px.covered_bands)
-    plateau, proj = _residual_projector(px.chi0, px.chi0_prime, xi_ok, grid)
+    plateau = _plateau(px.chi0, px.chi0_prime)
 
     rels, rejected = [], []
     for idx, u in enumerate(test_functions):
@@ -244,6 +249,6 @@ def parametrix_residual(px: Parametrix, test_functions,
         "max_rel_error": max(rels) if rels else float("nan"),
         "median_rel_error": float(np.median(rels)) if rels else float("nan"),
         "rejected": rejected,
-        "operator_residual": _operator_residual(comp, proj, grid),
+        "operator_residual": px.step_residuals["aggregate"][-1],
         "excluded_patches": px.excluded,
     }

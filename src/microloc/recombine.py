@@ -1,10 +1,20 @@
 """Cotlar-Stein bookkeeping for families of microlocalized blocks.
 
-Pair norms ||T_i* T_j||^{1/2} and ||T_i T_j*||^{1/2} are computed exactly
-by SVD; the certificate is sqrt(A B) with A, B the row-sup sums, and the
-achieved norm of the full sum is checked against it.  Sobolev weighting
-is applied once per block up front so all pair norms reduce to plain
-spectral norms.
+Pair norms ||T_i* T_j||^{1/2} and ||T_i T_j*||^{1/2} are bounded from
+above through low-rank factors.  Each block is factored once by a thin
+SVD, T_i = U_i S_i V_i*, and truncated to the r_i singular values above
+a fixed fraction of its largest one, F_i = U_i S_i and G_i = V_i S_i.
+With t_i the largest discarded singular value,
+
+    ||T_i* T_j|| <= ||F_i* F_j|| + e_ij,   ||T_i T_j*|| <= ||G_i* G_j|| + e_ij,
+    e_ij = t_i ||T_j|| + ||T_i|| t_j + t_i t_j,
+
+so every pair norm comes from an r_i x r_j core plus a tail term, and the
+certificate can fail falsely but never pass falsely.  The diagonal is
+sigma_1(T_i) exactly.  The certificate is sqrt(A B) with A, B the
+row-sup sums, and the achieved norm of the full sum is checked against
+it.  Sobolev weighting is applied once per block up front so all pair
+norms reduce to plain spectral norms.
 """
 
 from __future__ import annotations
@@ -79,23 +89,56 @@ class CotlarCertificate:
         return self.achieved <= self.bound * (1.0 + 1e-8)
 
 
+# Singular values at or below this fraction of a block's largest one are
+# dropped from its factors and accounted for by the tail term e_ij.
+_RANK_TOL = 1e-13
+
+
+def _truncated_factors(b: np.ndarray):
+    """F = U S and G = V S cut to rank r, with sigma_1 and sigma_{r+1}."""
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    top = float(s[0])
+    r = int(np.count_nonzero(s > _RANK_TOL * top))
+    tail = float(s[r]) if r < s.size else 0.0
+    return u[:, :r] * s[:r], vh[:r].conj().T * s[:r], top, tail
+
+
+def _core_norms(factors) -> np.ndarray:
+    """||F_i* F_j|| for i != j, from the r_i x r_j cores F_i* F_j.
+
+    Row i takes one batched SVD of its cores with the zero-padded factors
+    of blocks j > i; padding leaves each core's norm unchanged.  The
+    diagonal is left 0.
+    """
+    p = len(factors)
+    rmax = max(f.shape[1] for f in factors)
+    pad = np.zeros((p, factors[0].shape[0], rmax),
+                   dtype=np.result_type(*factors))
+    for i, f in enumerate(factors):
+        pad[i, :, :f.shape[1]] = f
+    norms = np.zeros((p, p))
+    for i, f in enumerate(factors):
+        if f.shape[1]:
+            norms[i, i + 1:] = np.linalg.svd(f.conj().T @ pad[i + 1:],
+                                             compute_uv=False)[:, 0]
+    return norms + norms.T
+
+
 def _cotlar_certificate(blocks: list[np.ndarray],
                         indices) -> CotlarCertificate:
-    """Exact pair norms, row sums A and B, and sqrt(AB) for plain-L2 blocks.
+    """Factored pair-norm bounds, row sums A and B, and sqrt(AB).
 
-    Blocks may be non-square; each pair product is formed as given.
+    Blocks are plain-L2 and may be non-square; all share one shape.
     """
     if not blocks:
         raise ValueError("empty block family")
-    p = len(blocks)
-    star = np.zeros((p, p))
-    adj = np.zeros((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            star[i, j] = np.sqrt(_specnorm(blocks[i].conj().T @ blocks[j]))
-            adj[i, j] = np.sqrt(_specnorm(blocks[i] @ blocks[j].conj().T))
-            star[j, i] = star[i, j]
-            adj[j, i] = adj[i, j]
+    f, g, top, tail = zip(*map(_truncated_factors, blocks))
+    top, tail = np.array(top), np.array(tail)
+    e = np.outer(tail, top) + np.outer(top, tail) + np.outer(tail, tail)
+    star = np.sqrt(_core_norms(f) + e)
+    adj = np.sqrt(_core_norms(g) + e)
+    np.fill_diagonal(star, top)
+    np.fill_diagonal(adj, top)
     a_bound = float(star.sum(axis=1).max())
     b_bound = float(adj.sum(axis=1).max())
     return CotlarCertificate(
@@ -107,7 +150,7 @@ def _cotlar_certificate(blocks: list[np.ndarray],
 
 
 def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
-    """Exact pairwise norms, row sums A and B, and the sqrt(AB) certificate."""
+    """Pair-norm bounds, row sums A and B, and the sqrt(AB) certificate."""
     return _cotlar_certificate(fam.weighted(), fam.indices)
 
 

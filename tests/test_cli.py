@@ -162,6 +162,15 @@ def _band_bound(**extra):
     return cfg
 
 
+def _moyal(**extra):
+    cfg = _base("moyal-order",
+                grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
+                symbol_a="exp(-xi1^2)", symbol_b="exp(-xi1^2)",
+                orders_n=[1], h_list=[0.5, 0.25])
+    cfg.update(extra)
+    return cfg
+
+
 def _without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
 
@@ -188,6 +197,10 @@ def _without(cfg, key):
     (_band_bound(grid={"dim": 2, "half_width": np.pi, "n_grid": 64}),
      "grid above the dim-2 ceiling"),
     (_without(_cotlar(), "grid"), "missing grid"),
+    (_moyal(orders_n=3), "moyal orders not a list"),
+    (_without(_moyal(), "h_list"), "missing h_list"),
+    (_base("partition-verify", dim=3, bands={"k_min": 2, "k_max": 3}),
+     "partition dim 3"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)

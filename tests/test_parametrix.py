@@ -11,6 +11,7 @@ from microloc.parametrix import (EllipticSymbol, PatchRejectedError,
                                  build_parametrix, covered_xi_mask,
                                  gaussian_wavepacket, parametrix_residual)
 from microloc.partition import build_partition, localizer_symbol
+from microloc.quantize import make_cutoff
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=64)
 MET = identity_field(1)
@@ -140,3 +141,21 @@ def test_parametrix_inverts_multiplier_symbol():
     assert rep["max_rel_error"] < 1e-6
     assert not px.excluded
     assert px.covered_bands == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_operator_residual_is_the_accepted_iterates(order):
+    # the report reads the residual build_parametrix computed; it must be
+    # the value a fresh projector and SVD give for the returned composition
+    part = build_partition(MET, 1, 5, low_freq_cap=True)
+    p = EllipticSymbol(
+        symbol=sample_on(G, lambda x, xi: xi ** 2 + 1.0 + 0.5 * np.cos(x)),
+        m2=2, c0=0.4, big_r=1.0)
+    chi = make_cutoff(G, 2.6, 3.1)
+    px = build_parametrix(p, part, order, chi, chi, G)
+    rep = parametrix_residual(px, [gaussian_wavepacket(G, 0.0, 14.0, 0.55)],
+                              G)
+    proj = parametrix._residual_projector(
+        chi, chi, covered_xi_mask(part, G, px.covered_bands), G)
+    assert rep["operator_residual"] \
+        == parametrix._operator_residual(px.composition, proj, G)

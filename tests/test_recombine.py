@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from microloc import recombine
 from microloc.grids import GridSpec
-from microloc.quantize import DiscreteOperator, fourier_multiplier
+from microloc.quantize import DiscreteOperator, _specnorm, fourier_multiplier
 from microloc.recombine import (BlockFamily, CotlarCertificate,
-                                CoverageGapError, cotlar_bounds,
-                                recombine_sum)
+                                CoverageGapError, _cotlar_certificate,
+                                cotlar_bounds, recombine_sum)
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=16)
 
@@ -87,3 +92,66 @@ def test_certificate_ok_flag():
                              achieved=1.5, star_pair_matrix=np.eye(1),
                              adj_pair_matrix=np.eye(1))
     assert not cert.ok
+
+
+def dense_pair_matrices(blocks):
+    """sqrt ||B_i* B_j|| and sqrt ||B_i B_j*|| by one SVD per product."""
+    star = np.array([[np.sqrt(_specnorm(bi.conj().T @ bj)) for bj in blocks]
+                     for bi in blocks])
+    adj = np.array([[np.sqrt(_specnorm(bi @ bj.conj().T)) for bj in blocks]
+                    for bi in blocks])
+    return star, adj
+
+
+def assert_never_below_dense(cert, blocks):
+    star, adj = dense_pair_matrices(blocks)
+    assert np.all(cert.star_pair_matrix >= star * (1.0 - 1e-12))
+    assert np.all(cert.adj_pair_matrix >= adj * (1.0 - 1e-12))
+    assert cert.bound >= cert.achieved * (1.0 - 1e-12)
+    return star, adj
+
+
+@st.composite
+def low_rank_families(draw, noise_levels):
+    """Rank-r blocks plus scaled noise, one zero block and one full-rank one.
+
+    Blocks are square or not, real or complex, in random order.
+    """
+    m = draw(st.integers(2, 12))
+    n = draw(st.one_of(st.just(m), st.integers(2, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cplx = draw(st.booleans())
+    noise = draw(st.sampled_from(noise_levels))
+
+    def gauss(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if cplx else g
+
+    ranks = draw(st.lists(st.integers(1, min(m, n)), min_size=1, max_size=4))
+    blocks = [gauss(m, r) @ gauss(r, n) + noise * gauss(m, n) for r in ranks]
+    blocks += [np.zeros((m, n)), gauss(m, n)]
+    order = draw(st.permutations(range(len(blocks))))
+    return [blocks[i] for i in order], noise
+
+
+# noise levels straddling the truncation threshold: some draws keep every
+# singular value, others discard a nonzero tail
+@given(low_rank_families([0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-8, 1e-3]))
+def test_factored_certificate_never_below_dense(family):
+    blocks, noise = family
+    cert = _cotlar_certificate(blocks, range(len(blocks)))
+    star, adj = assert_never_below_dense(cert, blocks)
+    if noise == 0.0:
+        for got, want in ((cert.star_pair_matrix, star),
+                          (cert.adj_pair_matrix, adj)):
+            assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+@given(low_rank_families([1e-6, 1e-5, 1e-4, 1e-3, 1e-2]))
+def test_discarded_tail_keeps_the_bound(family):
+    # at a coarse threshold the discarded singular values move pair norms
+    # far beyond rounding, so only the tail term keeps the bound above
+    blocks, _ = family
+    with mock.patch.object(recombine, "_RANK_TOL", 1e-3):
+        cert = _cotlar_certificate(blocks, range(len(blocks)))
+    assert_never_below_dense(cert, blocks)
