@@ -1,14 +1,17 @@
-"""Timing comparison of the compiled kernels against the numpy fallbacks.
+"""Timing comparison of the compiled kernels against the numpy ones.
 
 Runs each kernel (greedy net selection, Radon line-integral gathering, and
 the dense per-angle Radon matrix) on identical inputs through both
 implementations, checks that the outputs agree, and prints a timing table.
+Net construction uses the numpy greedy on both backends; it is timed on the
+2D k=4 annulus lattice against the extension's greedy, while one is built.
 
 Usage: python benchmarks/bench_backends.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -21,6 +24,7 @@ except ImportError:
     _kernels = None
 
 from microloc.grids import GridSpec
+from microloc.partition import _annulus_lattice
 from microloc.radon import RadonConfig, _angle_geometry
 
 
@@ -35,13 +39,14 @@ def _time(fn, repeats=5):
 
 
 def bench_greedy(rows):
-    rng = np.random.default_rng(0)
-    cands = np.ascontiguousarray(rng.uniform(-32, 32, (20_000, 2)))
+    cands = _annulus_lattice(4, 2, 0.125)
     for name, mod in (("compiled", _kernels), ("pure", _kernels_py)):
         if mod is None:
             continue
-        idx, t = _time(lambda m=mod: np.asarray(m.greedy_select(cands, 0.5)))
-        rows.append(("greedy_select 20k cands 2d", name, len(idx), t))
+        idx, t = _time(lambda m=mod: np.asarray(m.greedy_select(cands, 0.5),
+                                                dtype=np.int64))
+        rows.append((f"greedy_select 2D k=4 annulus, {len(cands)} cands",
+                     name, hashlib.sha256(idx.tobytes()).hexdigest(), t))
 
 
 def bench_radon(rows):

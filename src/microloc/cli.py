@@ -81,6 +81,30 @@ def _is_pair(v, test) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(test, v))
 
 
+def _test_function_errors(tests, grid) -> list[str]:
+    """Errors in a parametrix config's wavepacket ``tests`` object."""
+    if not isinstance(tests, dict):
+        return ["tests must be an object"]
+    dim = grid.get("dim") if isinstance(grid, dict) else None
+
+    def is_point(v):
+        return (isinstance(v, list) and len(v) == dim
+                and all(map(_is_number, v)))
+
+    errors = []
+    sigma = tests.get("sigma", 0.2)
+    if not (_is_number(sigma) and sigma > 0):
+        errors.append("tests.sigma must be a positive number")
+    if "x0" in tests and not is_point(tests["x0"]):
+        errors.append("tests.x0 must be a list of grid.dim numbers")
+    xi0s = tests.get("xi0_list")
+    if "xi0_list" in tests and not (isinstance(xi0s, list) and xi0s
+                                    and all(map(is_point, xi0s))):
+        errors.append("tests.xi0_list must be a non-empty list of lists "
+                      "of grid.dim numbers")
+    return errors
+
+
 def validate_config(cfg: dict, experiment: str) -> list[str]:
     errors = []
     if not isinstance(cfg, dict):
@@ -136,6 +160,13 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         if not (_is_int(cfg.get("order"))
                 and 1 <= cfg.get("order", 0) <= 3):
             errors.append("parametrix order must lie in 1..3")
+        errors += _test_function_errors(cfg.get("tests", {}), grid)
+    if "s" in cfg and not _is_number(cfg["s"]):
+        errors.append("s must be a number")
+    active = cfg.get("active_bands")
+    if active is not None and not (isinstance(active, list)
+                                   and all(map(_is_int, active))):
+        errors.append("active_bands must be a list of ints")
     # keys each runner reads without a default are required
     for key in sorted({"symbol", "symbol_a", "symbol_b"} & schema):
         if not isinstance(cfg.get(key), str):

@@ -116,17 +116,22 @@ def _lattice(axis: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _annulus_lattice(k: int, dim: int, lattice_step: float) -> np.ndarray:
+    """The lattice points in C_k, in lexicographic (row-major) order."""
+    lo, hi = 2.0 ** k, 2.0 ** (k + 1)
+    axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
+    pts = _lattice(axis, dim)
+    r = np.linalg.norm(pts, axis=1)
+    return np.ascontiguousarray(pts[(r >= lo) & (r < hi)])
+
+
 def build_net(k: int, dim: int, lattice_step: float = 0.125) -> DyadicNet:
     """Greedy maximal 1/2-separated net over a lexicographic lattice scan."""
     if lattice_step > 0.125:
         raise ValueError("lattice_step must be <= 1/8 for covering maximality")
     if dim not in (1, 2):
         raise ValueError("only dim 1 and 2 are supported")
-    lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-    axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
-    cands = _lattice(axis, dim)
-    r = np.linalg.norm(cands, axis=1)
-    cands = np.ascontiguousarray(cands[(r >= lo) & (r < hi)])
+    cands = _annulus_lattice(k, dim, lattice_step)
     if cands.shape[0] == 0:
         raise EmptyNetError(f"annulus C_{k} holds no lattice points at "
                             f"step {lattice_step}")
@@ -139,12 +144,7 @@ def validate_net(net: DyadicNet, dim: int, lattice_step: float = 0.125) -> dict:
     tree = cKDTree(net.centers)
     d, _ = tree.query(net.centers, k=2)
     min_sep = float(d[:, 1].min()) if net.size > 1 else np.inf
-    lo, hi = 2.0 ** net.k, 2.0 ** (net.k + 1)
-    axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
-    pts = _lattice(axis, dim)
-    r = np.linalg.norm(pts, axis=1)
-    pts = pts[(r >= lo) & (r < hi)]
-    cover, _ = tree.query(pts, k=1)
+    cover, _ = tree.query(_annulus_lattice(net.k, dim, lattice_step), k=1)
     return {
         "min_separation": min_sep,
         "covering_radius": float(cover.max()),

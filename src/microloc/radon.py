@@ -294,8 +294,13 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
     desk-scale frequency lattices the unit patch bumps are sub-grid, while
     the band aggregate is faithfully sampled; per-band scaling is what the
     slope fit measures.  Norms are L2(dA) -> L2(ds dtheta).
+
+    The sinogram cutoff side ``chi_sino R`` is the same for every band, so
+    it is reduced once to its triangular QR factor ``R0``:
+    ``||chi_sino R X|| = ||R0 X||``, since ``Q`` has orthonormal columns.
     """
-    rmat = radon_matrix(cfg)
+    r0 = np.linalg.qr(chi_sino.ravel()[:, None] * radon_matrix(cfg),
+                      mode="r")
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
     rows = []
     for k in k_range:
@@ -306,10 +311,8 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
         lam = band_sum_symbol(part, k, a.grid)
         op = weyl_quantize(GridSymbol(grid=a.grid,
                                       values=a.values * lam.values))
-        t = (chi_sino.ravel()[:, None] * rmat) \
-            @ (chi_img.ravel()[:, None] * op.matrix
-               * chi_img_prime.ravel()[None, :])
-        norm = scale * _specnorm(t)
+        norm = scale * _specnorm(r0 @ (chi_img.ravel()[:, None] * op.matrix
+                                       * chi_img_prime.ravel()[None, :]))
         rows.append({"k": k, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5)),
                      "skipped": False})

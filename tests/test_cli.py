@@ -171,6 +171,17 @@ def _moyal(**extra):
     return cfg
 
 
+def _parametrix(**extra):
+    cfg = _base("parametrix",
+                grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
+                metric={"kind": "identity"}, bands={"k_min": 1, "k_max": 4},
+                low_freq_cap=True, symbol="1+xi1^2", m2=2, order=1,
+                cutoff={"r_one": 3.0, "r_zero": 3.1},
+                tests={"xi0_list": [[8.0], [-8.0]], "sigma": 0.7})
+    cfg.update(extra)
+    return cfg
+
+
 def _without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
 
@@ -201,6 +212,12 @@ def _without(cfg, key):
     (_without(_moyal(), "h_list"), "missing h_list"),
     (_base("partition-verify", dim=3, bands={"k_min": 2, "k_max": 3}),
      "partition dim 3"),
+    (_cotlar(s="x"), "string Sobolev exponent"),
+    (_cotlar(active_bands=5), "active_bands not a list"),
+    (_parametrix(tests={"xi0_list": [[8.0]], "sigma": 0}),
+     "zero wavepacket width"),
+    (_parametrix(tests={"xi0_list": [[8.0, 0.0]], "sigma": 0.7}),
+     "wavepacket frequency of the wrong dimension"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)

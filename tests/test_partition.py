@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import conformal_field, identity_field
@@ -45,6 +47,14 @@ def test_net_deterministic():
     a = build_net(2, 2)
     b = build_net(2, 2)
     assert np.array_equal(a.centers, b.centers)
+
+
+@given(dim=st.sampled_from([1, 2]), k=st.integers(0, 3),
+       lattice_step=st.sampled_from([1 / 8, 1 / 10, 1 / 16, 0.07]))
+def test_net_separated_and_covering_on_its_lattice(dim, k, lattice_step):
+    rep = validate_net(build_net(k, dim, lattice_step), dim, lattice_step)
+    assert rep["separation_ok"]
+    assert rep["covering_ok"]
 
 
 def test_net_validation():
