@@ -18,6 +18,14 @@ EXPERIMENTS = ("partition-verify", "band-bound", "moyal-order", "cotlar",
 
 SCHEMA_VERSION = 1
 
+# Radon sizes must fit in 8 GB.  The cached sparse operator holds about
+# 1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
+# at most two copies while its buffers grow (n_grid 256, 360 angles, 256
+# offsets: 39.7 M entries, 476 MB, 0.65 GB peak).  radon-block also holds
+# three dense float64 copies of the (n_angles n_offsets, n_grid^2) matrix
+# while it reduces it to a QR factor.
+_RADON_BYTES_MAX = 7 * 2 ** 30
+
 _COMMON_KEYS = {"schema_version", "experiment", "seed"}
 
 _SCHEMAS = {
@@ -79,6 +87,62 @@ def _is_pow2(n) -> bool:
 
 def _is_pair(v, test) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(test, v))
+
+
+def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
+                 dense: bool) -> float:
+    rays = n_angles * n_offsets
+    return 2 * 12 * 1.7 * n_grid * rays \
+        + (3 * 8 * rays * n_grid ** 2 if dense else 0)
+
+
+def _radon_errors(radon, grid, experiment) -> list[str]:
+    """Errors in a ``radon`` object, including sizes beyond 8 GB."""
+    if not isinstance(radon, dict):
+        return ["radon must be an object"]
+    errors = []
+    n_angles, n_offsets = radon.get("n_angles"), radon.get("n_offsets")
+    if not (_is_int(n_angles) and n_angles >= 1):
+        errors.append("radon.n_angles must be an int >= 1")
+    if not (_is_int(n_offsets) and n_offsets >= 2):
+        errors.append("radon.n_offsets must be an int >= 2")
+    n = grid.get("n_grid") if isinstance(grid, dict) else None
+    if not errors and _is_int(n) and _radon_bytes(
+            n, n_angles, n_offsets, experiment == "radon-block") \
+            > _RADON_BYTES_MAX:
+        errors.append("grid.n_grid, radon.n_angles and radon.n_offsets "
+                      "need more than 8 GB")
+    return errors
+
+
+def _cutoff_errors(cutoff, grid) -> list[str]:
+    """Errors in a ``cutoff`` object; absent radii take their defaults."""
+    if not (isinstance(cutoff, dict)
+            and all(_is_number(cutoff[key])
+                    for key in ("r_one", "r_zero") if key in cutoff)):
+        return ["cutoff must be an object with numbers r_one, r_zero"]
+    half_width = grid.get("half_width") if isinstance(grid, dict) else None
+    if not _is_number(half_width):
+        return []
+    r_one = cutoff.get("r_one", 0.5 * half_width)
+    r_zero = cutoff.get("r_zero", 0.9 * half_width)
+    if not 0 < r_one < r_zero:
+        return ["cutoff needs 0 < r_one < r_zero"]
+    return []
+
+
+def _sample_errors(samples) -> list[str]:
+    """Errors in a partition-verify ``samples`` object."""
+    if not isinstance(samples, dict):
+        return ["samples must be an object"]
+    errors = [f"samples.{key} must be an int >= 1"
+              for key in ("n_x", "n_xi")
+              if key in samples and not (_is_int(samples[key])
+                                         and samples[key] >= 1)]
+    hw = samples.get("x_half_width")
+    if "x_half_width" in samples and not (_is_number(hw) and hw > 0):
+        errors.append("samples.x_half_width must be a positive number")
+    return errors
 
 
 def _test_function_errors(tests, grid) -> list[str]:
@@ -144,6 +208,7 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         dim = cfg.get("dim", 1)
         if not (_is_int(dim) and dim in (1, 2)):
             errors.append("dim must be 1 or 2")
+        errors += _sample_errors(cfg.get("samples", {}))
     if experiment == "moyal-order":
         orders, hs = cfg.get("orders_n"), cfg.get("h_list")
         if not (isinstance(orders, list) and orders):
@@ -161,6 +226,8 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                 and 1 <= cfg.get("order", 0) <= 3):
             errors.append("parametrix order must lie in 1..3")
         errors += _test_function_errors(cfg.get("tests", {}), grid)
+        errors += [f"{key} must be a number" for key in ("c0", "big_r")
+                   if key in cfg and not _is_number(cfg[key])]
     if "s" in cfg and not _is_number(cfg["s"]):
         errors.append("s must be a number")
     active = cfg.get("active_bands")
@@ -196,15 +263,16 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         elif bands["k_min"] > bands["k_max"]:
             errors.append("bands.k_min must be <= bands.k_max")
     if "radon" in schema:
-        radon = cfg.get("radon")
-        if not isinstance(radon, dict):
-            errors.append("radon must be an object")
-        else:
-            if not (_is_int(radon.get("n_angles")) and radon["n_angles"] >= 1):
-                errors.append("radon.n_angles must be an int >= 1")
-            if not (_is_int(radon.get("n_offsets"))
-                    and radon["n_offsets"] >= 2):
-                errors.append("radon.n_offsets must be an int >= 2")
+        errors += _radon_errors(cfg.get("radon"), grid, experiment)
+    if "cutoff" in cfg:
+        errors += _cutoff_errors(cfg["cutoff"], grid)
+    if "bump" in cfg:
+        from .partition import _STEPS
+        bump = cfg["bump"]
+        if not (isinstance(bump, dict)
+                and bump.get("kind", "exp-mollified") in sorted(_STEPS)):
+            errors.append(f"bump must be an object whose kind is one of "
+                          f"{sorted(_STEPS)}")
     ls = cfg.get("lattice_step")
     if ls is not None and not (_is_number(ls) and 0 < ls <= 0.125):
         errors.append("lattice_step must lie in (0, 1/8]")

@@ -1,12 +1,5 @@
-"""Shared pytest plumbing: in-place build of the compiled kernels, one
-``hypothesis`` settings profile, and acceptance summary lines on the
-terminal.
-
-Before any test module imports ``microloc``, ``python setup.py build_ext
---inplace`` runs from the repository root, so a fresh checkout tested with
-``PYTHONPATH=src`` gets ``microloc._kernels`` from the committed sources.
-The build is a no-op when the extension is up to date.  Its output is kept
-in ``BUILD_OUTPUT`` for the backend tests to show when the build failed.
+"""Shared pytest plumbing: one ``hypothesis`` settings profile, and
+acceptance summary lines on the terminal.
 
 Property tests run under the ``tier1`` profile: examples are derived from
 each test's source rather than drawn at random, no per-example deadline
@@ -14,38 +7,11 @@ applies, and the example count is bounded, so they neither flake nor
 outgrow the suite's time on a small machine.
 """
 
-import os
-import shutil
-import shlex
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-
 from hypothesis import settings
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _c_compiler():
-    """Path of the C compiler ``build_ext`` would use, or None if absent."""
-    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "")
-    return shutil.which(cc[0]) if cc else None
-
-
-def _build_kernels() -> str:
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    return f"build_ext exited {proc.returncode}\n{proc.stdout}"
-
 
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           max_examples=30, database=None)
 settings.load_profile("tier1")
-
-HAVE_C_COMPILER = _c_compiler() is not None
-BUILD_OUTPUT = _build_kernels()
 
 ACCEPTANCE_LINES = []
 

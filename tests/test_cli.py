@@ -218,10 +218,37 @@ def _without(cfg, key):
      "zero wavepacket width"),
     (_parametrix(tests={"xi0_list": [[8.0, 0.0]], "sigma": 0.7}),
      "wavepacket frequency of the wrong dimension"),
+    (_cotlar(cutoff={"r_one": "x", "r_zero": 3.0}), "string cutoff radius"),
+    (_cotlar(cutoff=[1, 2]), "cutoff not an object"),
+    (_cotlar(bump=3), "bump not an object"),
+    (_parametrix(c0="x"), "string ellipticity floor"),
+    (_parametrix(big_r="x"), "string ellipticity radius"),
+    (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
+           samples="many"), "samples not an object"),
+    (_cotlar(cutoff={"r_one": 2.0, "r_zero": 1.0}), "cutoff radii reversed"),
+    (_cotlar(bump={"kind": "boxcar"}), "unknown bump kind"),
+    (_cotlar(bump={"kind": ["exp-mollified"]}), "bump kind not a string"),
+    (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
+           samples={"n_x": 0}), "no spatial samples"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
     assert code == 2, desc
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+
+
+def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
+    # criterion 9's geometry fits; 64 times its rays would need about 65 GB
+    # to build the operator, so validation must refuse it before any run
+    ok = _radon_invert(n_angles=360, n_offsets=256)
+    ok["grid"]["n_grid"] = 256
+    assert cli.validate_config(ok, "radon-invert") == []
+    cfg = _radon_invert(n_angles=360 * 8, n_offsets=256 * 8)
+    cfg["grid"]["n_grid"] = 256
+    errors = cli.validate_config(cfg, "radon-invert")
+    assert any("8 GB" in e for e in errors), errors
+    code, _ = _run(tmp_path, "radon-invert", cfg)
+    assert code == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
 
 
