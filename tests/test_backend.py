@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from microloc import backend
+from microloc.grids import GridSpec
 from microloc.partition import _annulus_lattice
+from microloc.radon import (RadonConfig, _angle_geometry, radon_forward,
+                            radon_matrix)
 
 
 def _brute_force_greedy(cands, min_sep):
@@ -88,3 +91,46 @@ def test_greedy_select_annulus_nets_match_brute_force():
 def test_greedy_select_rejects_out_of_order_input(cands):
     with pytest.raises(ValueError, match="row-major"):
         backend.greedy_select(np.asarray(cands, dtype=float), 0.5)
+
+
+def _gather_reference(image, cfg):
+    """Line integrals by a per-angle bilinear gather over each line's samples."""
+    padded = np.pad(image, 1)  # cell corners run over -1..n_grid
+    out = np.zeros((cfg.n_offsets, cfg.n_angles))
+    for ai, theta in enumerate(cfg.angles()):
+        rows, a, b, wx, wy = _angle_geometry(cfg, theta)
+        vals = ((1.0 - wx) * (1.0 - wy) * padded[a + 1, b + 1]
+                + wx * (1.0 - wy) * padded[a + 2, b + 1]
+                + (1.0 - wx) * wy * padded[a + 1, b + 2]
+                + wx * wy * padded[a + 2, b + 2])
+        out[:, ai] = np.bincount(rows, vals, minlength=cfg.n_offsets) * cfg.dt
+    return out
+
+
+RADON_CASES = ((16, 12, 17), (8, 7, 2), (4, 1, 9))
+
+
+def _radon_config(n, n_angles, n_offsets):
+    return RadonConfig(grid=GridSpec(dim=2, half_width=np.pi, n_grid=n),
+                       n_angles=n_angles, n_offsets=n_offsets)
+
+
+def test_radon_gather_agreement():
+    for n, n_angles, n_offsets in RADON_CASES:
+        cfg = _radon_config(n, n_angles, n_offsets)
+        img = np.random.default_rng(n).standard_normal((n, n))
+        want = _gather_reference(img, cfg)
+        got = radon_forward(img, cfg).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_radon_matrix_block_agreement():
+    for n, n_angles, n_offsets in RADON_CASES:
+        cfg = _radon_config(n, n_angles, n_offsets)
+        # column p of the matrix is the gather of the p-th unit image
+        eye = np.eye(n * n).reshape(n * n, n, n)
+        want = np.stack([_gather_reference(e, cfg).ravel() for e in eye],
+                        axis=1)
+        got = radon_matrix(cfg)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
