@@ -3,13 +3,21 @@
 On the periodic box the Weyl kernel is built from the symbol's mixed
 Fourier series: the spatial harmonic q pairs with frequencies xi in
 Z*dxi + q*dxi/2, the only combinations for which e^{i q (x+y)/2 + i
-xi (x-y)} is 2X-periodic in x and y separately.  Concretely the symbol is
-sampled on (doubled x-lattice) x (refined xi-lattice), transformed along
-x, masked to the parity-matched (q, xi) checkerboard, and assembled by an
-inverse FFT over xi plus an index gather at (m + m', m - m').  This keeps
-Op(1) = Id, multipliers, and frequency locality exact; without the parity
-pairing, odd harmonics leak across the whole frequency lattice with 1/d
-tails.
+xi (x-y)} is 2X-periodic in x and y separately.  The symbol is sampled on
+(doubled x-lattice) x (refined xi-lattice), 2n points per axis; keeping
+only the parity-matched (q, p) checkerboard of its x-transform, with
+weight 2, is the mask 1 + (-1)^q (-1)^(p-n), and multiplying an
+x-transform by (-1)^q shifts x by half the doubled period.  So the
+masked symbol is, along each spatial axis,
+
+    a(x_j, p) + (-1)^(p-n) a(x_{j+n mod 2n}, p),
+
+and no x-transform is computed.  The operator is then an inverse FFT over
+xi plus an index gather at (m + m', m - m'), taken a few rows of the
+first spatial axis at a time, so assembly holds the symbol, the output
+and one chunk.  This keeps Op(1) = Id, multipliers, and frequency
+locality exact; without the parity pairing, odd harmonics leak across the
+whole frequency lattice with 1/d tails.
 """
 
 from __future__ import annotations
@@ -40,30 +48,57 @@ class DiscreteOperator:
             raise ValueError("non-finite matrix entries")
 
 
+def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """View a 1-D array as lying along ``axis`` of an ``ndim``-D array."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return v.reshape(shape)
+
+
 def weyl_quantize(a: GridSymbol) -> DiscreteOperator:
     """Assemble the dense Weyl operator of a grid symbol."""
     g = a.grid
     d, n = g.dim, g.n_grid
-    x_axes = tuple(range(d))
+    vals = a.values
     xi_axes = tuple(range(d, 2 * d))
-    b = np.fft.fftn(a.values, axes=x_axes)
-    # keep only parity-matched (q, xi) pairs; each axis drops half the
-    # refined samples, compensated by the factor 2
-    for ax in range(d):
-        shape = [1] * (2 * d)
-        shape[ax] = 2 * n
-        q = np.arange(2 * n).reshape(shape)
-        shape = [1] * (2 * d)
-        shape[d + ax] = 2 * n
-        p = np.arange(2 * n).reshape(shape)
-        b = b * (2.0 * ((q + p - n) % 2 == 0))
-    b = np.fft.ifftn(b, axes=x_axes)
-    b = np.fft.ifftn(np.fft.ifftshift(b, axes=xi_axes), axes=xi_axes)
-    m = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
-    m = [ax.ravel() for ax in m]
-    idx = tuple(ax[:, None] + ax[None, :] for ax in m) + \
-        tuple((ax[:, None] - ax[None, :]) % (2 * n) for ax in m)
-    return DiscreteOperator(matrix=b[idx], grid=g)
+    # (-1)^(p - n) on the refined xi index p, for the half-period fold
+    sign = 1.0 - 2.0 * ((np.arange(2 * n) - n) % 2)
+    # about one output's worth of symbol rows per chunk: a quarter of a
+    # 1D symbol, a few rows of a 2D one
+    rows = max(1, n ** (2 * d) // (2 * n) ** (2 * d - 1))
+
+    # each output entry (m, m') reads (m + m', m - m'); on the first axis
+    # the pairs are listed per chunk, the other axes are broadcast whole
+    m = np.arange(n)
+    nd = 2 * d - 1
+    mi = [_along(m, k, nd) for k in range(1, d)]
+    mj = [_along(m, d - 1 + k, nd) for k in range(1, d)]
+    src_x = [u + v for u, v in zip(mi, mj)]
+    src_p = [(u - v) % (2 * n) for u, v in zip(mi, mj)]
+
+    out = np.empty((n,) * (2 * d),
+                   dtype=np.result_type(vals.dtype, np.complex128))
+    for lo in range(0, 2 * n - 1, rows):
+        hi = lo + rows
+        c = np.take(vals, np.arange(lo + n, hi + n), axis=0,
+                    mode="wrap") * _along(sign, d, 2 * d)
+        c += vals[lo:hi]
+        for ax in range(1, d):
+            f = np.roll(c, n, axis=ax)
+            f *= _along(sign, d + ax, 2 * d)
+            f += c
+            c = f
+        b = np.fft.ifftn(np.fft.ifftshift(c, axes=xi_axes), axes=xi_axes)
+        # row j holds the pairs m0 = first .. first + count - 1, m0' = j - m0
+        j = np.arange(lo, hi)
+        first = np.maximum(0, j - n + 1)
+        count = np.minimum(j, n - 1) - first + 1
+        r = np.repeat(j - lo, count)
+        u = np.arange(count.sum()) + np.repeat(first - np.cumsum(count)
+                                               + count, count)
+        r, u, v = (_along(w, 0, nd) for w in (r, u, r + lo - u))
+        out[(u, *mi, v, *mj)] = b[(r, *src_x, (u - v) % (2 * n), *src_p)]
+    return DiscreteOperator(matrix=out.reshape(n ** d, n ** d), grid=g)
 
 
 def semiclassical_quantize(a: GridSymbol, h: float) -> DiscreteOperator:

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from microloc.grids import GridSpec, sample_on
+from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
 from microloc.partition import build_partition
 from microloc.quantize import (DiscreteOperator, assemble_block,
@@ -12,6 +16,83 @@ from microloc.quantize import (DiscreteOperator, assemble_block,
                                sobolev_multiplier, weyl_quantize)
 
 G1 = GridSpec(dim=1, half_width=np.pi, n_grid=32)
+
+
+def _fft_route_weyl(a):
+    """Weyl matrix by the FFT route: transform the symbol along x, keep the
+    parity-matched (q, p) checkerboard (factor 2 per axis), transform back,
+    inverse-FFT over xi and gather at (m + m', m - m')."""
+    g = a.grid
+    d, n = g.dim, g.n_grid
+    x_axes = tuple(range(d))
+    xi_axes = tuple(range(d, 2 * d))
+    b = np.fft.fftn(a.values, axes=x_axes)
+    for ax in range(d):
+        shape = [1] * (2 * d)
+        shape[ax] = 2 * n
+        q = np.arange(2 * n).reshape(shape)
+        shape = [1] * (2 * d)
+        shape[d + ax] = 2 * n
+        p = np.arange(2 * n).reshape(shape)
+        b = b * (2.0 * ((q + p - n) % 2 == 0))
+    b = np.fft.ifftn(b, axes=x_axes)
+    b = np.fft.ifftn(np.fft.ifftshift(b, axes=xi_axes), axes=xi_axes)
+    m = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
+    m = [ax.ravel() for ax in m]
+    idx = tuple(ax[:, None] + ax[None, :] for ax in m) + \
+        tuple((ax[:, None] - ax[None, :]) % (2 * n) for ax in m)
+    return b[idx]
+
+
+def _random_symbol(grid, seed, complex_values=True):
+    rng = np.random.default_rng(seed)
+    shape = (2 * grid.n_grid,) * (2 * grid.dim)
+    values = rng.standard_normal(shape)
+    if complex_values:
+        values = values + 1j * rng.standard_normal(shape)
+    return GridSymbol(grid=grid, values=values)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2 ** k) for k in range(1, 10)]
+                         + [(2, 2 ** k) for k in range(1, 5)])
+def test_weyl_quantize_matches_fft_route(dim, n):
+    a = _random_symbol(GridSpec(dim=dim, half_width=2.5, n_grid=n), seed=n)
+    want = _fft_route_weyl(a)
+    got = weyl_quantize(a).matrix
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@given(dim=st.sampled_from([1, 2]), log_n=st.integers(1, 5),
+       half_width=st.floats(0.25, 20.0),
+       c=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                            allow_infinity=False),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weyl_quantize_invariants(dim, log_n, half_width, c, seed):
+    n = 2 ** (log_n if dim == 1 else min(log_n, 3))
+    g = GridSpec(dim=dim, half_width=half_width, n_grid=n)
+    shape = (2 * n,) * (2 * dim)
+    eye = np.eye(g.npoints())
+    one = weyl_quantize(GridSymbol(grid=g, values=np.ones(shape))).matrix
+    assert np.abs(one - eye).max() <= 1e-14
+    const = weyl_quantize(GridSymbol(grid=g, values=np.full(shape, c)))
+    assert np.abs(const.matrix - c * eye).max() <= 1e-14 * max(abs(c), 1.0)
+    real = weyl_quantize(_random_symbol(g, seed, complex_values=False))
+    m = real.matrix
+    assert np.abs(m - m.conj().T).max() <= 1e-14 * np.abs(m).max()
+
+
+def test_weyl_quantize_traced_memory():
+    # the symbol is 16 MiB and the matrix 1 MiB; transforming the whole
+    # symbol (the FFT route) traces about four symbol-sized copies
+    a = _random_symbol(GridSpec(dim=2, half_width=np.pi, n_grid=16), seed=0)
+    out_bytes = 16 ** 4 * 16
+    tracemalloc.start()
+    try:
+        weyl_quantize(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out_bytes
 
 
 def test_quantize_one_is_identity():
