@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,13 +19,9 @@ EXPERIMENTS = ("partition-verify", "band-bound", "moyal-order", "cotlar",
 
 SCHEMA_VERSION = 1
 
-# Radon sizes must fit in 8 GB.  The cached sparse operator holds about
-# 1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
-# at most two copies while its buffers grow (n_grid 256, 360 angles, 256
-# offsets: 39.7 M entries, 476 MB, 0.65 GB peak).  radon-block also holds
-# three dense float64 copies of the (n_angles n_offsets, n_grid^2) matrix
-# while it reduces it to a QR factor.
-_RADON_BYTES_MAX = 7 * 2 ** 30
+# Runs must fit in 8 GB; validation refuses sizes whose largest arrays
+# would need more than this.
+_BYTES_MAX = 7 * 2 ** 30
 
 _COMMON_KEYS = {"schema_version", "experiment", "seed"}
 
@@ -91,6 +88,12 @@ def _is_pair(v, test) -> bool:
 
 def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
                  dense: bool) -> float:
+    """Bytes of a Radon run.  The cached sparse operator holds about
+    1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
+    at most two copies while its buffers grow (n_grid 256, 360 angles, 256
+    offsets: 39.7 M entries, 476 MB, 0.65 GB peak).  radon-block also holds
+    three dense float64 copies of the (n_angles n_offsets, n_grid^2) matrix
+    while it reduces it to a QR factor."""
     rays = n_angles * n_offsets
     return 2 * 12 * 1.7 * n_grid * rays \
         + (3 * 8 * rays * n_grid ** 2 if dense else 0)
@@ -109,10 +112,21 @@ def _radon_errors(radon, grid, experiment) -> list[str]:
     n = grid.get("n_grid") if isinstance(grid, dict) else None
     if not errors and _is_int(n) and _radon_bytes(
             n, n_angles, n_offsets, experiment == "radon-block") \
-            > _RADON_BYTES_MAX:
+            > _BYTES_MAX:
         errors.append("grid.n_grid, radon.n_angles and radon.n_offsets "
                       "need more than 8 GB")
     return errors
+
+
+def _lattice_bytes(k_max: int, dim: int, lattice_step: float) -> float:
+    """Bytes held while the band-k_max net's candidates are chosen from the
+    (2^(k_max+2) / lattice_step)^dim points of its lattice: 8 (dim + 4) per
+    point for the mesh coordinates, the stacked points, their squares and
+    norms (peak RSS rise measured at 40 bytes per point in 1D, 48 in 2D).
+    The point count is capped at 2^64, far past any ceiling, so that no
+    float overflows."""
+    points = 2.0 ** min(dim * (k_max + 2 - math.log2(lattice_step)), 64)
+    return 8 * (dim + 4) * points
 
 
 def _cutoff_errors(cutoff, grid) -> list[str]:
@@ -252,16 +266,26 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         elif metric["kind"] == "conformal":
             lo, hi = metric.get("lambda_min"), metric.get("lambda_max")
             if not (isinstance(metric.get("expr"), str) and _is_number(lo)
-                    and _is_number(hi) and lo <= hi):
+                    and _is_number(hi) and 0 < lo <= hi):
                 errors.append("a conformal metric needs a string expr and "
-                              "numbers lambda_min <= lambda_max")
+                              "numbers 0 < lambda_min <= lambda_max")
+    ls = cfg.get("lattice_step", 0.125)
+    ls_ok = _is_number(ls) and 0 < ls <= 0.125
+    if not ls_ok:
+        errors.append("lattice_step must lie in (0, 1/8]")
     if "bands" in schema:
         bands = cfg.get("bands")
+        dim = cfg.get("dim", 1) if experiment == "partition-verify" \
+            else grid.get("dim") if isinstance(grid, dict) else None
         if not (isinstance(bands, dict) and _is_int(bands.get("k_min"))
                 and _is_int(bands.get("k_max"))):
             errors.append("bands must be an object with int k_min, k_max")
         elif bands["k_min"] > bands["k_max"]:
             errors.append("bands.k_min must be <= bands.k_max")
+        elif (ls_ok and _is_int(dim) and dim in (1, 2)
+              and _lattice_bytes(bands["k_max"], dim, ls) > _BYTES_MAX):
+            errors.append("bands.k_max and lattice_step need more than 8 GB "
+                          "to build the nets")
     if "radon" in schema:
         errors += _radon_errors(cfg.get("radon"), grid, experiment)
     if "cutoff" in cfg:
@@ -273,9 +297,6 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                 and bump.get("kind", "exp-mollified") in sorted(_STEPS)):
             errors.append(f"bump must be an object whose kind is one of "
                           f"{sorted(_STEPS)}")
-    ls = cfg.get("lattice_step")
-    if ls is not None and not (_is_number(ls) and 0 < ls <= 0.125):
-        errors.append("lattice_step must lie in (0, 1/8]")
     return errors
 
 
@@ -607,6 +628,9 @@ def main(argv=None) -> int:
         return 2
 
     from .expressions import ExpressionError
+    from .metric import InvalidFieldError, NotPositiveDefiniteError
+    from .partition import EmptyNetError
+    from .recombine import CoverageGapError
     os.makedirs(args.out, exist_ok=True)
     try:
         _, checks = _RUNNERS[args.experiment](cfg, args.out)
@@ -615,6 +639,12 @@ def main(argv=None) -> int:
         return 2
     except ExpressionError as exc:
         print(json.dumps({"errors": [f"invalid expression: {exc}"]}))
+        return 2
+    # a config the checks above admit can still describe an empty net, an
+    # uncovered active band, or a metric that is not positive definite
+    except (EmptyNetError, CoverageGapError, InvalidFieldError,
+            NotPositiveDefiniteError) as exc:
+        print(json.dumps({"errors": [f"{type(exc).__name__}: {exc}"]}))
         return 2
     failed = [name for name, ok in checks if not ok]
     print(json.dumps({"checks": {name: bool(ok) for name, ok in checks},

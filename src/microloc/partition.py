@@ -11,7 +11,10 @@ Sigma > 0.
 Evaluation is lazy: per-point sums prune to the few bands and centers
 whose supports can reach the point (at most 5 radial bands, at most 5^n
 centers per band), and only the distinct T_x and Sigma of a quantization
-grid are tabulated, once per grid.
+grid are tabulated, once per grid.  The centers near a point come from a
+cell index: cells of side below 1/(2 sqrt 2) hold at most one center of a
+1/2-separated net, so each band's index is one flat table, and a fixed
+block of cells around a point holds every center within distance 1.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import backend
 from .grids import GridSpec, GridSymbol
@@ -139,12 +141,112 @@ def build_net(k: int, dim: int, lattice_step: float = 0.125) -> DyadicNet:
     return DyadicNet(k=k, centers=cands[idx])
 
 
+# Side of an index cell: its diagonal is below 1/2 in dim 1 and 2, so it
+# holds at most one center of a 1/2-separated net.
+_CELL = 0.35
+# A block of cells reaching r cells to each side of a point's cell holds
+# every center within r * _CELL of the point: reach 3 covers distance 1.
+_REACH = 3
+# Entries of one block array in a chunked scan.
+_CHUNK = 2 ** 20
+_BROKEN = "neighbor budget exceeded; net separation broken"
+
+
+class _CellIndex:
+    """The centers of a 1/2-separated net binned into cells of side _CELL.
+
+    ``coords[i]`` holds coordinate i of the center in each cell, and inf in
+    an empty cell, over the centers' bounding box widened by _REACH empty
+    cells per side.  A query reads a fixed block of cells around each point
+    with one fancy index.  A point outside the box reads the block of the
+    nearest cell inside it, which holds every center its own block would.
+    """
+
+    def __init__(self, centers: np.ndarray):
+        n, dim = centers.shape
+        self.origin = centers.min(axis=0)
+        cells = self._cells(centers).astype(np.intp)
+        self.shape = cells.max(axis=0) + 1 + _REACH
+        self.strides = np.r_[np.cumprod(self.shape[::-1])[::-1][1:], 1]
+        flat = cells @ self.strides
+        if np.unique(flat).size < n:
+            raise RuntimeError(_BROKEN)
+        self.coords = []
+        for i in range(dim):
+            col = np.full(int(np.prod(self.shape)), np.inf)
+            col[flat] = centers[:, i]
+            self.coords.append(col)
+        # flat offsets of the blocks, in lexicographic order
+        self.offsets = {r: _lattice(np.arange(-r, r + 1), dim) @ self.strides
+                        for r in (2, _REACH)}
+
+    def _cells(self, pts: np.ndarray) -> np.ndarray:
+        return np.floor((pts - self.origin) / _CELL) + _REACH
+
+    def block(self, u: np.ndarray, reach: int) -> np.ndarray:
+        """Squared distances (M, (2 reach + 1)^dim) from each row of u to the
+        centers of its block of cells, inf for an empty cell.  For a point
+        inside the box the middle column is its own cell."""
+        q = self._cells(u)
+        np.maximum(q, _REACH, out=q)
+        np.minimum(q, self.shape - 1 - _REACH, out=q)
+        flat = q.astype(np.intp) @ self.strides
+        return _sq_dist([c[flat[:, None] + self.offsets[reach]]
+                         for c in self.coords], u)
+
+
+def _sq_dist(cols, u: np.ndarray) -> np.ndarray:
+    """sum_i (cols[i] - u[:, i])^2 accumulated in axis order, computed in
+    place over the arrays of cols."""
+    d2 = cols[0]
+    for i, c in enumerate(cols):
+        c -= u[:, i:i + 1]
+        c *= c
+        if i:
+            d2 += c
+    return d2
+
+
+def _nearest(centers: np.ndarray, index, pts: np.ndarray,
+             skip_self: bool = False) -> np.ndarray:
+    """Distance from each row of pts to its nearest center.
+
+    With skip_self the points are the centers themselves, and each skips
+    its own.  The cell index (None for a net it cannot hold) settles every
+    point with a center inside its reach-2 block; the rest are scanned
+    against every center.
+    """
+    best = np.full(len(pts), np.inf)
+    if index is not None:
+        step = _CHUNK // 5 ** centers.shape[1]
+        for lo in range(0, len(pts), step):
+            d2 = index.block(pts[lo:lo + step], 2)
+            if skip_self:
+                d2[:, d2.shape[1] // 2] = np.inf
+            best[lo:lo + step] = d2.min(axis=1)
+    # a center at just under 2 * _CELL may round out of the block
+    far = np.flatnonzero(~(best < (2 * _CELL - 1e-9) ** 2))
+    step = max(1, _CHUNK // len(centers))
+    for lo in range(0, len(far), step):
+        rows = far[lo:lo + step]
+        d2 = _sq_dist([np.tile(c, (len(rows), 1)) for c in centers.T],
+                      pts[rows])
+        if skip_self:
+            d2[np.arange(len(rows)), rows] = np.inf
+        best[rows] = d2.min(axis=1)
+    return np.sqrt(best)
+
+
 def validate_net(net: DyadicNet, dim: int, lattice_step: float = 0.125) -> dict:
     """Exhaustive separation and covering check on the construction lattice."""
-    tree = cKDTree(net.centers)
-    d, _ = tree.query(net.centers, k=2)
-    min_sep = float(d[:, 1].min()) if net.size > 1 else np.inf
-    cover, _ = tree.query(_annulus_lattice(net.k, dim, lattice_step), k=1)
+    try:
+        index = _CellIndex(net.centers)
+    except RuntimeError:  # two centers share a cell: closer than 1/2
+        index = None
+    sep = _nearest(net.centers, index, net.centers, skip_self=True)
+    min_sep = float(sep.min()) if net.size > 1 else np.inf
+    cover = _nearest(net.centers, index,
+                     _annulus_lattice(net.k, dim, lattice_step))
     return {
         "min_separation": min_sep,
         "covering_radius": float(cover.max()),
@@ -171,7 +273,7 @@ class Partition:
         self.low_freq_cap = low_freq_cap
         self.lattice_step = lattice_step
         self.dim = metric.dim
-        self._trees = {k: cKDTree(net.centers) for k, net in nets.items()}
+        self._indexes: dict[int, _CellIndex] = {}
         self._grid_samples: dict[GridSpec, tuple] = {}
 
     @property
@@ -216,18 +318,23 @@ class Partition:
     def _neighbor_distances(self, k: int, u: np.ndarray) -> np.ndarray:
         """Distances from each row of u to the band-k centers within 1.
 
-        Shape (M, kq); entries beyond distance 1 are inf.
+        Shape (M, kq), ascending per row; entries beyond distance 1 are
+        inf.  The band's cell index is built on its first query.
         """
         net = self.nets[k]
         # separation 1/2 packs at most 5^n centers within distance 1
         kq = min(net.size, 5 ** self.dim + 2)
         if kq == 0:
             return np.empty((len(u), 0))
-        d, _ = self._trees[k].query(u, k=kq, distance_upper_bound=1.0)
-        d = d.reshape(len(u), kq)
-        if kq < net.size and np.any(np.isfinite(d[:, -1])):
-            raise RuntimeError("neighbor budget exceeded; net separation broken")
-        return d
+        if k not in self._indexes:
+            self._indexes[k] = _CellIndex(net.centers)
+        d2 = self._indexes[k].block(u, _REACH)
+        d2.sort(axis=1)
+        d2 = d2[:, :kq]
+        d2[d2 >= 1.0] = np.inf
+        if kq < net.size and (d2[:, -1] < np.inf).any():
+            raise RuntimeError(_BROKEN)
+        return np.sqrt(d2)
 
     def _chi_band_sum(self, k: int, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
         """rho * sum over band-k centers of phi(|u - zeta|)."""
@@ -416,7 +523,7 @@ def pou_deviation(part: Partition, x_arr: np.ndarray,
     """max |sum_{j,k} Lambda + cap/Sigma - 1| over sample pairs with Sigma > 0.
 
     The numerator accumulates per-patch cutoff values by direct distance
-    evaluation, independently of the tree-pruned normalizer path.
+    evaluation, independently of the cell-indexed normalizer path.
     """
     xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
 

@@ -17,14 +17,17 @@ import json
 import mmap
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
 from .quantize import _specnorm, fit_log2_slope, weyl_quantize
 from .recombine import CoverageGapError, _cotlar_certificate
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,11 @@ def _operator(cfg: RadonConfig) -> sparse.csr_array:
     weights of that line's samples, summed per pixel, at column
     ``i * n_grid + j`` for pixel ``(i, j)``.  Each angle's block, with its
     duplicates merged, is copied straight into growing entry buffers.
+    scipy.sparse is imported here, on the first build, so importing this
+    module costs no scipy import.
     """
+    from scipy import sparse
+
     n = cfg.grid.n_grid
     data, indices, nnz = np.empty(0), np.empty(0, dtype=np.int32), 0
     row_nnz = [np.zeros(1, dtype=np.int32)]

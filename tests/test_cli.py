@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import microloc
 from microloc import cli
 
 
@@ -230,6 +235,13 @@ def _without(cfg, key):
     (_cotlar(bump={"kind": ["exp-mollified"]}), "bump kind not a string"),
     (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
            samples={"n_x": 0}), "no spatial samples"),
+    (_cotlar(bands={"k_min": -4, "k_max": 3}), "empty annulus net"),
+    (_cotlar(bands={"k_min": 1, "k_max": 2}, active_bands=[7]),
+     "active band outside the built bands"),
+    (_cotlar(metric={"kind": "conformal", "expr": "0", "lambda_min": 0,
+                     "lambda_max": 1}), "zero conformal factor"),
+    (_cotlar(metric={"kind": "conformal", "expr": "-1", "lambda_min": 1,
+                     "lambda_max": 2}), "negative conformal factor"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -250,6 +262,57 @@ def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
     code, _ = _run(tmp_path, "radon-invert", cfg)
     assert code == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+
+
+@pytest.mark.parametrize("cfg", [
+    _cotlar(lattice_step=1e-9),
+    _cotlar(grid={"dim": 2, "half_width": np.pi, "n_grid": 16},
+            bands={"k_min": 2, "k_max": 14}),
+    _base("partition-verify", dim=2, bands={"k_min": 2, "k_max": 9}),
+], ids=["lattice_step 1e-9", "2D k_max 14", "partition-verify 2D k_max 9"])
+def test_net_lattice_beyond_8gb_rejected_before_running(tmp_path, capsys,
+                                                        cfg):
+    # the k_max annulus lattice: 1D at step 1e-9 asks numpy for 60 GiB,
+    # 2D k_max 14 for 12 TiB; 2D k_max 8 (3 GiB) still runs
+    errors = cli.validate_config(cfg, cfg["experiment"])
+    assert any("8 GB" in e for e in errors), errors
+    ok = {**cfg, "lattice_step": 0.125, "bands": {"k_min": 2, "k_max": 8}}
+    assert cli.validate_config(ok, cfg["experiment"]) == []
+    code, _ = _run(tmp_path, cfg["experiment"], cfg)
+    assert code == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+
+
+def test_non_radon_experiments_load_no_scipy(tmp_path):
+    # scipy.sparse is imported on the first Radon operator build; parametrix
+    # and cotlar runs, and importing microloc.radon, load no scipy module
+    runs = []
+    for name, cfg in (("parametrix", _parametrix()), ("cotlar", _cotlar())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append([name, str(path), str(tmp_path / name)])
+    script = (
+        "import json, sys\n"
+        "from microloc import cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy')\n"
+        "codes = [cli.main([name, '--config', path, '--out', out])\n"
+        "         for name, path, out in json.loads(sys.argv[1])]\n"
+        "after_runs = scipy_modules()\n"
+        "import microloc.radon\n"
+        "print(json.dumps([codes, after_runs, scipy_modules()]))\n")
+    src = str(Path(microloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300, check=True)
+    codes, after_runs, after_import = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert after_runs == []
+    assert after_import == []
 
 
 def test_moyal_order_out_of_range_rejected(tmp_path):

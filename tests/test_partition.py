@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,11 +9,12 @@ from microloc.grids import GridSpec, sample_on
 from microloc.metric import conformal_field, identity_field
 from microloc.parametrix import EllipticSymbol, build_parametrix
 from microloc.partition import (DyadicNet, EmptyNetError, Microlocalizer,
-                                OutOfRangeError, Partition, band_sum_symbol,
-                                build_bumps, build_net, build_partition,
-                                eval_cut, eval_localizer, eval_normalizer,
-                                localizer_symbol, overlap_count,
-                                packing_bound, pou_deviation, validate_net)
+                                OutOfRangeError, Partition, _annulus_lattice,
+                                band_sum_symbol, build_bumps, build_net,
+                                build_partition, eval_cut, eval_localizer,
+                                eval_normalizer, localizer_symbol,
+                                overlap_count, packing_bound, pou_deviation,
+                                validate_net)
 
 
 def test_bump_profiles():
@@ -111,7 +114,7 @@ def test_overlap_and_radial_bounds():
 
 
 def test_overlap_pairs_matches_direct_count():
-    # the tree-pruned count against the brute-force count over every patch
+    # the cell-indexed count against the brute-force count over every patch
     met = conformal_field(lambda x: 2.0 + np.sin(x[0]) * np.cos(x[1]), 2,
                           lambda_min=1.0, lambda_max=3.0)
     part = build_partition(met, 1, 3)
@@ -127,7 +130,7 @@ def test_overlap_pairs_matches_direct_count():
 
 def test_broken_net_exceeds_neighbor_budget():
     # centers 0.1 apart break the 1/2-separation that bounds the neighbor
-    # query; both tree-pruned sums must refuse instead of undercounting
+    # query; both cell-indexed sums must refuse instead of undercounting
     net = DyadicNet(k=2, centers=np.arange(4.0, 8.0, 0.1)[:, None])
     part = Partition(identity_field(1), 2, 2, build_bumps(), {2: net})
     x, xi = np.zeros((1, 1)), np.array([[6.0]])
@@ -224,3 +227,124 @@ def test_grid_samples_are_keyed_by_grid():
                 assert np.array_equal(
                     localizer_symbol(shared, j, k, grid).values,
                     localizer_symbol(fresh, j, k, grid).values)
+
+
+# the cell index against O(M N) scans --------------------------------------
+
+def _scan_sq_dist(centers, u):
+    """Squared distance from every row of u to every center, (M, N)."""
+    return ((centers[None, :, :] - u[:, None, :]) ** 2).sum(axis=-1)
+
+
+def _scan_neighbors(centers, u, kq):
+    """Ascending distances to the centers closer than 1, inf-padded to kq."""
+    out = np.full((len(u), kq), np.inf)
+    for row, d2 in zip(out, _scan_sq_dist(centers, u)):
+        near = np.sqrt(np.sort(d2[d2 < 1.0]))
+        row[:len(near)] = near
+    return out
+
+
+def _scan_validate(net, dim):
+    """Separation and covering of a net by scanning every pair."""
+    d2 = _scan_sq_dist(net.centers, net.centers)
+    np.fill_diagonal(d2, np.inf)
+    lattice = _annulus_lattice(net.k, dim, 0.125)
+    cover = max(np.sqrt(_scan_sq_dist(net.centers, lattice[lo:lo + 512])
+                        .min(axis=1)).max()
+                for lo in range(0, len(lattice), 512))
+    return float(np.sqrt(d2.min())) if net.size > 1 else np.inf, float(cover)
+
+
+def _queries(centers, rng):
+    """Random points around the net, points just outside its bounding box
+    on every side, and points at distance exactly 1 from a center."""
+    dim = centers.shape[1]
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    spread = rng.uniform(lo - 1.5, hi + 1.5, (200, dim))
+    edge = []
+    for axis in range(dim):
+        for side, sign in ((lo, -1.0), (hi, 1.0)):
+            for gap in (1e-9, 0.05, 0.3, 0.7, 0.99, 1.2):
+                p = rng.uniform(lo, hi, (4, dim))
+                p[:, axis] = side[axis] + sign * gap
+                edge.append(p)
+    # lattice centers and unit steps along an axis: float distance exactly 1
+    picks = centers[rng.integers(0, len(centers), 6)]
+    unit = np.concatenate([picks + s * np.eye(dim)[a]
+                           for a in range(dim) for s in (-1.0, 1.0)])
+    return np.concatenate([spread, *edge, unit])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_neighbor_distances_match_a_full_scan(dim, k):
+    part = build_partition(identity_field(dim), k, k)
+    centers = part.nets[k].centers
+    u = _queries(centers, np.random.default_rng(10 * k + dim))
+    assert np.any(_scan_sq_dist(centers, u) == 1.0)
+    kq = min(len(centers), 5 ** dim + 2)
+    got = part._neighbor_distances(k, u)
+    assert got.shape == (len(u), kq)
+    assert np.array_equal(got, _scan_neighbors(centers, u, kq))
+
+
+@pytest.mark.parametrize("dim,k", [(1, -1), (1, 0), (1, 1), (1, 2), (1, 3),
+                                   (1, 4), (2, 0), (2, 1), (2, 2), (2, 3)])
+def test_validate_net_matches_a_full_scan(dim, k):
+    # 1D k=-1 is two centers 1.375 apart: its separation comes from the
+    # scan behind the index
+    net = build_net(k, dim)
+    rep = validate_net(net, dim)
+    assert (rep["min_separation"], rep["covering_radius"]) \
+        == _scan_validate(net, dim)
+    assert rep["separation_ok"] and rep["covering_ok"]
+
+
+def test_validate_net_reports_a_net_the_index_cannot_hold():
+    # a center 0.1 from another shares its cell: validation still measures
+    # the net, and separation fails
+    base = build_net(1, 2)
+    net = DyadicNet(k=1, centers=np.vstack(
+        [base.centers, base.centers[:1] + [0.1, 0.0]]))
+    rep = validate_net(net, 2)
+    assert (rep["min_separation"], rep["covering_radius"]) \
+        == _scan_validate(net, 2)
+    assert rep["min_separation"] == pytest.approx(0.1)
+    assert not rep["separation_ok"] and rep["covering_ok"]
+
+
+def test_broken_2d_net_exceeds_neighbor_budget():
+    axis = np.arange(4.0, 6.0, 0.1)
+    net = DyadicNet(k=2, centers=np.stack(np.meshgrid(axis, axis), -1)
+                    .reshape(-1, 2))
+    part = Partition(identity_field(2), 2, 2, build_bumps(), {2: net})
+    with pytest.raises(RuntimeError, match="neighbor budget"):
+        part.sigma_pairs(np.zeros((1, 2)), np.array([[5.0, 5.0]]))
+
+
+# partition of unity as a property -----------------------------------------
+
+@functools.cache
+def _pou_partition(dim, k_min, k_max, conformal, low_freq_cap):
+    metric = (conformal_field(lambda x: 2.0 + np.sin(x.sum()), dim,
+                              lambda_min=1.0, lambda_max=3.0)
+              if conformal else identity_field(dim))
+    return build_partition(metric, k_min, k_max, low_freq_cap=low_freq_cap)
+
+
+@given(dim=st.sampled_from([1, 2]), k_min=st.integers(0, 3),
+       span=st.integers(0, 2), conformal=st.booleans(),
+       low_freq_cap=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_partition_of_unity_property(dim, k_min, span, conformal,
+                                     low_freq_cap, seed):
+    # pou_deviation's numerator sums every center's cutoff directly, so it
+    # checks the cell-indexed Sigma
+    k_max = min(k_min + span, 3 if dim == 2 else 5)
+    part = _pou_partition(dim, k_min, k_max, conformal, low_freq_cap)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4.0, 4.0, (3, dim))
+    mags = 2.0 ** rng.uniform(k_min - 2, k_max + 2, 32)
+    dirs = rng.standard_normal((32, dim))
+    xi = mags[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert pou_deviation(part, x, xi) <= 1e-12
