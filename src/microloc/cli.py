@@ -42,6 +42,13 @@ _SCHEMAS = {
     "radon-invert": {"grid", "radon", "phantom", "filter"},
 }
 
+# string-valued options and the values their runners accept
+_CHOICES = {
+    "band-bound": {"mode": ("semiclassical", "conservative")},
+    "radon-invert": {"phantom": ("disc", "gaussian", "two-bumps"),
+                     "filter": ("ramp", "none")},
+}
+
 
 class ValidationFailure(Exception):
     def __init__(self, errors):
@@ -75,7 +82,10 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number within the float range: not NaN or infinite, nor an
+    int too large to convert."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_pow2(n) -> bool:
@@ -110,7 +120,8 @@ def _radon_errors(radon, grid, experiment) -> list[str]:
     if not (_is_int(n_offsets) and n_offsets >= 2):
         errors.append("radon.n_offsets must be an int >= 2")
     n = grid.get("n_grid") if isinstance(grid, dict) else None
-    if not errors and _is_int(n) and _radon_bytes(
+    # an n_grid above the Radon ceiling is refused with the grid
+    if not errors and _is_int(n) and n <= 256 and _radon_bytes(
             n, n_angles, n_offsets, experiment == "radon-block") \
             > _BYTES_MAX:
         errors.append("grid.n_grid, radon.n_angles and radon.n_offsets "
@@ -123,9 +134,10 @@ def _lattice_bytes(k_max: int, dim: int, lattice_step: float) -> float:
     (2^(k_max+2) / lattice_step)^dim points of its lattice: 8 (dim + 4) per
     point for the mesh coordinates, the stacked points, their squares and
     norms (peak RSS rise measured at 40 bytes per point in 1D, 48 in 2D).
-    The point count is capped at 2^64, far past any ceiling, so that no
-    float overflows."""
-    points = 2.0 ** min(dim * (k_max + 2 - math.log2(lattice_step)), 64)
+    k_max and the point count are capped at 64 and 2^64, far past any
+    ceiling, so that no float overflows."""
+    points = 2.0 ** min(dim * (min(k_max, 64) + 2 - math.log2(lattice_step)),
+                        64)
     return 8 * (dim + 4) * points
 
 
@@ -187,7 +199,8 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
     errors = []
     if not isinstance(cfg, dict):
         return ["config root must be a JSON object"]
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+    if not (_is_int(cfg.get("schema_version"))
+            and cfg["schema_version"] == SCHEMA_VERSION):
         errors.append(f"schema_version must be {SCHEMA_VERSION}")
     if cfg.get("experiment") != experiment:
         errors.append(f"config experiment {cfg.get('experiment')!r} does not "
@@ -197,6 +210,11 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         errors.append(f"unknown keys: {unknown}")
+    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+        errors.append("seed must be an int >= 0")
+    for key, choices in _CHOICES.get(experiment, {}).items():
+        if key in cfg and cfg[key] not in choices:
+            errors.append(f"{key} must be one of {list(choices)}")
 
     grid = cfg.get("grid")
     if "grid" in schema:
@@ -207,6 +225,8 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
             n = grid.get("n_grid")
             if not (_is_int(dim) and dim in (1, 2)):
                 errors.append("grid.dim must be 1 or 2")
+            elif "radon" in schema and dim != 2:
+                errors.append("grid.dim must be 2 for a Radon experiment")
             if not _is_pow2(n):
                 errors.append("grid.n_grid must be a power of two")
             elif dim == 1 and n > 512:
@@ -630,6 +650,7 @@ def main(argv=None) -> int:
     from .expressions import ExpressionError
     from .metric import InvalidFieldError, NotPositiveDefiniteError
     from .partition import EmptyNetError
+    from .quantize import DegenerateResultError
     from .recombine import CoverageGapError
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -641,9 +662,11 @@ def main(argv=None) -> int:
         print(json.dumps({"errors": [f"invalid expression: {exc}"]}))
         return 2
     # a config the checks above admit can still describe an empty net, an
-    # uncovered active band, or a metric that is not positive definite
+    # uncovered active band, a metric that is not positive definite, or
+    # numbers that overflow or leave every measured norm zero
     except (EmptyNetError, CoverageGapError, InvalidFieldError,
-            NotPositiveDefiniteError) as exc:
+            NotPositiveDefiniteError, DegenerateResultError,
+            OverflowError) as exc:
         print(json.dumps({"errors": [f"{type(exc).__name__}: {exc}"]}))
         return 2
     failed = [name for name, ok in checks if not ok]

@@ -32,6 +32,11 @@ from .grids import GridSpec, GridSymbol
 from .partition import Partition, localizer_symbol
 
 
+class DegenerateResultError(ValueError):
+    """The numbers of a run leave nothing to report: an operator with
+    non-finite entries, or too few nonzero norms for a slope fit."""
+
+
 @dataclass
 class DiscreteOperator:
     """Dense matrix acting on flattened grid samples (row-major lattice)."""
@@ -45,7 +50,7 @@ class DiscreteOperator:
             raise ValueError(f"matrix shape {self.matrix.shape}, "
                              f"expected {(npts, npts)}")
         if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("non-finite matrix entries")
+            raise DegenerateResultError("non-finite matrix entries")
 
 
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -277,7 +282,8 @@ def fit_log2_slope(ks, vals) -> float:
     vals = np.asarray(vals, dtype=float)
     mask = vals > 1e-14
     if mask.sum() < 2:
-        raise ValueError("not enough nonzero values for a slope fit")
+        raise DegenerateResultError(
+            "not enough nonzero values for a slope fit")
     return float(np.polyfit(ks[mask], np.log2(vals[mask]), 1)[0])
 
 

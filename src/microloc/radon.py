@@ -2,12 +2,15 @@
 
 Lines x . omega = s, omega on the half circle, are sampled at half-pixel
 steps with bilinear interpolation (an interpolating projector of the
-Joseph 1982 family).  Each geometry is built once into a cached sparse
-matrix R: the forward map is ``R @ f``, the adjoint under the quadrature
-inner products (dA on images, ds dtheta on sinograms) is the quadrature
-scale times ``R.T @ g``, an exact transpose by construction, and
-``radon_matrix`` is R made dense.  Filtered backprojection applies the
-ramp |sigma| per angle and divides by a constant fitted once per geometry.
+Joseph 1982 family).  Each geometry is built once, in numpy, into the
+CSR arrays of a sparse matrix R; the latest geometry's arrays are cached.
+``radon_matrix`` fills a dense R from them, so ``radon-block`` needs no
+scipy.  The forward map ``R @ f`` and the adjoint under the quadrature
+inner products (dA on images, ds dtheta on sinograms), the quadrature
+scale times ``R.T @ g``, wrap the same arrays in a ``scipy.sparse`` matrix
+at call time; the adjoint is an exact transpose by construction.  Filtered
+backprojection applies the ramp |sigma| per angle and divides by a
+constant fitted once per geometry.
 """
 
 from __future__ import annotations
@@ -101,42 +104,54 @@ def _angle_geometry(cfg: RadonConfig, theta: float):
             f1[inside] - a[inside], f2[inside] - b[inside])
 
 
-@functools.cache
-def _operator(cfg: RadonConfig) -> sparse.csr_array:
-    """The forward map as one CSR matrix, built once per geometry.
+@functools.lru_cache(maxsize=1)
+def _operator(cfg: RadonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward map as CSR arrays ``(data, indices, indptr)``, built in
+    numpy once per geometry.
 
     Row ``angle * n_offsets + offset`` holds ``dt`` times the bilinear
     weights of that line's samples, summed per pixel, at column
-    ``i * n_grid + j`` for pixel ``(i, j)``.  Each angle's block, with its
-    duplicates merged, is copied straight into growing entry buffers.
-    scipy.sparse is imported here, on the first build, so importing this
-    module costs no scipy import.
+    ``i * n_grid + j`` for pixel ``(i, j)``; its columns increase.  Per
+    angle, consecutive samples of a line in the same cell share their four
+    corners and are merged first; the corner entries are then keyed by
+    ``offset * n_grid^2 + column`` (int64: the product can pass 2^31),
+    sorted, summed per key with ``np.add.reduceat`` and counted per row
+    with ``np.bincount``, straight into growing entry buffers.  Only the
+    most recent geometry is kept, so a large operator is freed once a
+    caller moves on to another geometry.
     """
-    from scipy import sparse
-
     n = cfg.grid.n_grid
+    n2 = n * n
     data, indices, nnz = np.empty(0), np.empty(0, dtype=np.int32), 0
-    row_nnz = [np.zeros(1, dtype=np.int32)]
+    row_nnz = [np.zeros(1, dtype=np.int64)]
     for theta in cfg.angles():
         rows, a, b, wx, wy = _angle_geometry(cfg, theta)
+        cell = (rows.astype(np.int64) * (n + 1) + a + 1) * (n + 1) + b + 1
+        run = np.flatnonzero(np.diff(cell, prepend=-1))
+        w = np.add.reduceat(np.stack(((1.0 - wx) * (1.0 - wy),
+                                      wx * (1.0 - wy),
+                                      (1.0 - wx) * wy, wx * wy)),
+                            run, axis=1).ravel()
+        rows, a, b = rows[run], a[run], b[run]
         i = np.concatenate((a, a + 1, a, a + 1))
         j = np.concatenate((b, b, b + 1, b + 1))
-        w = np.concatenate(((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy),
-                            (1.0 - wx) * wy, wx * wy))
         keep = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-        block = sparse.csr_array(
-            (cfg.dt * w[keep], (np.tile(rows, 4)[keep], (i * n + j)[keep])),
-            shape=(cfg.n_offsets, n * n))
-        end = nnz + block.nnz
+        key = (np.tile(rows, 4).astype(np.int64) * n2 + i * n + j)[keep]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        end = nnz + first.size
         data, indices = _grow(data, nnz, end), _grow(indices, nnz, end)
-        data[nnz:end], indices[nnz:end] = block.data, block.indices
-        row_nnz.append(np.diff(block.indptr))
+        np.add.reduceat(w[keep][order], first, out=data[nnz:end])
+        data[nnz:end] *= cfg.dt
+        key = key[first]
+        indices[nnz:end] = key % n2
+        row_nnz.append(np.bincount(key // n2, minlength=cfg.n_offsets))
         nnz = end
     if nnz >= 2 ** 31:
         raise ValueError(f"{nnz} entries overflow 32-bit CSR indices")
-    indptr = np.cumsum(np.concatenate(row_nnz), dtype=np.int32)
-    return sparse.csr_array((data[:nnz], indices[:nnz], indptr),
-                            shape=(cfg.n_angles * cfg.n_offsets, n * n))
+    indptr = np.cumsum(np.concatenate(row_nnz)).astype(np.int32)
+    return data[:nnz], indices[:nnz], indptr
 
 
 def _grow(buf: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -153,6 +168,17 @@ def _grow(buf: np.ndarray, used: int, size: int) -> np.ndarray:
     return out
 
 
+def _csr(cfg: RadonConfig) -> sparse.csr_array:
+    """The cached operator's arrays wrapped, without a copy, as a scipy CSR
+    matrix for the forward and adjoint products.  scipy.sparse is imported
+    here, so only a matrix-vector product loads scipy."""
+    from scipy import sparse
+
+    n = cfg.grid.n_grid
+    return sparse.csr_array(_operator(cfg),
+                            shape=(cfg.n_angles * cfg.n_offsets, n * n))
+
+
 def radon_forward(image: np.ndarray, cfg: RadonConfig) -> Sinogram:
     """Line integrals of a grid image; bilinear sampling at half-pixel steps."""
     g = cfg.grid
@@ -164,7 +190,7 @@ def radon_forward(image: np.ndarray, cfg: RadonConfig) -> Sinogram:
     boundary = bool(np.any((r > cfg.s_max - 2 * g.dx)
                            & (np.abs(image) > 1e-12 * max(np.abs(image).max(),
                                                           1e-300))))
-    vals = _operator(cfg) @ np.asarray(image, dtype=float).ravel()
+    vals = _csr(cfg) @ np.asarray(image, dtype=float).ravel()
     return Sinogram(values=vals.reshape(cfg.n_angles, cfg.n_offsets).T,
                     config=cfg, meta={"support_touches_boundary": boundary})
 
@@ -174,7 +200,7 @@ def radon_adjoint(g: Sinogram) -> np.ndarray:
     cfg = g.config
     n = cfg.grid.n_grid
     scale = cfg.ds * cfg.dtheta / cfg.grid.l2_weight()
-    return scale * (_operator(cfg).T @ g.values.T.ravel()).reshape(n, n)
+    return scale * (_csr(cfg).T @ g.values.T.ravel()).reshape(n, n)
 
 
 def ramp_filter(g: Sinogram, kind: str = "ramp") -> Sinogram:
@@ -222,9 +248,13 @@ def fbp_invert(g: Sinogram, kind: str = "ramp") -> np.ndarray:
 def radon_matrix(cfg: RadonConfig) -> np.ndarray:
     """Dense forward matrix, shape (n_offsets * n_angles, n_grid^2); row
     ``offset * n_angles + angle`` matches flattened (n_offsets, n_angles)
-    sinograms."""
-    dense = _operator(cfg).toarray().reshape(cfg.n_angles, cfg.n_offsets, -1)
-    return dense.transpose(1, 0, 2).reshape(cfg.n_angles * cfg.n_offsets, -1)
+    sinograms.  Filled straight from the CSR arrays."""
+    data, indices, indptr = _operator(cfg)
+    rays = np.arange(cfg.n_angles * cfg.n_offsets)
+    dest = rays % cfg.n_offsets * cfg.n_angles + rays // cfg.n_offsets
+    dense = np.zeros((rays.size, cfg.grid.n_grid ** 2))
+    dense[np.repeat(dest, np.diff(indptr)), indices] = data
+    return dense
 
 
 def phantom(name: str, grid: GridSpec, radius: float = 1.0) -> np.ndarray:
@@ -305,8 +335,10 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
     it is reduced once to its triangular QR factor ``R0``:
     ``||chi_sino R X|| = ||R0 X||``, since ``Q`` has orthonormal columns.
     """
-    r0 = np.linalg.qr(chi_sino.ravel()[:, None] * radon_matrix(cfg),
-                      mode="r")
+    m = radon_matrix(cfg)
+    m *= chi_sino.ravel()[:, None]
+    r0 = np.linalg.qr(m, mode="r")
+    del m  # not resident through the band loop
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
     rows = []
     for k in k_range:

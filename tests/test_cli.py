@@ -1,4 +1,10 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -6,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microloc
 from microloc import cli
@@ -187,6 +195,16 @@ def _parametrix(**extra):
     return cfg
 
 
+def _radon_block(**extra):
+    cfg = _base("radon-block",
+                grid={"dim": 2, "half_width": np.pi / 2, "n_grid": 8},
+                metric={"kind": "identity"}, bands={"k_min": 0, "k_max": 2},
+                symbol="sqrt(1+xi1^2+xi2^2)", m2=1, k_range=[1, 2],
+                radon={"n_angles": 8, "n_offsets": 9})
+    cfg.update(extra)
+    return cfg
+
+
 def _without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
 
@@ -242,11 +260,93 @@ def _without(cfg, key):
                      "lambda_max": 1}), "zero conformal factor"),
     (_cotlar(metric={"kind": "conformal", "expr": "-1", "lambda_min": 1,
                      "lambda_max": 2}), "negative conformal factor"),
+    (_cotlar(seed="x"), "string seed"),
+    (_cotlar(seed=-1), "negative seed"),
+    (_cotlar(schema_version=True), "boolean schema version"),
+    (_band_bound(mode="x"), "unknown band-bound mode"),
+    (_radon_invert() | {"phantom": "x"}, "unknown phantom"),
+    (_radon_invert() | {"filter": "x"}, "unknown filter"),
+    (_radon_invert() | {"grid": {"dim": 1, "half_width": np.pi,
+                                 "n_grid": 32}}, "1D Radon grid"),
+    (_cotlar(s=math.nan), "NaN Sobolev exponent"),
+    (_cotlar(grid={"dim": 1, "half_width": math.inf, "n_grid": 32}),
+     "infinite half width"),
+    (_cotlar(s=1e300), "Sobolev weights overflow"),
+    (_radon_block(m2=1e300), "band scale overflows"),
+    (_parametrix(tests={"xi0_list": [[8.0]], "sigma": 1e300}),
+     "wavepacket width overflows"),
+    (_radon_block(radon={"n_angles": 8, "n_offsets": 2}),
+     "every Radon block norm zero"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
     assert code == 2, desc
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+
+
+_G1 = {"dim": 1, "half_width": np.pi, "n_grid": 8}
+_NET = {"lattice_step": 0.125, "bump": {"kind": "exp-mollified"}}
+_FUZZ_BASES = [
+    _base("partition-verify", dim=1, metric={"kind": "identity"},
+          bands={"k_min": 2, "k_max": 3}, low_freq_cap=False, seed=0,
+          samples={"n_x": 2, "n_xi": 8, "x_half_width": 3.0}, **_NET),
+    _band_bound(grid=_G1, bands={"k_min": 0, "k_max": 1}, k_range=[0, 1],
+                s=0.0, mode="semiclassical",
+                cutoff={"r_one": 2.4, "r_zero": 3.0}, **_NET),
+    _moyal(grid=_G1, cutoff={"r_one": 2.4, "r_zero": 3.0}),
+    _cotlar(grid=_G1, bands={"k_min": 1, "k_max": 1}, s=0.0,
+            active_bands=[1], cutoff={"r_one": 2.4, "r_zero": 3.0},
+            metric={"kind": "conformal", "expr": "2+sin(x1)",
+                    "lambda_min": 1, "lambda_max": 3}, **_NET),
+    _parametrix(grid=_G1, bands={"k_min": 0, "k_max": 1}, c0=0.5,
+                big_r=0.0, tests={"x0": [0.0], "xi0_list": [[1.5]],
+                                  "sigma": 0.7}, **_NET),
+    _radon_block(cutoff={"r_one": 0.7, "r_zero": 1.0}, **_NET),
+    _base("radon-invert", grid={"dim": 2, "half_width": np.pi, "n_grid": 8},
+          radon={"n_angles": 8, "n_offsets": 9}, phantom="disc",
+          filter="ramp", seed=0),
+]
+_FUZZ_VALUES = [None, True, "x", [], {}, [1, 2], {"a": 1}, 0, 1, -1, 2, 3,
+                0.0, 0.5, -0.5, 1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+def _paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A tiny valid config with one or two keys dropped or given a value
+    of the wrong type, out of range or not finite."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    experiment = cfg["experiment"]
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        parent = functools.reduce(operator.getitem, path[:-1], cfg)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(_FUZZ_VALUES))
+    return experiment, cfg
+
+
+@settings(max_examples=150)
+@given(case=_mutated_configs())
+def test_mutated_configs_exit_0_1_or_2(tmp_path_factory, case):
+    experiment, cfg = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main([experiment, "--config", str(path),
+                         "--out", str(tmp / "out")])
+    assert code in (0, 1, 2), (cfg, out.getvalue())
+    assert "Traceback" not in out.getvalue(), cfg
 
 
 def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
@@ -284,10 +384,12 @@ def test_net_lattice_beyond_8gb_rejected_before_running(tmp_path, capsys,
 
 
 def test_non_radon_experiments_load_no_scipy(tmp_path):
-    # scipy.sparse is imported on the first Radon operator build; parametrix
-    # and cotlar runs, and importing microloc.radon, load no scipy module
+    # only a Radon matrix-vector product (radon-invert) imports scipy.sparse;
+    # parametrix, cotlar and radon-block runs, and importing microloc.radon,
+    # load no scipy module
     runs = []
-    for name, cfg in (("parametrix", _parametrix()), ("cotlar", _cotlar())):
+    for name, cfg in (("parametrix", _parametrix()), ("cotlar", _cotlar()),
+                      ("radon-block", _radon_block())):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         runs.append([name, str(path), str(tmp_path / name)])
@@ -310,7 +412,7 @@ def test_non_radon_experiments_load_no_scipy(tmp_path):
                           timeout=300, check=True)
     codes, after_runs, after_import = json.loads(
         proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert after_runs == []
     assert after_import == []
 

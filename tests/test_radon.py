@@ -7,10 +7,10 @@ from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
 from microloc.partition import band_sum_symbol, build_partition
 from microloc.quantize import _specnorm, make_cutoff, weyl_quantize
-from microloc.radon import (RadonConfig, Sinogram, fbp_invert, load_array,
-                            phantom, radon_adjoint, radon_forward,
-                            radon_matrix, radon_recombine, ramp_filter,
-                            save_array)
+from microloc.radon import (RadonConfig, Sinogram, _angle_geometry,
+                            _operator, fbp_invert, load_array, phantom,
+                            radon_adjoint, radon_forward, radon_matrix,
+                            radon_recombine, ramp_filter, save_array)
 
 G = GridSpec(dim=2, half_width=np.pi, n_grid=64)
 CFG = RadonConfig(grid=G, n_angles=90, n_offsets=129)
@@ -91,6 +91,42 @@ def test_adjoint_is_exact(n, n_angles, n_offsets, half_width, seed):
     # defect in units of the Cauchy-Schwarz bound |<Rf, g>| <= |Rf| |g|
     norms = np.sqrt((rf * rf).sum() * (gv * gv).sum()) * cfg.ds * cfg.dtheta
     assert abs(lhs - rhs) <= 1e-14 * norms
+
+
+@given(n=st.sampled_from([4, 8, 16]), n_angles=st.integers(1, 24),
+       n_offsets=st.integers(2, 40), half_width=st.floats(0.5, 4.0))
+def test_operator_csr_matches_scipy(n, n_angles, n_offsets, half_width):
+    # the numpy build against scipy's COO-to-CSR of the raw triplets
+    from scipy import sparse
+    g = GridSpec(dim=2, half_width=half_width, n_grid=n)
+    cfg = RadonConfig(grid=g, n_angles=n_angles, n_offsets=n_offsets)
+    data, indices, indptr = _operator(cfg)
+    n_rays = n_angles * n_offsets
+    assert indptr.size == n_rays + 1 and indptr[0] == 0
+    assert np.all(np.diff(indptr) >= 0) and indptr[-1] == data.size
+    rows = np.repeat(np.arange(n_rays), np.diff(indptr))
+    assert np.all((np.diff(rows) > 0) | (np.diff(indices) > 0))
+
+    coo_rows, cols, vals = [], [], []
+    for angle, theta in enumerate(cfg.angles()):
+        r, a, b, wx, wy = _angle_geometry(cfg, theta)
+        i = np.concatenate((a, a + 1, a, a + 1))
+        j = np.concatenate((b, b, b + 1, b + 1))
+        w = np.concatenate(((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy),
+                            (1.0 - wx) * wy, wx * wy))
+        keep = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+        coo_rows.append(angle * n_offsets + np.tile(r, 4)[keep])
+        cols.append((i * n + j)[keep])
+        vals.append(cfg.dt * w[keep])
+    ref = sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(coo_rows),
+                                np.concatenate(cols))),
+        shape=(n_rays, n * n)).tocsr()
+    ref.sort_indices()
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    # sums of non-negative weights in another order: relative error <= 1e-15
+    assert np.all(np.abs(data - ref.data) <= 1e-15 * np.abs(ref.data))
 
 
 def test_ramp_filter_modes():
