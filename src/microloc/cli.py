@@ -120,10 +120,11 @@ def _radon_errors(radon, grid, experiment) -> list[str]:
     if not (_is_int(n_offsets) and n_offsets >= 2):
         errors.append("radon.n_offsets must be an int >= 2")
     n = grid.get("n_grid") if isinstance(grid, dict) else None
-    # an n_grid above the Radon ceiling is refused with the grid
+    # an n_grid above the Radon ceiling is refused with the grid; counts
+    # are capped at 2^40, far past 8 GB, so that the estimate stays finite
     if not errors and _is_int(n) and n <= 256 and _radon_bytes(
-            n, n_angles, n_offsets, experiment == "radon-block") \
-            > _BYTES_MAX:
+            n, min(n_angles, 2 ** 40), min(n_offsets, 2 ** 40),
+            experiment == "radon-block") > _BYTES_MAX:
         errors.append("grid.n_grid, radon.n_angles and radon.n_offsets "
                       "need more than 8 GB")
     return errors

@@ -277,6 +277,8 @@ def _without(cfg, key):
      "wavepacket width overflows"),
     (_radon_block(radon={"n_angles": 8, "n_offsets": 2}),
      "every Radon block norm zero"),
+    (_radon_invert(n_angles=10 ** 400), "Radon angle count past floats"),
+    (_cotlar(bands={"k_min": 2, "k_max": 10 ** 400}), "k_max past floats"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
