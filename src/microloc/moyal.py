@@ -8,8 +8,7 @@ The truncation at order N keeps the terms r < N of
 
 the expansion of the generator exp((i h / 2)(d_x . d_eta - d_xi . d_y)).
 The sign (-1)^{|alpha|} is validated against true operator composition
-(x # xi = x xi + i/2); the unsigned variant of the series is available
-behind the ``sign_convention`` flag for comparison.
+(x # xi = x xi + i/2).
 """
 
 from __future__ import annotations
@@ -31,19 +30,16 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class MoyalTruncation:
-    """Truncation order, semiclassical parameter, and sign convention."""
+    """Truncation order and semiclassical parameter."""
 
     order: int
     h: float = 1.0
-    sign_convention: str = "exponential"
 
     def __post_init__(self):
         if not 1 <= self.order <= 6:
             raise ValueError("order must lie in 1..6")
         if not 0.0 < self.h <= 1.0:
             raise ValueError("h must lie in (0, 1]")
-        if self.sign_convention not in ("exponential", "series"):
-            raise ValueError("sign_convention must be exponential or series")
 
 
 def moyal_truncated(a: GridSymbol, b: GridSymbol,
@@ -67,9 +63,7 @@ def moyal_truncated(a: GridSymbol, b: GridSymbol,
                     if (beta, alpha) not in deriv_b:
                         deriv_b[(beta, alpha)] = symbol_derivative(
                             b, beta, alpha).values
-                    sign = (-1.0) ** sum(alpha) \
-                        if trunc.sign_convention == "exponential" else 1.0
-                    coeff = pref * sign / (
+                    coeff = pref * (-1.0) ** sum(alpha) / (
                         np.prod([factorial(m) for m in alpha])
                         * np.prod([factorial(m) for m in beta]))
                     out += coeff * deriv_a[(alpha, beta)] * deriv_b[(beta, alpha)]
@@ -88,8 +82,7 @@ def composition_residual(a: GridSymbol, b: GridSymbol, trunc: MoyalTruncation,
     h = trunc.h
     ar = a.resampled(h) if h != 1.0 else a
     br = b.resampled(h) if h != 1.0 else b
-    prod = moyal_truncated(ar, br, MoyalTruncation(
-        order=trunc.order, h=1.0, sign_convention=trunc.sign_convention))
+    prod = moyal_truncated(ar, br, MoyalTruncation(order=trunc.order, h=1.0))
     ka = weyl_quantize(ar).matrix
     kb = weyl_quantize(br).matrix
     kp = weyl_quantize(prod).matrix

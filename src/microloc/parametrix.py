@@ -101,27 +101,24 @@ def _residual_projector(chi0: np.ndarray, chi0_prime: np.ndarray,
 
 def _operator_residual(comp: np.ndarray, proj: np.ndarray,
                        grid: GridSpec) -> float:
-    """||(Q Op(p) - I) proj||: dense SVD up to dimension 4096, power beyond."""
+    """||(Q Op(p) - I) proj|| by dense SVD."""
     restr = (comp - np.eye(grid.npoints())) @ proj
-    method = "svd" if grid.npoints() <= 4096 else "power"
-    return operator_norm(DiscreteOperator(matrix=restr, grid=grid),
-                         method=method)
+    return operator_norm(DiscreteOperator(matrix=restr, grid=grid))
 
 
 def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
                      chi0: np.ndarray, chi0_prime: np.ndarray,
-                     grid: GridSpec, bands=None) -> Parametrix:
+                     grid: GridSpec) -> Parametrix:
     """Assemble Q = sum chi0 Op^w(q^N_{j,k}) chi0' over accepted patches."""
     if not 1 <= order <= 3:
         raise ValueError("correction order must lie in 1..3")
-    bands = list(bands) if bands is not None else part.bands
     trunc = MoyalTruncation(order=order, h=1.0)
     excluded: list[tuple[int, int]] = []
     covered = set()
 
     below_floor = _below_floor(p, part, grid)
     q_sum = lam_sum = None
-    for k in bands:
+    for k in part.bands:
         for j in range(part.nets[k].size):
             lam = localizer_symbol(part, j, k, grid)
             try:
@@ -177,13 +174,13 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
 
 
 def covered_xi_mask(part: Partition, grid: GridSpec,
-                    covered_bands=None) -> np.ndarray:
+                    covered_bands) -> np.ndarray:
     """Lattice frequencies whose every active band is built and covered.
 
     Uses the metric's spectral window, so the mask is valid for every
     base point at once.
     """
-    bands = set(covered_bands if covered_bands is not None else part.bands)
+    bands = set(covered_bands)
     mesh = grid.xi_mesh()
     xin = np.sqrt(sum(np.square(ax) for ax in mesh))
     lo = np.sqrt(part.metric.lambda_min) * xin

@@ -561,19 +561,15 @@ def overlap_scan(part: Partition, x_arr: np.ndarray,
     }
 
 
-def verify_localizer_derivatives(part: Partition, samples,
-                                 fd_step: float = 1e-3,
-                                 max_order: int = 2) -> dict:
+def verify_localizer_derivatives(part: Partition, samples) -> dict:
     """Finite-difference derivative constants of Lambda on test patches.
 
     For each representative patch and each multi-index gamma = (alpha, beta)
-    with |gamma| <= max_order, reports the empirical sup over samples of
+    with |gamma| <= 2, reports the empirical sup over samples of
     |Delta^gamma Lambda| / (<x>^{|alpha|+|gamma|} <xi>^{|beta|+1+|gamma|}),
-    with a Richardson stability flag (estimates at fd_step and fd_step/2
+    with a Richardson stability flag (estimates at steps 1e-3 and 5e-4
     agree within a factor of 2).
     """
-    if max_order > 2:
-        raise ValueError("max_order must be <= 2")
     n = part.dim
     samples = [(np.atleast_1d(np.asarray(x, float)),
                 np.atleast_1d(np.asarray(xi, float))) for x, xi in samples]
@@ -589,8 +585,7 @@ def verify_localizer_derivatives(part: Partition, samples,
         return lambda z: eval_localizer(m, z[:n], z[n:], strict=False)
 
     from itertools import product as iproduct
-    gammas = [g for g in iproduct(range(max_order + 1), repeat=2 * n)
-              if 1 <= sum(g) <= max_order]
+    gammas = [g for g in iproduct(range(3), repeat=2 * n) if 1 <= sum(g) <= 2]
 
     per_patch: dict[str, dict] = {}
     for m in reps:
@@ -601,7 +596,7 @@ def verify_localizer_derivatives(part: Partition, samples,
             b_ord = sum(g[n:])
             tot = a_ord + b_ord
             ests = []
-            for h in (fd_step, fd_step / 2):
+            for h in (1e-3, 5e-4):
                 sup = 0.0
                 for x, xi in samples:
                     z = np.concatenate([x, xi])
@@ -623,4 +618,4 @@ def verify_localizer_derivatives(part: Partition, samples,
         if lo > 1e-9 and hi / lo > 10.0:
             spread_ok = False
     return {"patches": per_patch, "uniform_spread_ok": spread_ok,
-            "fd_step": fd_step, "max_order": max_order}
+            "fd_step": 1e-3, "max_order": 2}

@@ -22,14 +22,13 @@ whole frequency lattice with 1/d tails.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 
 from .grids import GridSpec, GridSymbol
-from .partition import Partition, localizer_symbol
+from .partition import Partition, _smoothstep_exp, localizer_symbol
 
 
 class DegenerateResultError(ValueError):
@@ -144,54 +143,26 @@ def sobolev_multiplier(s: float, grid: GridSpec,
     return fourier_multiplier(bracket_weights(grid, s, xi_scale), grid)
 
 
-def _power_norm(m: np.ndarray, tol: float, max_iter: int,
-                seed: int = 0) -> tuple[float, bool]:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = m.conj().T @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        new = np.sqrt(nw)
-        v = w / nw
-        if est > 0.0 and abs(new - est) <= tol * est:
-            return float(new), True
-        est = new
-    return float(est), False
-
-
 def _specnorm(m: np.ndarray) -> float:
     """Largest singular value of a dense matrix by full SVD."""
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def operator_norm(t: DiscreteOperator, s_in: float = 0.0, s_out: float = 0.0,
-                  method: str = "svd", xi_scale: float = 1.0,
-                  tol: float = 1e-6, max_iter: int = 500) -> float:
-    """Weighted spectral norm ||<D>^{s_out} T <D>^{-s_in}||.
+                  xi_scale: float = 1.0) -> float:
+    """Weighted spectral norm ||<D>^{s_out} T <D>^{-s_in}|| by dense SVD.
 
     The weights use <xi_scale * xi_p>; xi_scale = 2^{-k} gives the
     semiclassical Sobolev scale of a dyadic band.
     """
     m = t.matrix
+    if m.shape[0] > 4096:
+        raise ValueError("svd norm limited to dimension 4096")
     if s_out != 0.0:
         m = sobolev_multiplier(s_out, t.grid, xi_scale).matrix @ m
     if s_in != 0.0:
         m = m @ sobolev_multiplier(-s_in, t.grid, xi_scale).matrix
-    if method == "svd":
-        if m.shape[0] > 4096:
-            raise ValueError("svd norm limited to dimension 4096")
-        return _specnorm(m)
-    if method == "power":
-        val, converged = _power_norm(m, tol, max_iter)
-        if not converged:
-            warnings.warn("power iteration did not converge; returning the "
-                          "best estimate", RuntimeWarning)
-        return val
-    raise ValueError(f"unknown method {method!r}")
+    return _specnorm(m)
 
 
 def _central_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -247,15 +218,13 @@ def seminorm(a: GridSymbol, i: int, l: int,
     return best
 
 
-def make_cutoff(grid: GridSpec, r_one: float, r_zero: float,
-                kind: str = "exp-mollified") -> np.ndarray:
+def make_cutoff(grid: GridSpec, r_one: float, r_zero: float) -> np.ndarray:
     """Smooth radial spatial cutoff: 1 for |x| <= r_one, 0 for |x| >= r_zero."""
-    from .partition import _STEPS
     if not 0.0 < r_one < r_zero:
         raise ValueError("need 0 < r_one < r_zero")
     mesh = grid.x_mesh()
     r = np.sqrt(sum(np.square(ax) for ax in mesh))
-    return 1.0 - _STEPS[kind]((r - r_one) / (r_zero - r_one))
+    return 1.0 - _smoothstep_exp((r - r_one) / (r_zero - r_one))
 
 
 def representative_patch(part: Partition, k: int) -> int:
@@ -289,15 +258,15 @@ def fit_log2_slope(ks, vals) -> float:
 
 def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
                           chi_prime: np.ndarray, s: float, k_range,
-                          mode: str, m2: float, n_xi: int = 3) -> list[dict]:
+                          mode: str, m2: float) -> list[dict]:
     """Per-band block norms against the 2^{k m2} scale.
 
     Semiclassical mode measures the block in semiclassically weighted
     Sobolev norms (weights <2^{-k} xi>, O(1) on the band), which realizes
     the 2^{k m2} band factor.  Conservative mode reports the certified
-    bound 2^{k N_xi} times the same measured norm, the loss a truncated-
-    seminorm estimate cannot avoid; it is never below the semiclassical
-    value.
+    bound 2^{3k} times the same measured norm (N_xi = 3), the loss a
+    truncated-seminorm estimate cannot avoid; it is never below the
+    semiclassical value.
     """
     if mode not in ("conservative", "semiclassical"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -313,7 +282,7 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
         measured = operator_norm(block, s_in=s, s_out=s - m2,
                                  xi_scale=2.0 ** (-k))
         value = measured if mode == "semiclassical" \
-            else measured * 2.0 ** (k * n_xi)
+            else measured * 2.0 ** (3 * k)
         rows.append({"k": k, "j": j, "norm": value,
                      "renorm_ratio": value / 2.0 ** (k * m2),
                      "mode": mode, "skipped": False})

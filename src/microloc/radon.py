@@ -257,12 +257,12 @@ def radon_matrix(cfg: RadonConfig) -> np.ndarray:
     return dense
 
 
-def phantom(name: str, grid: GridSpec, radius: float = 1.0) -> np.ndarray:
-    """Built-in test images: disc indicator, Gaussian, two Gaussians."""
+def phantom(name: str, grid: GridSpec) -> np.ndarray:
+    """Built-in test images: unit-disc indicator, Gaussian, two Gaussians."""
     mesh = grid.x_mesh()
     r2 = sum(np.square(ax) for ax in mesh)
     if name == "disc":
-        return (r2 <= radius ** 2).astype(float)
+        return (r2 <= 1.0).astype(float)
     if name == "gaussian":
         sigma = 0.2 * grid.half_width
         return np.exp(-r2 / (2.0 * sigma ** 2))
@@ -298,12 +298,10 @@ def load_array(path: str) -> tuple[np.ndarray, dict]:
     return arr, header
 
 
-def normal_operator_exponent(cfg: RadonConfig,
-                             sigma: float | None = None) -> dict:
+def normal_operator_exponent(cfg: RadonConfig) -> dict:
     """Fourier-domain power fit of R*R applied to a broadband Gaussian."""
     g = cfg.grid
-    if sigma is None:
-        sigma = 0.06 * g.half_width
+    sigma = 0.06 * g.half_width
     mesh = g.x_mesh()
     f = np.exp(-sum(np.square(ax) for ax in mesh) / (2.0 * sigma ** 2))
     nf = radon_adjoint(radon_forward(f, cfg))

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import copy
 import functools
+import inspect
 import io
 import json
 import math
@@ -279,11 +281,51 @@ def _without(cfg, key):
      "every Radon block norm zero"),
     (_radon_invert(n_angles=10 ** 400), "Radon angle count past floats"),
     (_cotlar(bands={"k_min": 2, "k_max": 10 ** 400}), "k_max past floats"),
+    (_band_bound(k_range=[3, 1]), "band-bound k_range reversed"),
+    (_radon_block(k_range=[2, 1]), "radon-block k_range reversed"),
+    (_band_bound(k_range=[2, 2 ** 40]), "band-bound k_range span 2**40"),
+    (_radon_block(k_range=[1, 2 ** 40]), "radon-block k_range span 2**40"),
+    (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
+           samples={"n_x": 2 ** 40}), "samples.n_x 2**40"),
+    (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
+           samples={"n_xi": 2 ** 40}), "samples.n_xi 2**40"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
     assert code == 2, desc
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+
+
+def _cfg_reads(func) -> set:
+    """Keys a function reads straight from ``cfg``: ``cfg["k"]`` or
+    ``cfg.get("k", ...)``."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"):
+            target, key = node.func.value, node.args[0]
+        else:
+            continue
+        if (isinstance(target, ast.Name) and target.id == "cfg"
+                and isinstance(key, ast.Constant)):
+            keys.add(key.value)
+    return keys
+
+
+def test_runners_read_only_schema_keys():
+    # validation rejects keys outside the schema, so a runner reading one
+    # would always get its default
+    stray = {}
+    for experiment, runner in cli._RUNNERS.items():
+        reads = _cfg_reads(runner)
+        assert reads, experiment
+        extra = reads - cli._SCHEMAS[experiment] - cli._COMMON_KEYS
+        if extra:
+            stray[experiment] = sorted(extra)
+    assert not stray
 
 
 _G1 = {"dim": 1, "half_width": np.pi, "n_grid": 8}

@@ -109,7 +109,3 @@ def test_hypotheses_input_validation():
     fld = identity_field(1)
     with pytest.raises(ValueError):
         verify_metric_hypotheses(fld, [])
-    with pytest.raises(ValueError):
-        verify_metric_hypotheses(fld, [np.array([0.0])], fd_step=0.0)
-    with pytest.raises(ValueError):
-        verify_metric_hypotheses(fld, [np.array([0.0])], max_order=4)

@@ -32,8 +32,6 @@ def test_truncation_validation():
         MoyalTruncation(order=7)
     with pytest.raises(ValueError):
         MoyalTruncation(order=2, h=1.5)
-    with pytest.raises(ValueError):
-        MoyalTruncation(order=2, sign_convention="weyl")
 
 
 def test_order_one_is_pointwise_product():
@@ -56,10 +54,6 @@ def test_x_sharp_xi_oracle():
     right = moyal_truncated(xi_sym, x_sym, trunc).values
     assert np.abs(left - (xmesh * ximesh + 0.5j)).max() < 1e-12
     assert np.abs(right - (xmesh * ximesh - 0.5j)).max() < 1e-12
-    # the unsigned series convention misses the antisymmetry
-    series = MoyalTruncation(order=2, sign_convention="series")
-    right_series = moyal_truncated(xi_sym, x_sym, series).values
-    assert np.abs(right_series - (xmesh * ximesh + 0.5j)).max() < 1e-12
 
 
 def test_poisson_bracket_oracle():

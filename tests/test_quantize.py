@@ -151,10 +151,6 @@ def test_operator_norm_svd_vs_power():
     t = DiscreteOperator(matrix=m, grid=g)
     ref = float(np.linalg.norm(t.matrix, 2))
     assert operator_norm(t) == pytest.approx(ref, rel=1e-12)
-    assert operator_norm(t, method="power", tol=1e-10) == \
-        pytest.approx(ref, rel=1e-6)
-    with pytest.raises(ValueError):
-        operator_norm(t, method="qr")
 
 
 def test_weighted_norm_of_sobolev_multiplier():
