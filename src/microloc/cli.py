@@ -102,11 +102,13 @@ def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
     1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
     at most two copies while its buffers grow (n_grid 256, 360 angles, 256
     offsets: 39.7 M entries, 476 MB, 0.65 GB peak).  radon-block also holds
-    three dense float64 copies of the (n_angles n_offsets, n_grid^2) matrix
-    while it reduces it to a QR factor."""
+    one dense float64 copy of the (n_angles n_offsets, n_grid^2) matrix and
+    three n_grid^2 x n_grid^2 arrays (its Gram matrix, eigenvectors and
+    factor): n_grid 32, 180 angles, 129 offsets trace 232 MB for a 181 MB
+    matrix."""
     rays = n_angles * n_offsets
     return 2 * 12 * 1.7 * n_grid * rays \
-        + (3 * 8 * rays * n_grid ** 2 if dense else 0)
+        + (8 * rays * n_grid ** 2 + 3 * 8 * n_grid ** 4 if dense else 0)
 
 
 def _radon_errors(radon, grid, experiment) -> list[str]:
@@ -244,6 +246,8 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                 errors.append("grid.n_grid must be a power of two")
             elif dim == 1 and n > 512:
                 errors.append("grid.n_grid exceeds the dim-1 ceiling of 512")
+            # at 64 one real (2 n_grid)^4 symbol sample is 2.1 GB, and a
+            # block holds two of them besides a conformal metric's 2.1 GB Sigma
             elif dim == 2 and experiment != "radon-invert" and n > 32:
                 errors.append("grid.n_grid exceeds the dim-2 ceiling of 32")
             elif dim == 2 and n > 256:

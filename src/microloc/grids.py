@@ -155,8 +155,10 @@ def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],
         xi_args.append(xa.reshape(shape))
     vals = np.broadcast_to(func(*x_args, *xi_args),
                            (2 * grid.n_grid,) * d + (2 * grid.n_grid,) * d)
+    # real rules stay float64: half the bytes of a complex sample
     return GridSymbol(grid=grid,
-                      values=np.ascontiguousarray(vals, dtype=complex),
+                      values=np.ascontiguousarray(
+                          vals, dtype=np.result_type(vals, np.float64)),
                       func=func, deriv=deriv)
 
 

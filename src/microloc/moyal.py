@@ -48,7 +48,8 @@ def moyal_truncated(a: GridSymbol, b: GridSymbol,
     if a.grid != b.grid:
         raise ValueError("symbols live on different grids")
     d = a.grid.dim
-    out = np.zeros_like(a.values)
+    # the coefficients are complex even when a and b are real
+    out = np.zeros(a.values.shape, dtype=complex)
     deriv_a: dict = {}
     deriv_b: dict = {}
     for r in range(trunc.order):
@@ -93,7 +94,8 @@ def composition_residual(a: GridSymbol, b: GridSymbol, trunc: MoyalTruncation,
 def poisson_bracket(a: GridSymbol, b: GridSymbol) -> GridSymbol:
     """{a, b} = d_xi a . d_x b - d_x a . d_xi b on the grid."""
     d = a.grid.dim
-    out = np.zeros_like(a.values)
+    # spectral derivatives are complex even when a and b are real
+    out = np.zeros(a.values.shape, dtype=complex)
     for ax in range(d):
         e = tuple(1 if i == ax else 0 for i in range(d))
         z = (0,) * d
@@ -121,8 +123,7 @@ def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
     def block(j: int) -> np.ndarray:
         if j not in cache:
             lam = localizer_symbol(part, j, k, a.grid)
-            cache[j] = weyl_quantize(GridSymbol(
-                grid=a.grid, values=a.values * lam.values)).matrix
+            cache[j] = weyl_quantize(a, weight=lam.values).matrix
         return cache[j]
 
     for j, jp in pairs:

@@ -82,7 +82,8 @@ def bandwise_inverse(p: EllipticSymbol, lam: GridSymbol,
         raise PatchRejectedError(
             "|p| below the ellipticity floor on the patch support at flat "
             f"grid point (x={int(x_idx)}, xi={int(xi_idx)})")
-    vals = np.zeros_like(lam.values)
+    vals = np.zeros(lam.values.shape,
+                    dtype=np.result_type(lam.values, p.symbol.values))
     vals[sup] = lam.values[sup] / p.symbol.values[sup]
     return GridSymbol(grid=lam.grid, values=vals)
 

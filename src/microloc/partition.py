@@ -374,8 +374,7 @@ class Partition:
         mask = num > 0.0
         out[mask] = num[mask] / sigma[mask]
         shape = (2 * grid.n_grid,) * (2 * grid.dim)
-        return GridSymbol(grid=grid,
-                          values=out[inv].astype(complex).reshape(shape))
+        return GridSymbol(grid=grid, values=out[inv].reshape(shape))
 
     def _chi_term(self, j: int, k: int):
         """Band term of chi_{j,k}: rho * phi(|u - zeta_{j,k}|)."""

@@ -12,12 +12,15 @@ masked symbol is, along each spatial axis,
 
     a(x_j, p) + (-1)^(p-n) a(x_{j+n mod 2n}, p),
 
-and no x-transform is computed.  The operator is then an inverse FFT over
-xi plus an index gather at (m + m', m - m'), taken a few rows of the
-first spatial axis at a time, so assembly holds the symbol, the output
-and one chunk.  This keeps Op(1) = Id, multipliers, and frequency
-locality exact; without the parity pairing, odd harmonics leak across the
-whole frequency lattice with 1/d tails.
+and no x-transform is computed.  Folded row x + n is (-1)^(p-n) times
+row x, so only the rows x < n of each spatial axis are transformed, and
+rows x >= n are read from them shifted by n in xi.  The operator is then
+an inverse FFT over xi plus an index gather at (m + m', m - m'), taken a
+few rows of the first spatial axis at a time.  An optional real weight
+(a localizer) is multiplied into each chunk, so assembly holds the
+symbol, the weight, the output and one chunk.  This keeps Op(1) = Id,
+multipliers, and frequency locality exact; without the parity pairing,
+odd harmonics leak across the whole frequency lattice with 1/d tails.
 """
 
 from __future__ import annotations
@@ -59,49 +62,68 @@ def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return v.reshape(shape)
 
 
-def weyl_quantize(a: GridSymbol) -> DiscreteOperator:
-    """Assemble the dense Weyl operator of a grid symbol."""
+def weyl_quantize(a: GridSymbol,
+                  weight: np.ndarray | None = None) -> DiscreteOperator:
+    """Assemble the dense Weyl operator of a grid symbol.
+
+    ``weight`` (a real array shaped like ``a.values``, such as a localizer's
+    samples) is multiplied into each chunk of symbol rows, so the result is
+    Op^w(a * weight) without the product array.
+    """
     g = a.grid
     d, n = g.dim, g.n_grid
     vals = a.values
+    if weight is not None and weight.shape != vals.shape:
+        raise ValueError(f"weight shape {weight.shape}, "
+                         f"expected {vals.shape}")
     xi_axes = tuple(range(d, 2 * d))
     # (-1)^(p - n) on the refined xi index p, for the half-period fold
     sign = 1.0 - 2.0 * ((np.arange(2 * n) - n) % 2)
-    # about one output's worth of symbol rows per chunk: a quarter of a
-    # 1D symbol, a few rows of a 2D one
+    # about one output's worth of symbol rows per chunk (each read with its
+    # partner n rows on): n/2 rows of a 1D symbol, a few rows of a 2D one
     rows = max(1, n ** (2 * d) // (2 * n) ** (2 * d - 1))
 
-    # each output entry (m, m') reads (m + m', m - m'); on the first axis
-    # the pairs are listed per chunk, the other axes are broadcast whole
+    # After the fold, spatial row x + n is (-1)^(p - n) times row x, so its
+    # xi transform is row x's shifted by n: only rows x < n are transformed.
+    # Each output entry (m, m') reads x = m + m', p = m - m', or x - n and
+    # p + n when x >= n; on the first axis the pairs are listed per chunk,
+    # the other axes are broadcast whole.
     m = np.arange(n)
     nd = 2 * d - 1
     mi = [_along(m, k, nd) for k in range(1, d)]
     mj = [_along(m, d - 1 + k, nd) for k in range(1, d)]
-    src_x = [u + v for u, v in zip(mi, mj)]
-    src_p = [(u - v) % (2 * n) for u, v in zip(mi, mj)]
+    src_x, src_p = [], []
+    for u, v in zip(mi, mj):
+        high = n * (u + v >= n)
+        src_x.append(u + v - high)
+        src_p.append((u - v + high) % (2 * n))
 
     out = np.empty((n,) * (2 * d),
                    dtype=np.result_type(vals.dtype, np.complex128))
-    for lo in range(0, 2 * n - 1, rows):
-        hi = lo + rows
-        c = np.take(vals, np.arange(lo + n, hi + n), axis=0,
-                    mode="wrap") * _along(sign, d, 2 * d)
-        c += vals[lo:hi]
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        top, bottom = vals[lo:hi], vals[lo + n:hi + n]
+        if weight is not None:
+            top = top * weight[lo:hi]
+            bottom = bottom * weight[lo + n:hi + n]
+        c = top + bottom * _along(sign, d, 2 * d)
         for ax in range(1, d):
-            f = np.roll(c, n, axis=ax)
-            f *= _along(sign, d + ax, 2 * d)
-            f += c
-            c = f
+            lower, upper = np.split(c, 2, axis=ax)
+            c = lower + upper * _along(sign, d + ax, 2 * d)
         b = np.fft.ifftn(np.fft.ifftshift(c, axes=xi_axes), axes=xi_axes)
-        # row j holds the pairs m0 = first .. first + count - 1, m0' = j - m0
-        j = np.arange(lo, hi)
-        first = np.maximum(0, j - n + 1)
-        count = np.minimum(j, n - 1) - first + 1
-        r = np.repeat(j - lo, count)
-        u = np.arange(count.sum()) + np.repeat(first - np.cumsum(count)
-                                               + count, count)
-        r, u, v = (_along(w, 0, nd) for w in (r, u, r + lo - u))
-        out[(u, *mi, v, *mj)] = b[(r, *src_x, (u - v) % (2 * n), *src_p)]
+        # x = m0 + m0' runs over the chunk's rows and the same rows + n;
+        # row x holds the pairs m0 = first .. first + count - 1
+        x = np.concatenate([np.arange(lo, hi),
+                            np.arange(lo + n, min(hi + n, 2 * n - 1))])
+        first = np.maximum(0, x - n + 1)
+        count = np.minimum(x, n - 1) - first + 1
+        x = np.repeat(x, count)
+        u = np.arange(x.size) + np.repeat(first - np.cumsum(count) + count,
+                                          count)
+        high = n * (x >= n)
+        r, u, v, p = (_along(w, 0, nd) for w in
+                      (x - high - lo, u, x - u, (2 * u - x + high) % (2 * n)))
+        out[(u, *mi, v, *mj)] = b[(r, *src_x, p, *src_p)]
     return DiscreteOperator(matrix=out.reshape(n ** d, n ** d), grid=g)
 
 
@@ -240,7 +262,7 @@ def assemble_block(a: GridSymbol, part: Partition, j: int, k: int,
                    chi: np.ndarray, chi_prime: np.ndarray) -> DiscreteOperator:
     """T_{j,k} = chi * Op^w(a Lambda_{j,k}) * chi' on the grid of a."""
     lam = localizer_symbol(part, j, k, a.grid)
-    op = weyl_quantize(GridSymbol(grid=a.grid, values=a.values * lam.values))
+    op = weyl_quantize(a, weight=lam.values)
     m = chi.ravel()[:, None] * op.matrix * chi_prime.ravel()[None, :]
     return DiscreteOperator(matrix=m, grid=a.grid)
 

@@ -329,14 +329,17 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
     the band aggregate is faithfully sampled; per-band scaling is what the
     slope fit measures.  Norms are L2(dA) -> L2(ds dtheta).
 
-    The sinogram cutoff side ``chi_sino R`` is the same for every band, so
-    it is reduced once to its triangular QR factor ``R0``:
-    ``||chi_sino R X|| = ||R0 X||``, since ``Q`` has orthonormal columns.
+    The sinogram cutoff side ``M = chi_sino R`` is the same for every band,
+    so it is reduced once to a square factor of its Gram matrix: with
+    ``M^T M = V W V^T``, ``R0 = W^{1/2} V^T`` has ``R0^T R0 = M^T M``, so
+    ``||M X|| = ||R0 X||``.  Unlike a QR factor, this makes no working
+    copy of the dense ``M``.
     """
     m = radon_matrix(cfg)
     m *= chi_sino.ravel()[:, None]
-    r0 = np.linalg.qr(m, mode="r")
+    w, v = np.linalg.eigh(m.T @ m)
     del m  # not resident through the band loop
+    r0 = np.sqrt(np.maximum(w, 0.0))[:, None] * v.T
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
     rows = []
     for k in k_range:
@@ -345,8 +348,8 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
                          "renorm_ratio": float("nan"), "skipped": True})
             continue
         lam = band_sum_symbol(part, k, a.grid)
-        op = weyl_quantize(GridSymbol(grid=a.grid,
-                                      values=a.values * lam.values))
+        op = weyl_quantize(a, weight=lam.values)
+        del lam  # two band localizers are never alive at once
         norm = scale * _specnorm(r0 @ (chi_img.ravel()[:, None] * op.matrix
                                        * chi_img_prime.ravel()[None, :]))
         rows.append({"k": k, "norm": norm,

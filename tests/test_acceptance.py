@@ -361,9 +361,7 @@ def test_criterion_09_radon_suite():
     blocks = []
     for k in (1, 2):
         lam = band_sum_symbol(part_r, k, gr)
-        from microloc.grids import GridSymbol
-        op = weyl_quantize(GridSymbol(grid=gr,
-                                      values=ar.values * lam.values)).matrix
+        op = weyl_quantize(ar, weight=lam.values).matrix
         blocks.append(((0, k), rmat @ (chi_r.ravel()[:, None] * op
                                        * chi_r.ravel()[None, :])))
     ref = rmat @ (chi_r.ravel()[:, None] * weyl_quantize(ar).matrix

@@ -43,6 +43,10 @@ def test_sample_on_broadcast():
     assert sym.values.shape == (8, 8, 8, 8)
     # constant along the axes the rule does not involve
     assert np.ptp(sym.values[0, :, 0, :].real) == pytest.approx(0.0)
+    # real rules stay real, complex ones complex
+    assert sym.values.dtype == np.float64
+    assert sample_on(g, lambda x1, x2, xi1, xi2: np.exp(1j * x1) + 0.0 * xi2
+                     ).values.dtype == np.complex128
 
 
 def test_symbol_shape_validation():

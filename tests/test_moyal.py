@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microloc.grids import GridSpec, sample_on
+from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
 from microloc.moyal import (InsufficientDataError, MoyalTruncation,
                             composition_residual, moyal_truncated,
@@ -87,3 +87,17 @@ def test_separated_patch_decay_needs_three_separations():
     ones = np.ones(g.n_grid)
     with pytest.raises(InsufficientDataError):
         separated_patch_decay(a, part, 3, [(0, 0), (0, 1)], ones, ones)
+
+
+def test_real_and_complex_samples_give_the_same_products():
+    a = sample_on(G, lambda x, xi: np.cos(x) * np.exp(-(xi / 4.0) ** 2))
+    b = sample_on(G, lambda x, xi: np.sin(x) + np.exp(-(xi / 6.0) ** 2))
+    assert a.values.dtype == b.values.dtype == np.float64
+    ac, bc = (GridSymbol(grid=G, values=s.values.astype(complex))
+              for s in (a, b))
+    for order in (1, 2, 3):
+        trunc = MoyalTruncation(order=order)
+        assert np.array_equal(moyal_truncated(a, b, trunc).values,
+                              moyal_truncated(ac, bc, trunc).values)
+    assert np.array_equal(poisson_bracket(a, b).values,
+                          poisson_bracket(ac, bc).values)

@@ -162,6 +162,7 @@ def test_localizer_symbol_matches_pointwise():
     grid = GridSpec(dim=1, half_width=np.pi, n_grid=16)
     sym = localizer_symbol(part, 0, 2, grid)
     assert sym.values.shape == (32, 32)
+    assert sym.values.dtype == np.float64
     xd = grid.x_axis_doubled()
     xr = grid.xi_axis_refined()
     m = Microlocalizer(part, 0, 2)

@@ -81,6 +81,28 @@ def test_weyl_quantize_invariants(dim, log_n, half_width, c, seed):
     assert np.abs(m - m.conj().T).max() <= 1e-14 * np.abs(m).max()
 
 
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_weyl_quantize_weight_matches_product(dim, n, complex_values):
+    g = GridSpec(dim=dim, half_width=2.5, n_grid=n)
+    a = _random_symbol(g, seed=n, complex_values=complex_values)
+    w = np.random.default_rng(n + 1).random(a.values.shape)
+    got = weyl_quantize(a, weight=w).matrix
+    want = weyl_quantize(GridSymbol(grid=g, values=a.values * w)).matrix
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        weyl_quantize(a, weight=w[:-1])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
+def test_weyl_quantize_real_and_complex_samples_agree(dim, n):
+    a = _random_symbol(GridSpec(dim=dim, half_width=2.5, n_grid=n), seed=n,
+                       complex_values=False)
+    assert a.values.dtype == np.float64
+    c = GridSymbol(grid=a.grid, values=a.values.astype(complex))
+    assert np.array_equal(weyl_quantize(a).matrix, weyl_quantize(c).matrix)
+
+
 def test_weyl_quantize_traced_memory():
     # the symbol is 16 MiB and the matrix 1 MiB; transforming the whole
     # symbol (the FFT route) traces about four symbol-sized copies

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microloc.grids import GridSpec, GridSymbol, sample_on
+from microloc.grids import GridSpec, sample_on
 from microloc.metric import identity_field
 from microloc.partition import band_sum_symbol, build_partition
 from microloc.quantize import _specnorm, make_cutoff, weyl_quantize
 from microloc.radon import (RadonConfig, Sinogram, _angle_geometry,
                             _operator, fbp_invert, load_array, phantom,
-                            radon_adjoint, radon_forward, radon_matrix,
-                            radon_recombine, ramp_filter, save_array)
+                            radon_adjoint, radon_block_experiment,
+                            radon_forward, radon_matrix, radon_recombine,
+                            ramp_filter, save_array)
 
 G = GridSpec(dim=2, half_width=np.pi, n_grid=64)
 CFG = RadonConfig(grid=G, n_angles=90, n_offsets=129)
@@ -191,7 +192,7 @@ def test_radon_recombine_pair_norms_match_dense():
     blocks = []
     for k in part.bands:
         lam = band_sum_symbol(part, k, g)
-        op = weyl_quantize(GridSymbol(grid=g, values=a.values * lam.values))
+        op = weyl_quantize(a, weight=lam.values)
         blocks.append(((0, k),
                        rmat @ (chi[:, None] * op.matrix * chi[None, :])))
     rep = radon_recombine(blocks, sum(b for _, b in blocks), cfg)
@@ -210,3 +211,27 @@ def test_radon_recombine_pair_norms_match_dense():
         assert np.abs(got - want).max() <= 1e-12 * want.max()
     assert cert.indices == [(0, k) for k in part.bands]
     assert cert.ok and rep["relative_discrepancy"] < 1e-12
+
+
+def test_radon_block_gram_factor_matches_dense_norm():
+    # the block norms come from a square factor of (chi_sino R)^T (chi_sino
+    # R); they must equal the dense norms of chi_sino R X
+    g = GridSpec(dim=2, half_width=np.pi, n_grid=8)
+    part = build_partition(identity_field(2), 0, 2)
+    cfg = RadonConfig(grid=g, n_angles=12, n_offsets=11)
+    a = sample_on(g, lambda x1, x2, xi1, xi2:
+                  np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2) + 0.2 * np.cos(x1)
+                  + 0.0 * x2)
+    chi = make_cutoff(g, 1.5, 2.5)
+    chi_sino = np.random.default_rng(5).random((cfg.n_offsets,
+                                                cfg.n_angles))
+    rows, _ = radon_block_experiment(a, part, chi_sino, chi, chi,
+                                     part.bands, cfg, 1.0)
+    m = chi_sino.ravel()[:, None] * radon_matrix(cfg)
+    scale = np.sqrt(cfg.ds * cfg.dtheta / g.l2_weight())
+    for row in rows:
+        lam = band_sum_symbol(part, row["k"], g)
+        x = chi.ravel()[:, None] * weyl_quantize(a, weight=lam.values).matrix \
+            * chi.ravel()[None, :]
+        want = scale * np.linalg.norm(m @ x, 2)
+        assert row["norm"] == pytest.approx(want, rel=1e-12)
