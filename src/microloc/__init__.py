@@ -7,18 +7,9 @@ approximate inverses), radon (2D Radon transform and block scaling), cli
 (experiment harness).
 """
 
-import os as _os
-
-# honor the thread cap before any BLAS-backed import happens
-_threads = _os.environ.get("MICROLOC_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from . import backend  # noqa: E402
-from .grids import GridSpec, GridSymbol, sample_on  # noqa: E402
-from .metric import MetricField, conformal_field, identity_field  # noqa: E402
+from . import backend
+from .grids import GridSpec, GridSymbol, sample_on
+from .metric import MetricField, conformal_field, identity_field
 
 __version__ = "0.1.0"
 

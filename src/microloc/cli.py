@@ -26,19 +26,19 @@ _BYTES_MAX = 7 * 2 ** 30
 _COMMON_KEYS = {"schema_version", "experiment", "seed"}
 
 _SCHEMAS = {
-    "partition-verify": {"dim", "metric", "bands", "lattice_step", "bump",
+    "partition-verify": {"dim", "metric", "bands", "lattice_step",
                          "low_freq_cap", "samples"},
-    "band-bound": {"grid", "metric", "bands", "lattice_step", "bump",
-                   "symbol", "orders", "s", "k_range", "mode", "cutoff"},
+    "band-bound": {"grid", "metric", "bands", "lattice_step", "symbol",
+                   "m2", "s", "k_range", "mode", "cutoff"},
     "moyal-order": {"grid", "symbol_a", "symbol_b", "orders_n", "h_list",
                     "cutoff"},
-    "cotlar": {"grid", "metric", "bands", "lattice_step", "bump", "symbol",
-               "s", "cutoff", "active_bands"},
-    "parametrix": {"grid", "metric", "bands", "lattice_step", "bump",
+    "cotlar": {"grid", "metric", "bands", "lattice_step", "symbol", "s",
+               "cutoff", "active_bands"},
+    "parametrix": {"grid", "metric", "bands", "lattice_step",
                    "low_freq_cap", "symbol", "m2", "c0", "big_r",
                    "order", "cutoff", "tests"},
-    "radon-block": {"grid", "metric", "bands", "lattice_step", "bump",
-                    "symbol", "m2", "k_range", "radon", "cutoff"},
+    "radon-block": {"grid", "metric", "bands", "lattice_step", "symbol",
+                    "m2", "k_range", "radon", "cutoff"},
     "radon-invert": {"grid", "radon", "phantom", "filter"},
 }
 
@@ -293,8 +293,6 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
     if "k_range" in schema and not (_is_pair(k_range, _is_int)
                                     and 0 <= k_range[1] - k_range[0] <= 64):
         errors.append("k_range must be 2 ascending ints at most 64 apart")
-    if "orders" in schema and not _is_pair(cfg.get("orders"), _is_number):
-        errors.append("orders must be a list of 2 numbers")
     if "m2" in schema and not _is_number(cfg.get("m2")):
         errors.append("m2 must be a number")
     if "metric" in schema:
@@ -329,13 +327,6 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         errors += _radon_errors(cfg.get("radon"), grid, experiment)
     if "cutoff" in cfg:
         errors += _cutoff_errors(cfg["cutoff"], grid)
-    if "bump" in cfg:
-        from .partition import _STEPS
-        bump = cfg["bump"]
-        if not (isinstance(bump, dict)
-                and bump.get("kind", "exp-mollified") in sorted(_STEPS)):
-            errors.append(f"bump must be an object whose kind is one of "
-                          f"{sorted(_STEPS)}")
     return errors
 
 
@@ -364,8 +355,6 @@ def _build_partition(cfg, dim):
     return build_partition(_build_metric(cfg, dim),
                            int(b["k_min"]), int(b["k_max"]),
                            lattice_step=float(cfg.get("lattice_step", 0.125)),
-                           bump_kind=cfg.get("bump", {}).get(
-                               "kind", "exp-mollified"),
                            low_freq_cap=bool(cfg.get("low_freq_cap", False)))
 
 
@@ -447,10 +436,10 @@ def _run_band_bound(cfg, outdir):
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
     k_lo, k_hi = cfg["k_range"]
-    m2 = float(cfg["orders"][1])
     rows = band_bound_experiment(a, part, chi, chi, float(cfg.get("s", 0.0)),
                                  range(int(k_lo), int(k_hi) + 1),
-                                 cfg.get("mode", "semiclassical"), m2)
+                                 cfg.get("mode", "semiclassical"),
+                                 float(cfg["m2"]))
     live = [r for r in rows if not r["skipped"]]
     slope = fit_log2_slope([r["k"] for r in live],
                            [r["norm"] for r in live]) \

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grids import GridSpec, GridSymbol
 from .moyal import MoyalTruncation, moyal_truncated
-from .partition import Partition, localizer_symbol
+from .partition import Partition, localizer_symbol, rho
 from .quantize import (DiscreteOperator, fourier_multiplier, operator_norm,
                        weyl_quantize)
 
@@ -188,7 +188,7 @@ def covered_xi_mask(part: Partition, grid: GridSpec,
     hi = np.sqrt(part.metric.lambda_max) * xin
     mask = (lo >= 2.0 ** min(bands)) & (hi < 2.0 ** (max(bands) + 1))
     for k in range(min(bands) - 4, max(bands) + 5):
-        needed = (part.bumps.rho(xin / 2.0 ** k) > 0.0) \
+        needed = (rho(xin / 2.0 ** k) > 0.0) \
             & (2.0 ** k <= hi + 1.0) & (2.0 ** (k + 1) > lo - 1.0)
         if k not in bands:
             mask &= ~needed

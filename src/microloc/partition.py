@@ -6,8 +6,13 @@ u_{j,k}(x, xi) = T_x xi - zeta_{j,k}; cutoffs
 chi_{j,k}(x, xi) = rho(2^{-k}|xi|) * phi(u_{j,k}); the normalizer
 Sigma = sum of all chi (plus an optional low-frequency cap); and the
 localizers Lambda_{j,k} = chi_{j,k} / Sigma, which sum to 1 wherever
-Sigma > 0.
+Sigma > 0.  The profiles phi and rho are built from one C-infinity step,
+so every localizer derivative exists.
 
+The partition is evaluated in two ways: on a quantization grid
+(localizer_symbol, band_sum_symbol), and on the product of a set of
+points x and a set of frequencies xi (chi_pairs, sigma_pairs,
+overlap_pairs), which with one row each gives a single point's value.
 Evaluation is lazy: per-point sums prune to the few bands and centers
 whose supports can reach the point (at most 5 radial bands, at most 5^n
 centers per band), and only the distinct T_x and Sigma of a quantization
@@ -32,16 +37,6 @@ class EmptyNetError(ValueError):
     """The annulus contains no lattice candidates for the requested band."""
 
 
-class OutOfRangeError(ValueError):
-    """A frequency's active bands are not covered by the built band range."""
-
-
-def _smoothstep_poly(t: np.ndarray) -> np.ndarray:
-    """C^2 quintic step: 0 at t<=0, 1 at t>=1."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
 def _smoothstep_exp(t: np.ndarray) -> np.ndarray:
     """C-infinity step from the standard exp(-1/t) mollifier."""
     t = np.clip(t, 0.0, 1.0)
@@ -51,48 +46,22 @@ def _smoothstep_exp(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-_STEPS = {"polynomial-smoothstep": _smoothstep_poly, "exp-mollified": _smoothstep_exp}
+def phi_profile(r) -> np.ndarray:
+    """Radial profile P of the mother cut phi(eta) = P(|eta|): 1 on
+    [0, 1/2], 0 on [1, inf); accepts inf (maps to 0)."""
+    r = np.asarray(r, dtype=float)
+    finite = np.isfinite(r)
+    out = np.zeros_like(r)
+    out[finite] = 1.0 - _smoothstep_exp(2.0 * r[finite] - 1.0)
+    return out
 
 
-@dataclass(frozen=True)
-class BumpProfiles:
-    """Radial mother cut phi and annular profile rho.
-
-    phi(eta) = P(|eta|) with P = 1 on [0, 1/2] and 0 on [1, inf);
-    rho = 1 on [1/2, 2] and 0 outside (1/4, 4).
-    """
-
-    kind: str
-
-    def _step(self, t):
-        return _STEPS[self.kind](t)
-
-    def phi_profile(self, r) -> np.ndarray:
-        """1D radial profile P(r); accepts inf (maps to 0)."""
-        r = np.asarray(r, dtype=float)
-        finite = np.isfinite(r)
-        out = np.zeros_like(r)
-        out[finite] = 1.0 - self._step(2.0 * r[finite] - 1.0)
-        return out
-
-    def phi(self, eta) -> np.ndarray:
-        """Mother cut on points; last axis is the vector axis."""
-        eta = np.asarray(eta, dtype=float)
-        return self.phi_profile(np.linalg.norm(np.atleast_2d(eta), axis=-1))
-
-    def rho(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        rising = self._step((r - 0.25) * 4.0)
-        falling = 1.0 - self._step((r - 2.0) / 2.0)
-        return rising * falling
-
-
-def build_bumps(transition: str = "exp-mollified") -> BumpProfiles:
-    """Construct bump profiles; transition is the smooth-step family used."""
-    if transition not in _STEPS:
-        raise ValueError(f"unknown transition {transition!r}; "
-                         f"choose from {sorted(_STEPS)}")
-    return BumpProfiles(kind=transition)
+def rho(r) -> np.ndarray:
+    """Annular profile: 1 on [1/2, 2], 0 outside (1/4, 4)."""
+    r = np.asarray(r, dtype=float)
+    rising = _smoothstep_exp((r - 0.25) * 4.0)
+    falling = 1.0 - _smoothstep_exp((r - 2.0) / 2.0)
+    return rising * falling
 
 
 @dataclass(frozen=True)
@@ -258,17 +227,16 @@ def validate_net(net: DyadicNet, dim: int, lattice_step: float = 0.125) -> dict:
 
 
 class Partition:
-    """Built family of nets, bumps, and metric over a band range."""
+    """Built family of nets and metric over a band range."""
 
     def __init__(self, metric: MetricField, k_min: int, k_max: int,
-                 bumps: BumpProfiles, nets: dict[int, DyadicNet],
+                 nets: dict[int, DyadicNet],
                  low_freq_cap: bool = False, lattice_step: float = 0.125):
         if k_min > k_max:
             raise ValueError("k_min must be <= k_max")
         self.metric = metric
         self.k_min = k_min
         self.k_max = k_max
-        self.bumps = bumps
         self.nets = nets
         self.low_freq_cap = low_freq_cap
         self.lattice_step = lattice_step
@@ -307,12 +275,12 @@ class Partition:
         xi_norm = np.linalg.norm(xi_arr, axis=1)
         out = np.zeros((len(t_uniq), len(xi_arr)), dtype=dtype)
         for k in bands:
-            rho = self.bumps.rho(xi_norm / 2.0 ** k)
-            act = rho > 0.0
+            radial = rho(xi_norm / 2.0 ** k)
+            act = radial > 0.0
             if not act.any():
                 continue
             for ti, t in enumerate(t_uniq):
-                out[ti, act] += term(k, rho[act], xi_arr[act] @ t.T)
+                out[ti, act] += term(k, radial[act], xi_arr[act] @ t.T)
         return out
 
     def _neighbor_distances(self, k: int, u: np.ndarray) -> np.ndarray:
@@ -338,7 +306,7 @@ class Partition:
 
     def _chi_band_sum(self, k: int, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
         """rho * sum over band-k centers of phi(|u - zeta|)."""
-        return rho * self.bumps.phi_profile(
+        return rho * phi_profile(
             self._neighbor_distances(k, u)).sum(axis=1)
 
     def _sigma(self, t_uniq: np.ndarray, xi_arr: np.ndarray,
@@ -347,7 +315,7 @@ class Partition:
         out = self._band_eval(t_uniq, xi_arr, self.bands,
                               term or self._chi_band_sum)
         if self.low_freq_cap:
-            out += self.bumps.phi_profile(
+            out += phi_profile(
                 np.linalg.norm(xi_arr, axis=1) / 2.0 ** self.k_min)
         return out
 
@@ -381,7 +349,7 @@ class Partition:
         zeta = self.nets[k].centers[j]
 
         def term(_, rho, u):
-            return rho * self.bumps.phi_profile(np.linalg.norm(u - zeta, axis=1))
+            return rho * phi_profile(np.linalg.norm(u - zeta, axis=1))
 
         return term
 
@@ -405,7 +373,7 @@ class Partition:
         t_uniq, inv = self.fiber_transforms(x_arr)
 
         def count(k, rho, u):
-            return (self.bumps.phi_profile(
+            return (phi_profile(
                 self._neighbor_distances(k, u)) > 0.0).sum(axis=1)
 
         return self._band_eval(t_uniq, xi_arr, self.bands, count,
@@ -426,80 +394,19 @@ class Partition:
                 ok = kk <= hi
                 if not ok.any():
                     continue
-                sub[ok] += (self.bumps.rho(xi_norm[pos][ok] / 2.0 ** kk[ok]) > 0)
+                sub[ok] += (rho(xi_norm[pos][ok] / 2.0 ** kk[ok]) > 0)
             counts[pos] = sub
         return counts
-
-    def needed_bands(self, x, xi) -> list[int]:
-        """Bands whose cutoffs could be nonzero at (x, xi)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        n = float(np.linalg.norm(xi))
-        if n == 0.0:
-            return []
-        fn = float(np.linalg.norm(self.metric.sqrt_at(x) @ xi))
-        out = []
-        for k in range(int(np.floor(np.log2(n))) - 3,
-                       int(np.ceil(np.log2(n))) + 3):
-            if self.bumps.rho(n / 2.0 ** k) <= 0.0:
-                continue
-            # a center in C_k can lie within distance 1 of T_x xi
-            if 2.0 ** k <= fn + 1.0 and 2.0 ** (k + 1) > fn - 1.0:
-                out.append(k)
-        return out
-
-
-@dataclass(frozen=True)
-class Microlocalizer:
-    """Handle for one patch (j, k) of a built partition."""
-
-    partition: Partition
-    j: int
-    k: int
 
 
 def build_partition(metric: MetricField, k_min: int, k_max: int,
                     lattice_step: float = 0.125,
-                    bump_kind: str = "exp-mollified",
                     low_freq_cap: bool = False) -> Partition:
     """Build nets for every band in [k_min, k_max] and bundle the family."""
-    bumps = build_bumps(bump_kind)
     nets = {k: build_net(k, metric.dim, lattice_step)
             for k in range(k_min, k_max + 1)}
-    return Partition(metric, k_min, k_max, bumps, nets,
+    return Partition(metric, k_min, k_max, nets,
                      low_freq_cap=low_freq_cap, lattice_step=lattice_step)
-
-
-# scalar operations ------------------------------------------------------
-
-def eval_cut(m: Microlocalizer, x, xi) -> float:
-    """chi_{j,k}(x, xi) = rho(2^{-k}|xi|) * phi(T_x xi - zeta_{j,k})."""
-    p = m.partition
-    return float(p.chi_pairs(m.j, m.k, np.atleast_2d(x), np.atleast_2d(xi))[0, 0])
-
-
-def eval_normalizer(part: Partition, x, xi, strict: bool = True) -> float:
-    """Sigma(x, xi); in strict mode errors when active bands are unbuilt."""
-    if strict:
-        needed = part.needed_bands(x, xi)
-        missing = [k for k in needed if k not in part.nets]
-        covered_low = part.low_freq_cap and all(k < part.k_min for k in missing)
-        if missing and not covered_low:
-            raise OutOfRangeError(
-                f"bands {missing} active at this frequency are outside the "
-                f"built range [{part.k_min}, {part.k_max}]")
-    return float(part.sigma_pairs(np.atleast_2d(x), np.atleast_2d(xi))[0, 0])
-
-
-def eval_localizer(m: Microlocalizer, x, xi, strict: bool = True) -> float:
-    """Lambda_{j,k}(x, xi), exactly 0 off supp chi (no 0/0)."""
-    chi = eval_cut(m, x, xi)
-    if chi == 0.0:
-        return 0.0
-    return chi / eval_normalizer(m.partition, x, xi, strict=strict)
-
-
-def overlap_count(part: Partition, x, xi) -> int:
-    return int(part.overlap_pairs(np.atleast_2d(x), np.atleast_2d(xi))[0, 0])
 
 
 # grid sampling ----------------------------------------------------------
@@ -533,7 +440,7 @@ def pou_deviation(part: Partition, x_arr: np.ndarray,
             near = r < 1.0
             if near.any():
                 vals = np.zeros(len(u))
-                vals[near] = part.bumps.phi_profile(r[near])
+                vals[near] = phi_profile(r[near])
                 acc += rho * vals
         return acc
 
@@ -578,17 +485,24 @@ def verify_localizer_derivatives(part: Partition, samples) -> dict:
         centers = part.nets[k].centers
         j = int(np.argmin(np.linalg.norm(
             centers - np.r_[1.5 * 2.0 ** k, np.zeros(n - 1)], axis=1)))
-        reps.append(Microlocalizer(part, j, k))
+        reps.append((j, k))
 
-    def lam(m):
-        return lambda z: eval_localizer(m, z[:n], z[n:], strict=False)
+    def lam(j, k):
+        def f(z):
+            """Lambda_{j,k} at z = (x, xi), exactly 0 off supp chi."""
+            x, xi = z[None, :n], z[None, n:]
+            chi = float(part.chi_pairs(j, k, x, xi)[0, 0])
+            if chi == 0.0:
+                return 0.0
+            return chi / float(part.sigma_pairs(x, xi)[0, 0])
+        return f
 
     from itertools import product as iproduct
     gammas = [g for g in iproduct(range(3), repeat=2 * n) if 1 <= sum(g) <= 2]
 
     per_patch: dict[str, dict] = {}
-    for m in reps:
-        f = lam(m)
+    for j, k in reps:
+        f = lam(j, k)
         consts, stable = {}, {}
         for g in gammas:
             a_ord = sum(g[:n])
@@ -607,7 +521,7 @@ def verify_localizer_derivatives(part: Partition, samples) -> dict:
             consts[key] = ests[1]
             floor = 1e-9
             stable[key] = bool(0.5 <= (ests[1] + floor) / (ests[0] + floor) <= 2.0)
-        per_patch[f"j{m.j}_k{m.k}"] = {"constants": consts, "stable": stable}
+        per_patch[f"j{j}_k{k}"] = {"constants": consts, "stable": stable}
 
     spread_ok = True
     for g in gammas:

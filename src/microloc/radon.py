@@ -27,7 +27,7 @@ import numpy as np
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
 from .quantize import _specnorm, fit_log2_slope, weyl_quantize
-from .recombine import CoverageGapError, _cotlar_certificate
+from .recombine import _recombination
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -370,20 +370,6 @@ def radon_recombine(blocks: list[tuple[tuple[int, int], np.ndarray]],
     composed with their cutoffs; quadrature weights are applied here so
     pair norms are adjoint-consistent.
     """
-    if active_bands is not None:
-        have = {k for ((_, k), _) in blocks}
-        missing = set(active_bands) - have
-        if missing:
-            raise CoverageGapError(missing)
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
-    mats = [scale * m for (_, m) in blocks]
-    cert = _cotlar_certificate(mats, [idx for (idx, _) in blocks])
-    ref = scale * reference
-    ref_norm = _specnorm(ref)
-    disc = _specnorm(sum(mats) - ref)
-    return {
-        "certificate": cert,
-        "reference_norm": ref_norm,
-        "discrepancy": disc,
-        "relative_discrepancy": disc / ref_norm if ref_norm > 0 else 0.0,
-    }
+    return _recombination([scale * m for (_, m) in blocks], scale * reference,
+                          [idx for (idx, _) in blocks], active_bands)

@@ -154,28 +154,39 @@ def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
     return _cotlar_certificate(fam.weighted(), fam.indices)
 
 
+def _recombination(blocks: list[np.ndarray], reference: np.ndarray,
+                   indices, active_bands) -> dict:
+    """Cotlar certificate of plain-L2 blocks and the discrepancy of their
+    sum from the reference.
+
+    ``active_bands`` lists the bands the reference symbol can excite; a
+    band with no block raises CoverageGapError.
+    """
+    if active_bands is not None:
+        missing = set(active_bands) - {k for (_, k) in indices}
+        if missing:
+            raise CoverageGapError(missing)
+    ref_norm = _specnorm(reference)
+    disc = _specnorm(sum(blocks) - reference)
+    return {
+        "certificate": _cotlar_certificate(blocks, indices),
+        "reference_norm": ref_norm,
+        "discrepancy": disc,
+        "relative_discrepancy": disc / ref_norm if ref_norm > 0 else 0.0,
+    }
+
+
 def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,
                   active_bands=None) -> dict:
     """Compare the block sum with the directly quantized reference.
 
-    ``active_bands`` lists the bands the reference symbol can excite; a
-    band missing from the family raises CoverageGapError.  The report
-    carries the relative discrepancy, the Cotlar certificate, and the
+    The report carries the relative discrepancy and the Cotlar certificate
+    (see ``_recombination``, which also checks ``active_bands``), and the
     tail norms ||sum_{k >= K} T|| for each truncation level K.
     """
-    if active_bands is not None:
-        have = {k for (_, k) in fam.indices}
-        missing = set(active_bands) - have
-        if missing:
-            raise CoverageGapError(missing)
-
     *blocks, ref = _weighted([*fam.matrices, reference.matrix], fam.grid,
                              fam.s_in, fam.s_out)
-
-    total = sum(blocks)
-    ref_norm = _specnorm(ref)
-    disc = _specnorm(total - ref)
-    cert = _cotlar_certificate(blocks, fam.indices)
+    report = _recombination(blocks, ref, fam.indices, active_bands)
 
     order = sorted(range(len(fam)), key=lambda i: (fam.indices[i][1],
                                                    fam.indices[i][0]))
@@ -187,11 +198,6 @@ def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,
             else np.zeros_like(blocks[0])
         tails.append({"K": cut, "norm": _specnorm(tail)})
 
-    return {
-        "reference_norm": ref_norm,
-        "discrepancy": disc,
-        "relative_discrepancy": disc / ref_norm if ref_norm > 0 else 0.0,
-        "trivial": ref_norm == 0.0,
-        "certificate": cert,
-        "tails": tails,
-    }
+    report["trivial"] = report["reference_norm"] == 0.0
+    report["tails"] = tails
+    return report

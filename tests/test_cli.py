@@ -51,7 +51,7 @@ def test_band_bound_runs_and_is_deterministic(tmp_path):
                                     "n_grid": 128},
                 metric={"kind": "identity"},
                 bands={"k_min": 2, "k_max": 4}, symbol="ang(xi1)",
-                orders=[0, 1], s=0.0, k_range=[2, 4],
+                m2=1, s=0.0, k_range=[2, 4],
                 mode="semiclassical",
                 cutoff={"r_one": 2.4, "r_zero": 3.0})
     code1, out1 = _run(tmp_path, "band-bound", cfg, out="out1")
@@ -147,7 +147,7 @@ def test_validation_rejections(tmp_path, mutate, desc):
                                     "n_grid": 128},
                 metric={"kind": "identity"},
                 bands={"k_min": 2, "k_max": 3}, symbol="ang(xi1)",
-                orders=[0, 1], k_range=[2, 3],
+                m2=1, k_range=[2, 3],
                 cutoff={"r_one": 2.4, "r_zero": 3.0})
     mutate(cfg)
     code, _ = _run(tmp_path, "band-bound", cfg)
@@ -172,7 +172,7 @@ def _band_bound(**extra):
     cfg = _base("band-bound",
                 grid={"dim": 1, "half_width": np.pi, "n_grid": 32},
                 metric={"kind": "identity"}, bands={"k_min": 2, "k_max": 3},
-                symbol="ang(xi1)", orders=[0, 1], k_range=[2, 3])
+                symbol="ang(xi1)", m2=1, k_range=[2, 3])
     cfg.update(extra)
     return cfg
 
@@ -245,6 +245,7 @@ def _without(cfg, key):
      "wavepacket frequency of the wrong dimension"),
     (_cotlar(cutoff={"r_one": "x", "r_zero": 3.0}), "string cutoff radius"),
     (_cotlar(cutoff=[1, 2]), "cutoff not an object"),
+    # no schema has a bump key: every bump value is refused as unknown
     (_cotlar(bump=3), "bump not an object"),
     (_parametrix(c0="x"), "string ellipticity floor"),
     (_parametrix(big_r="x"), "string ellipticity radius"),
@@ -328,8 +329,35 @@ def test_runners_read_only_schema_keys():
     assert not stray
 
 
+def _cfg_reads_with_builders(func) -> set:
+    """Keys read by func or by a ``cli._build_*`` helper it calls, directly
+    or through another such helper."""
+    keys, todo, seen = set(), [func], set()
+    while todo:
+        func = todo.pop()
+        keys |= _cfg_reads(func)
+        for node in ast.walk(ast.parse(inspect.getsource(func))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id.startswith("_build_")
+                    and node.func.id not in seen):
+                seen.add(node.func.id)
+                todo.append(getattr(cli, node.func.id))
+    return keys
+
+
+def test_every_schema_key_is_read():
+    # validation accepts every schema key, so one that no runner or builder
+    # reads would be taken from a config and silently ignored
+    unread = {}
+    for experiment, runner in cli._RUNNERS.items():
+        missing = cli._SCHEMAS[experiment] - _cfg_reads_with_builders(runner)
+        if missing:
+            unread[experiment] = sorted(missing)
+    assert not unread
+
+
 _G1 = {"dim": 1, "half_width": np.pi, "n_grid": 8}
-_NET = {"lattice_step": 0.125, "bump": {"kind": "exp-mollified"}}
+_NET = {"lattice_step": 0.125}
 _FUZZ_BASES = [
     _base("partition-verify", dim=1, metric={"kind": "identity"},
           bands={"k_min": 2, "k_max": 3}, low_freq_cap=False, seed=0,

@@ -8,31 +8,23 @@ from hypothesis import strategies as st
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import conformal_field, identity_field
 from microloc.parametrix import EllipticSymbol, build_parametrix
-from microloc.partition import (DyadicNet, EmptyNetError, Microlocalizer,
-                                OutOfRangeError, Partition, _annulus_lattice,
-                                band_sum_symbol, build_bumps, build_net,
-                                build_partition, eval_cut, eval_localizer,
-                                eval_normalizer, localizer_symbol,
-                                overlap_count, packing_bound, pou_deviation,
-                                validate_net)
+from microloc.partition import (DyadicNet, EmptyNetError, Partition,
+                                _annulus_lattice, band_sum_symbol, build_net,
+                                build_partition, localizer_symbol,
+                                packing_bound, phi_profile, pou_deviation,
+                                rho, validate_net)
 
 
 def test_bump_profiles():
-    bumps = build_bumps()
     r = np.linspace(0.0, 0.5, 11)
-    assert np.all(bumps.phi_profile(r) == 1.0)
-    assert np.all(bumps.phi_profile(np.linspace(1.0, 3.0, 11)) == 0.0)
-    assert bumps.phi_profile(np.array([np.inf]))[0] == 0.0
-    mid = bumps.phi_profile(np.linspace(0.55, 0.95, 11))
+    assert np.all(phi_profile(r) == 1.0)
+    assert np.all(phi_profile(np.linspace(1.0, 3.0, 11)) == 0.0)
+    assert phi_profile(np.array([np.inf]))[0] == 0.0
+    mid = phi_profile(np.linspace(0.55, 0.95, 11))
     assert np.all((mid > 0.0) & (mid < 1.0))
-    assert np.all(bumps.rho(np.linspace(0.5, 2.0, 11)) == 1.0)
-    assert np.all(bumps.rho(np.array([0.2, 0.25, 4.0, 5.0])) == 0.0)
-    assert np.all(bumps.rho(np.array([0.3, 3.0])) > 0.0)
-
-
-def test_bump_kind_validation():
-    with pytest.raises(ValueError):
-        build_bumps("heaviside")
+    assert np.all(rho(np.linspace(0.5, 2.0, 11)) == 1.0)
+    assert np.all(rho(np.array([0.2, 0.25, 4.0, 5.0])) == 0.0)
+    assert np.all(rho(np.array([0.3, 3.0])) > 0.0)
 
 
 @pytest.mark.parametrize("dim,k", [(1, 0), (1, 3), (2, 1), (2, 2)])
@@ -72,41 +64,40 @@ def test_net_validation():
 def test_partition_of_unity_random_points():
     part = build_partition(identity_field(2), 1, 3)
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = rng.uniform(-2, 2, 2)
+    xs, xis = np.empty((50, 2)), np.empty((50, 2))
+    for i in range(50):
+        xs[i] = rng.uniform(-2, 2, 2)
         mag = rng.uniform(4.0, 8.0)  # interior band: every active k built
         d = rng.standard_normal(2)
-        xi = mag * d / np.linalg.norm(d)
-        total = sum(eval_localizer(Microlocalizer(part, j, k), x, xi)
-                    for k in part.bands
-                    for j in range(part.nets[k].size))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        xis[i] = mag * d / np.linalg.norm(d)
+    # the i-th sample point is the diagonal pair (xs[i], xis[i])
+    chi = sum(np.diag(part.chi_pairs(j, k, xs, xis))
+              for k in part.bands for j in range(part.nets[k].size))
+    total = chi / np.diag(part.sigma_pairs(xs, xis))
+    assert total == pytest.approx(np.ones(50), abs=1e-12)
 
 
 def test_localizer_zero_off_support():
     part = build_partition(identity_field(1), 2, 3)
-    m = Microlocalizer(part, 0, 2)
-    far_xi = np.array([100.0])
-    assert eval_cut(m, [0.0], far_xi) == 0.0
-    assert eval_localizer(m, [0.0], far_xi, strict=False) == 0.0
-
-
-def test_normalizer_strict_range_check():
-    part = build_partition(identity_field(1), 2, 3)
-    with pytest.raises(OutOfRangeError):
-        eval_normalizer(part, [0.0], [64.0])
-    # low-frequency cap absorbs the missing bands below k_min
+    x, far_xi = np.zeros((1, 1)), np.array([[100.0]])
+    assert part.chi_pairs(0, 2, x, far_xi)[0, 0] == 0.0
+    assert part.sigma_pairs(x, far_xi)[0, 0] == 0.0
+    # the low-frequency cap covers the frequencies below the built bands
     capped = build_partition(identity_field(1), 2, 3, low_freq_cap=True)
-    assert eval_normalizer(capped, [0.0], [0.5]) > 0.0
+    assert capped.sigma_pairs(x, np.array([[0.5]]))[0, 0] > 0.0
+    # the grid localizer is exactly 0 where band 2's rho vanishes, not 0/0
+    grid = GridSpec(dim=1, half_width=np.pi, n_grid=64)
+    far = np.abs(grid.xi_axis_refined()) >= 16.0
+    assert far.any()
+    assert np.all(localizer_symbol(part, 0, 2, grid).values[:, far] == 0.0)
 
 
 def test_overlap_and_radial_bounds():
     part = build_partition(identity_field(2), 0, 3)
     rng = np.random.default_rng(1)
-    for _ in range(40):
-        x = rng.uniform(-2, 2, 2)
-        xi = rng.uniform(-10, 10, 2)
-        assert overlap_count(part, x, xi) <= 5 ** (part.dim + 1)
+    xs = rng.uniform(-2, 2, (40, 2))
+    xis = rng.uniform(-10, 10, (40, 2))
+    assert np.diag(part.overlap_pairs(xs, xis)).max() <= 5 ** (part.dim + 1)
     counts = part.radial_band_count(rng.uniform(-12, 12, (200, 2)))
     assert counts.max() <= 5
     # |xi| = 1: rho(2^-k) > 0 exactly for k in {-1, 0, 1}
@@ -132,7 +123,7 @@ def test_broken_net_exceeds_neighbor_budget():
     # centers 0.1 apart break the 1/2-separation that bounds the neighbor
     # query; both cell-indexed sums must refuse instead of undercounting
     net = DyadicNet(k=2, centers=np.arange(4.0, 8.0, 0.1)[:, None])
-    part = Partition(identity_field(1), 2, 2, build_bumps(), {2: net})
+    part = Partition(identity_field(1), 2, 2, {2: net})
     x, xi = np.zeros((1, 1)), np.array([[6.0]])
     with pytest.raises(RuntimeError, match="neighbor budget"):
         part.sigma_pairs(x, xi)
@@ -165,10 +156,10 @@ def test_localizer_symbol_matches_pointwise():
     assert sym.values.dtype == np.float64
     xd = grid.x_axis_doubled()
     xr = grid.xi_axis_refined()
-    m = Microlocalizer(part, 0, 2)
     for ix, ixi in [(0, 20), (5, 24), (9, 28)]:
-        want = eval_localizer(m, [xd[ix]], [xr[ixi]], strict=False)
-        assert sym.values[ix, ixi].real == pytest.approx(want, abs=1e-12)
+        x, xi = np.array([[xd[ix]]]), np.array([[xr[ixi]]])
+        want = part.chi_pairs(0, 2, x, xi) / part.sigma_pairs(x, xi)
+        assert sym.values[ix, ixi] == pytest.approx(want[0, 0], abs=1e-12)
 
 
 def test_band_sum_symbol_equals_patch_sum():
@@ -319,7 +310,7 @@ def test_broken_2d_net_exceeds_neighbor_budget():
     axis = np.arange(4.0, 6.0, 0.1)
     net = DyadicNet(k=2, centers=np.stack(np.meshgrid(axis, axis), -1)
                     .reshape(-1, 2))
-    part = Partition(identity_field(2), 2, 2, build_bumps(), {2: net})
+    part = Partition(identity_field(2), 2, 2, {2: net})
     with pytest.raises(RuntimeError, match="neighbor budget"):
         part.sigma_pairs(np.zeros((1, 2)), np.array([[5.0, 5.0]]))
 
