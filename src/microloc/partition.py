@@ -16,10 +16,14 @@ overlap_pairs), which with one row each gives a single point's value.
 Evaluation is lazy: per-point sums prune to the few bands and centers
 whose supports can reach the point (at most 5 radial bands, at most 5^n
 centers per band), and only the distinct T_x and Sigma of a quantization
-grid are tabulated, once per grid.  The centers near a point come from a
-cell index: cells of side below 1/(2 sqrt 2) hold at most one center of a
-1/2-separated net, so each band's index is one flat table, and a fixed
-block of cells around a point holds every center within distance 1.
+grid are tabulated, once per grid.  Each band is one stacked query over
+the fiber coordinates T_x xi of every distinct T_x, cut into slices whose
+cell blocks hold at most _CHUNK entries, so an x-dependent metric costs
+one neighbor search per band and slice, not one per T_x.  The centers
+near a point come from a cell index: cells of side below 1/(2 sqrt 2)
+hold at most one center of a 1/2-separated net, so each band's index is
+one flat table, and a fixed block of cells around a point holds every
+center within distance 1.
 """
 
 from __future__ import annotations
@@ -116,8 +120,10 @@ _CELL = 0.35
 # A block of cells reaching r cells to each side of a point's cell holds
 # every center within r * _CELL of the point: reach 3 covers distance 1.
 _REACH = 3
-# Entries of one block array in a chunked scan.
-_CHUNK = 2 ** 20
+# Entries of one block array in a chunked scan: 512 KiB of float64.  On a
+# 2-core x86-64 machine, scans over blocks of 2^20 entries (8 MiB) ran up
+# to 1.5 times slower.
+_CHUNK = 2 ** 16
 _BROKEN = "neighbor budget exceeded; net separation broken"
 
 
@@ -267,20 +273,30 @@ class Partition:
                    term, dtype=float) -> np.ndarray:
         """Sum over k in bands of term(k, rho_k, u), per distinct T_x.
 
-        For each band, term receives rho(2^{-k}|xi|) and the fiber
-        coordinates u = T_x xi on the frequencies where rho > 0, and returns
-        one value per frequency; frequencies with rho = 0 get nothing from
-        that band.  Returns shape (len(t_uniq), len(xi_arr)).
+        For each band, only the frequencies where rho(2^{-k}|xi|) > 0 are
+        evaluated; the rest get nothing from that band.  The distinct T_x
+        are stacked in slices: term receives the fiber coordinates
+        u = T_x xi of every T_x of a slice, one row per (T_x, frequency)
+        pair, T_x-major, with the rho value of each row, and returns one
+        value per row.  A slice holds one T_x, or as many as keep a
+        neighbor search's cell block (7^n entries per row) within _CHUNK
+        entries.  Returns shape (len(t_uniq), len(xi_arr)).
         """
         xi_norm = np.linalg.norm(xi_arr, axis=1)
         out = np.zeros((len(t_uniq), len(xi_arr)), dtype=dtype)
         for k in bands:
             radial = rho(xi_norm / 2.0 ** k)
             act = radial > 0.0
-            if not act.any():
+            xi_act, radial = xi_arr[act], radial[act]
+            if not len(xi_act):
                 continue
-            for ti, t in enumerate(t_uniq):
-                out[ti, act] += term(k, radial[act], xi_arr[act] @ t.T)
+            step = max(1, _CHUNK // ((2 * _REACH + 1) ** self.dim
+                                     * len(xi_act)))
+            for lo in range(0, len(t_uniq), step):
+                t = t_uniq[lo:lo + step]
+                u = (xi_act @ t.transpose(0, 2, 1)).reshape(-1, self.dim)
+                vals = term(k, np.tile(radial, len(t)), u)
+                out[lo:lo + step, act] += vals.reshape(len(t), -1)
         return out
 
     def _neighbor_distances(self, k: int, u: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from microloc import partition
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import conformal_field, identity_field
 from microloc.parametrix import EllipticSymbol, build_parametrix
 from microloc.partition import (DyadicNet, EmptyNetError, Partition,
-                                _annulus_lattice, band_sum_symbol, build_net,
-                                build_partition, localizer_symbol,
+                                _annulus_lattice, _lattice, band_sum_symbol,
+                                build_net, build_partition, localizer_symbol,
                                 packing_bound, phi_profile, pou_deviation,
                                 rho, validate_net)
 
@@ -176,10 +178,100 @@ def _conformal_1d():
                            lambda_min=1.0, lambda_max=3.0)
 
 
+def _conformal_2d():
+    # 73 distinct T_x on the doubled lattice of n_grid=8, 273 at 16
+    return conformal_field(lambda x: 2.0 + np.sin(x[0]) + 0.5 * np.sin(x[1]),
+                           2, lambda_min=0.5, lambda_max=3.5)
+
+
+@pytest.mark.parametrize("dim,n_grid", [(1, 16), (2, 8)])
+def test_grid_symbols_match_pointwise_on_a_conformal_metric(dim, n_grid):
+    # the grid stacks the rows T_x xi of every distinct T_x into one query
+    # per band; the pairs calls below each see one T_x, so a mix-up of the
+    # (T_x, xi) row order shows as a wrong value
+    metric = _conformal_1d() if dim == 1 else _conformal_2d()
+    part = build_partition(metric, 1, 3, low_freq_cap=True)
+    grid = GridSpec(dim=dim, half_width=np.pi, n_grid=n_grid)
+    x_pts = _lattice(grid.x_axis_doubled(), dim)
+    xi_pts = _lattice(grid.xi_axis_refined(), dim)
+    # the grid evaluates each distinct T_x at its first x; at a later x
+    # with the same rounded T_x the matrix can differ in the last bit
+    _, inv = part.fiber_transforms(x_pts)
+    firsts = np.unique(inv, return_index=True)[1]
+    rows = np.random.default_rng(dim).choice(firsts, 12, replace=False)
+
+    def normalized(num, sigma):
+        return np.divide(num, sigma, out=np.zeros_like(num), where=num > 0.0)
+
+    for k in part.bands:
+        size = part.nets[k].size
+        # Sigma of a one-band partition is that band's sum of chi
+        one_band = Partition(metric, k, k, {k: part.nets[k]})
+        band = band_sum_symbol(part, k, grid).values.reshape(len(x_pts), -1)
+        lams = {j: localizer_symbol(part, j, k, grid).values
+                .reshape(len(x_pts), -1) for j in (0, size // 2, size - 1)}
+        for r in rows:
+            x = x_pts[r:r + 1]
+            sigma = part.sigma_pairs(x, xi_pts)[0]
+            assert np.array_equal(
+                band[r], normalized(one_band.sigma_pairs(x, xi_pts)[0], sigma))
+            for j, lam in lams.items():
+                assert np.array_equal(
+                    lam[r], normalized(part.chi_pairs(j, k, x, xi_pts)[0],
+                                       sigma))
+        assert band[rows].max() > 0.0
+
+
+@pytest.mark.parametrize("chunk", [7 ** 2, 7 ** 2 * 1000, partition._CHUNK])
+def test_partition_values_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # against one slice per band: 7^2 puts one T_x in each slice, the
+    # larger bounds a few, with a partial last slice
+    grid = GridSpec(dim=2, half_width=np.pi, n_grid=8)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-4.0, 4.0, (20, 2))
+    xi = rng.uniform(-20.0, 20.0, (300, 2))
+
+    def evaluate(chunk):
+        monkeypatch.setattr(partition, "_CHUNK", chunk)
+        part = build_partition(_conformal_2d(), 1, 3, low_freq_cap=True)
+        searches = []
+        search = part._neighbor_distances
+        monkeypatch.setattr(part, "_neighbor_distances",
+                            lambda k, u: searches.append(k) or search(k, u))
+        vals = [part.sigma_pairs(x, xi), part.overlap_pairs(x, xi),
+                pou_deviation(part, x, xi)]
+        for k in part.bands:
+            vals.append(band_sum_symbol(part, k, grid).values)
+            vals.append(localizer_symbol(part, 1, k, grid).values)
+        return vals, len(searches)
+
+    want, whole_searches = evaluate(2 ** 40)
+    got, sliced_searches = evaluate(chunk)
+    assert sliced_searches > whole_searches
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_grid_sigma_memory_is_bounded_by_the_chunk():
+    # one query over all 273 distinct T_x of this grid would hold cell
+    # blocks of about 300 MiB; with slices the peak is about 16 MiB
+    part = build_partition(_conformal_2d(), 1, 3, low_freq_cap=True)
+    grid = GridSpec(dim=2, half_width=np.pi, n_grid=16)
+    tracemalloc.start()
+    try:
+        band_sum_symbol(part, 2, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(part._grid_sample(grid)[1]) == 273
+    assert peak <= 64 * 2 ** 20
+
+
 def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
+    # 33 distinct T_x: one neighbor search per band, not one per T_x
     part = build_partition(_conformal_1d(), 1, 4, low_freq_cap=True)
     grid = GridSpec(dim=1, half_width=np.pi, n_grid=32)
-    calls = {"_sigma": 0, "fiber_transforms": 0}
+    calls = {"_sigma": 0, "fiber_transforms": 0, "_neighbor_distances": 0}
 
     def counted(name):
         method = getattr(part, name)
@@ -198,7 +290,8 @@ def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
     ones = np.ones(grid.n_grid)
     px = build_parametrix(p, part, 1, ones, ones, grid)
     assert px.covered_bands == part.bands
-    assert calls == {"_sigma": 1, "fiber_transforms": 1}
+    assert calls == {"_sigma": 1, "fiber_transforms": 1,
+                     "_neighbor_distances": len(part.bands)}
 
 
 def test_grid_samples_are_keyed_by_grid():
