@@ -95,7 +95,9 @@ class GridSymbol:
     the samples, so the symbol can be resampled (semiclassical rescaling).
     ``deriv`` optionally maps a pair of multi-indices ``(alpha, beta)`` to the
     callable for ``d_xi^alpha d_x^beta a``; when absent, derivatives fall
-    back to spectral differentiation of the samples.
+    back to spectral differentiation of the samples.  A symbol with a
+    ``deriv`` table cannot be resampled: the table is not rescaled, and
+    spectral derivatives of a non-periodic symbol would ring.
     """
 
     grid: GridSpec
@@ -112,29 +114,19 @@ class GridSymbol:
                 f"symbol shape {self.values.shape}, expected {want}")
 
     def resampled(self, scale_xi: float) -> "GridSymbol":
-        """Sample a(x, scale_xi * xi) on the same grid; needs ``func``."""
+        """Sample a(x, scale_xi * xi) on the same grid; needs ``func`` and
+        no ``deriv``."""
         if self.func is None:
             raise ValueError("resampling requires the analytic rule `func`")
+        if self.deriv is not None:
+            raise ValueError("cannot resample a symbol with a `deriv` table")
         g = self.grid
         f = self.func
 
         def newf(*a):
             return f(*a[:g.dim], *(scale_xi * np.asarray(p) for p in a[g.dim:]))
 
-        newderiv = None
-        if self.deriv is not None:
-            base = self.deriv
-
-            def newderiv(alpha, beta):
-                inner = base(alpha, beta)
-                fac = scale_xi ** sum(alpha)
-
-                def df(*a):
-                    return fac * inner(*a[:g.dim],
-                                       *(scale_xi * np.asarray(p) for p in a[g.dim:]))
-                return df
-
-        return sample_on(g, newf, deriv=newderiv)
+        return sample_on(g, newf)
 
 
 def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],

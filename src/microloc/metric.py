@@ -42,11 +42,6 @@ class MetricField:
     def sqrt_at(self, x) -> np.ndarray:
         return sqrt_metric(eval_metric(self, x))
 
-    def shift_bands(self) -> int:
-        """Integer band shift K covering the spectral distortion of T_x."""
-        return int(np.ceil(np.log2(max(np.sqrt(self.lambda_max),
-                                       1.0 / np.sqrt(self.lambda_min)))))
-
 
 def identity_field(dim: int) -> MetricField:
     eye = np.eye(dim)

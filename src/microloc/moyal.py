@@ -91,21 +91,6 @@ def composition_residual(a: GridSymbol, b: GridSymbol, trunc: MoyalTruncation,
     return operator_norm(DiscreteOperator(matrix=m, grid=a.grid))
 
 
-def poisson_bracket(a: GridSymbol, b: GridSymbol) -> GridSymbol:
-    """{a, b} = d_xi a . d_x b - d_x a . d_xi b on the grid."""
-    d = a.grid.dim
-    # spectral derivatives are complex even when a and b are real
-    out = np.zeros(a.values.shape, dtype=complex)
-    for ax in range(d):
-        e = tuple(1 if i == ax else 0 for i in range(d))
-        z = (0,) * d
-        out += (symbol_derivative(a, e, z).values
-                * symbol_derivative(b, z, e).values
-                - symbol_derivative(a, z, e).values
-                * symbol_derivative(b, e, z).values)
-    return GridSymbol(grid=a.grid, values=out)
-
-
 def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
                           pairs, chi: np.ndarray,
                           chi_prime: np.ndarray) -> dict:

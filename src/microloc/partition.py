@@ -445,7 +445,9 @@ def pou_deviation(part: Partition, x_arr: np.ndarray,
     """max |sum_{j,k} Lambda + cap/Sigma - 1| over sample pairs with Sigma > 0.
 
     The numerator accumulates per-patch cutoff values by direct distance
-    evaluation, independently of the cell-indexed normalizer path.
+    evaluation, independently of the cell-indexed normalizer path.  NaN
+    when no pair has Sigma > 0: the samples miss the support, and nothing
+    was checked.
     """
     xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
 
@@ -465,7 +467,7 @@ def pou_deviation(part: Partition, x_arr: np.ndarray,
     sigma = part._sigma(t_uniq, xi_arr)
     mask = sigma > 0.0
     if not mask.any():
-        return 0.0
+        return float("nan")
     return float(np.abs(num[mask] / sigma[mask] - 1.0).max())
 
 

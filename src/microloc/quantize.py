@@ -1,4 +1,4 @@
-"""Discrete Weyl quantization, Sobolev norms, seminorms, band experiments.
+"""Discrete Weyl quantization, Sobolev norms, band experiments.
 
 On the periodic box the Weyl kernel is built from the symbol's mixed
 Fourier series: the spatial harmonic q pairs with frequencies xi in
@@ -26,7 +26,6 @@ odd harmonics leak across the whole frequency lattice with 1/d tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -35,8 +34,9 @@ from .partition import Partition, _smoothstep_exp, localizer_symbol
 
 
 class DegenerateResultError(ValueError):
-    """The numbers of a run leave nothing to report: an operator with
-    non-finite entries, or too few nonzero norms for a slope fit."""
+    """The numbers of a run leave nothing to report: an operator or a
+    multiplier with non-finite entries, or too few nonzero norms for a
+    slope fit."""
 
 
 @dataclass
@@ -127,15 +127,6 @@ def weyl_quantize(a: GridSymbol,
     return DiscreteOperator(matrix=out.reshape(n ** d, n ** d), grid=g)
 
 
-def semiclassical_quantize(a: GridSymbol, h: float) -> DiscreteOperator:
-    """Op_h^w(a): Weyl quantization of the rescaled symbol a(x, h eta)."""
-    if not 0.0 < h <= 1.0:
-        raise ValueError("h must lie in (0, 1]")
-    if h == 1.0:
-        return weyl_quantize(a)
-    return weyl_quantize(a.resampled(h))
-
-
 def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> DiscreteOperator:
     """Dense matrix of the multiplier with the given lattice weights.
 
@@ -145,6 +136,8 @@ def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> DiscreteOperator:
     d, n = grid.dim, grid.n_grid
     if weights.shape != (n,) * d:
         raise ValueError(f"weights shape {weights.shape}, expected {(n,) * d}")
+    if not np.all(np.isfinite(weights)):
+        raise DegenerateResultError("non-finite multiplier weights")
     c = np.fft.ifftn(np.fft.ifftshift(weights))
     m = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
     m = [ax.ravel() for ax in m]
@@ -153,10 +146,11 @@ def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> DiscreteOperator:
 
 
 def bracket_weights(grid: GridSpec, s: float, xi_scale: float = 1.0) -> np.ndarray:
-    """<xi_scale * xi_p>^s on the frequency lattice."""
+    """<xi_scale * xi_p>^s on the frequency lattice; inf where it overflows."""
     mesh = grid.xi_mesh()
     q = sum(np.square(xi_scale * ax) for ax in mesh)
-    return (1.0 + q) ** (s / 2.0)
+    with np.errstate(over="ignore"):
+        return (1.0 + q) ** (s / 2.0)
 
 
 def sobolev_multiplier(s: float, grid: GridSpec,
@@ -185,59 +179,6 @@ def operator_norm(t: DiscreteOperator, s_in: float = 0.0, s_out: float = 0.0,
     if s_in != 0.0:
         m = m @ sobolev_multiplier(-s_in, t.grid, xi_scale).matrix
     return _specnorm(m)
-
-
-def _central_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (np.roll(values, -1, axis=axis)
-            - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
-
-
-def seminorm(a: GridSymbol, i: int, l: int,
-             orders: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Truncated symbol-class seminorm by lattice central differences.
-
-    Empirical sup over the lattice (boundary margin excluded, since roll
-    wraps non-periodic symbol content) of
-    |Delta_x^alpha Delta_xi^beta a| / (<x>^{m1-|alpha|} <xi>^{m2-|beta|})
-    over |alpha| <= i, |beta| <= l.
-    """
-    if i + l > 4:
-        raise ValueError("i + l must be <= 4")
-    g = a.grid
-    d = g.dim
-    m1, m2 = orders
-    xd = g.x_axis_doubled()
-    xa = g.xi_axis_refined()
-    x_sq = sum(np.square(xd.reshape([-1 if ax == j else 1
-                                     for j in range(2 * d)]))
-               for ax in range(d))
-    xi_sq = sum(np.square(xa.reshape([-1 if j == d + ax else 1
-                                      for j in range(2 * d)]))
-                for ax in range(d))
-    bx = (1.0 + x_sq) ** 0.5
-    bxi = (1.0 + xi_sq) ** 0.5
-
-    depth = i + l
-    interior = tuple(slice(depth, None if depth == 0 else -depth)
-                     for _ in range(2 * d))
-
-    best = 0.0
-    for alpha in iproduct(range(i + 1), repeat=d):
-        if sum(alpha) > i:
-            continue
-        for beta in iproduct(range(l + 1), repeat=d):
-            if sum(beta) > l:
-                continue
-            vals = a.values
-            for ax in range(d):
-                for _ in range(alpha[ax]):
-                    vals = _central_diff(vals, ax, g.dx / 2)
-                for _ in range(beta[ax]):
-                    vals = _central_diff(vals, d + ax, g.dxi / 2)
-            w = bx ** (m1 - sum(alpha)) * bxi ** (m2 - sum(beta))
-            ratio = np.abs(vals) / w
-            best = max(best, float(ratio[interior].max()))
-    return best
 
 
 def make_cutoff(grid: GridSpec, r_one: float, r_zero: float) -> np.ndarray:
@@ -286,9 +227,9 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
     Semiclassical mode measures the block in semiclassically weighted
     Sobolev norms (weights <2^{-k} xi>, O(1) on the band), which realizes
     the 2^{k m2} band factor.  Conservative mode reports the certified
-    bound 2^{3k} times the same measured norm (N_xi = 3), the loss a
-    truncated-seminorm estimate cannot avoid; it is never below the
-    semiclassical value.
+    bound 2^{3k} times the same measured norm (N_xi = 3), the loss an
+    estimate through finitely many xi-derivatives of the symbol cannot
+    avoid; it is never below the semiclassical value.
     """
     if mode not in ("conservative", "semiclassical"):
         raise ValueError(f"unknown mode {mode!r}")

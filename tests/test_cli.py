@@ -46,6 +46,21 @@ def test_partition_verify_runs_green(tmp_path):
     assert (outdir / "overlap_histogram.csv").exists()
 
 
+def test_partition_verify_fails_when_no_sample_meets_the_support(tmp_path):
+    # T_x = 0.1 I maps every sampled xi (|xi| in [8, 16]) below band 3's
+    # annulus, so Sigma = 0 on all 1,600 pairs and nothing is checked
+    cfg = _base("partition-verify", dim=1,
+                metric={"kind": "conformal", "expr": "0.01",
+                        "lambda_min": 0.01, "lambda_max": 0.01},
+                bands={"k_min": 3, "k_max": 3},
+                samples={"n_x": 8, "n_xi": 200})
+    code, outdir = _run(tmp_path, "partition-verify", cfg)
+    assert code == 1
+    report = json.loads((outdir / "partition_verify.json").read_text())
+    assert math.isnan(report["pou_max_deviation"])
+    assert report["overlap"]["histogram"] == {"0": 1600}
+
+
 def test_band_bound_runs_and_is_deterministic(tmp_path):
     cfg = _base("band-bound", grid={"dim": 1, "half_width": np.pi,
                                     "n_grid": 128},
@@ -274,7 +289,8 @@ def _without(cfg, key):
     (_cotlar(s=math.nan), "NaN Sobolev exponent"),
     (_cotlar(grid={"dim": 1, "half_width": math.inf, "n_grid": 32}),
      "infinite half width"),
-    (_cotlar(s=1e300), "Sobolev weights overflow"),
+    pytest.param(_cotlar(s=1e300), "Sobolev weights overflow",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     (_radon_block(m2=1e300), "band scale overflows"),
     (_parametrix(tests={"xi0_list": [[8.0]], "sigma": 1e300}),
      "wavepacket width overflows"),

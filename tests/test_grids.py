@@ -95,3 +95,8 @@ def test_resampled_requires_rule():
     sym = GridSymbol(grid=g, values=np.zeros((16, 16), dtype=complex))
     with pytest.raises(ValueError):
         sym.resampled(0.5)
+    # a derivative table is not rescaled, so a symbol carrying one is refused
+    tabled = sample_on(g, lambda x, xi: xi + 0.0 * x,
+                       deriv=lambda a, b: lambda x, xi: 0.0 * x + 0.0 * xi)
+    with pytest.raises(ValueError, match="deriv"):
+        tabled.resampled(0.5)

@@ -70,7 +70,6 @@ def test_identity_fiber_norm_is_euclidean():
 def test_conformal_scaling():
     fld = conformal_field(lambda x: 4.0, 2, lambda_min=4.0, lambda_max=4.0)
     assert fiber_norm(fld, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(2.0)
-    assert fld.shift_bands() == 1
 
 
 def test_hypotheses_identity():

@@ -5,7 +5,7 @@ from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
 from microloc.moyal import (InsufficientDataError, MoyalTruncation,
                             composition_residual, moyal_truncated,
-                            poisson_bracket, separated_patch_decay)
+                            separated_patch_decay)
 from microloc.partition import build_partition
 from microloc.quantize import make_cutoff
 
@@ -32,6 +32,8 @@ def test_truncation_validation():
         MoyalTruncation(order=7)
     with pytest.raises(ValueError):
         MoyalTruncation(order=2, h=1.5)
+    with pytest.raises(ValueError):
+        MoyalTruncation(order=2, h=0.0)
 
 
 def test_order_one_is_pointwise_product():
@@ -56,10 +58,14 @@ def test_x_sharp_xi_oracle():
     assert np.abs(right - (xmesh * ximesh - 0.5j)).max() < 1e-12
 
 
-def test_poisson_bracket_oracle():
+def test_first_order_moyal_term_oracle():
+    # the r = 1 term of a # b is -(i/2) {a, b}, with the Poisson bracket
+    # {a, b} = d_xi a d_x b - d_x a d_xi b
     a = sample_on(G, lambda x, xi: np.sin(x) + 0.0 * xi)
     b = sample_on(G, lambda x, xi: np.sin(xi * np.pi / G.xi_max) + 0.0 * x)
-    br = poisson_bracket(a, b).values
+    first, second = (moyal_truncated(a, b, MoyalTruncation(order=n)).values
+                     for n in (1, 2))
+    br = 2j * (second - first)
     xd = G.x_axis_doubled()
     xr = G.xi_axis_refined()
     xm, xim = np.meshgrid(xd, xr, indexing="ij")
@@ -99,5 +105,3 @@ def test_real_and_complex_samples_give_the_same_products():
         trunc = MoyalTruncation(order=order)
         assert np.array_equal(moyal_truncated(a, b, trunc).values,
                               moyal_truncated(ac, bc, trunc).values)
-    assert np.array_equal(poisson_bracket(a, b).values,
-                          poisson_bracket(ac, bc).values)

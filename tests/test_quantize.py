@@ -12,7 +12,7 @@ from microloc.quantize import (DiscreteOperator, assemble_block,
                                band_bound_experiment, bracket_weights,
                                fit_log2_slope, fourier_multiplier,
                                make_cutoff, operator_norm,
-                               representative_patch, seminorm,
+                               representative_patch,
                                sobolev_multiplier, weyl_quantize)
 
 G1 = GridSpec(dim=1, half_width=np.pi, n_grid=32)
@@ -155,18 +155,7 @@ def test_real_symbol_gives_hermitian_operator():
     assert np.abs(m - m.conj().T).max() < 1e-12
 
 
-def test_semiclassical_h_validation():
-    from microloc.quantize import semiclassical_quantize
-    sym = sample_on(G1, lambda x, xi: np.exp(-xi ** 2) + 0.0 * x)
-    with pytest.raises(ValueError):
-        semiclassical_quantize(sym, 0.0)
-    with pytest.raises(ValueError):
-        semiclassical_quantize(sym, 2.0)
-    assert np.abs(semiclassical_quantize(sym, 1.0).matrix
-                  - weyl_quantize(sym).matrix).max() == 0.0
-
-
-def test_operator_norm_svd_vs_power():
+def test_operator_norm_is_the_spectral_norm():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     g = GridSpec(dim=1, half_width=np.pi, n_grid=16)
@@ -181,14 +170,6 @@ def test_weighted_norm_of_sobolev_multiplier():
     assert operator_norm(op, s_in=1.0) == pytest.approx(1.0, rel=1e-10)
     w = bracket_weights(G1, 2.0)
     assert w.max() == pytest.approx((1.0 + G1.xi_max ** 2), rel=1e-12)
-
-
-def test_seminorm_constant_symbol():
-    sym = sample_on(G1, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi)
-    assert seminorm(sym, 0, 0) == pytest.approx(1.0)
-    assert seminorm(sym, 1, 1) == pytest.approx(1.0)  # sup over |a|<=1,|b|<=1
-    with pytest.raises(ValueError):
-        seminorm(sym, 3, 2)
 
 
 def test_make_cutoff_profile():
