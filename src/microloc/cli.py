@@ -410,7 +410,7 @@ def _run_partition_verify(cfg, outdir):
         ("net_packing", all(v["size"] <= v["packing_bound"]
                             for v in nets.values())),
         ("partition_of_unity", dev <= 1e-10),
-        ("overlap_bound", scan["max_overlap"] <= scan["overlap_bound"]),
+        ("overlap_bound", 1 <= scan["max_overlap"] <= scan["overlap_bound"]),
         ("radial_bands", scan["max_radial_bands"] <= 5),
         ("derivative_uniformity", deriv["uniform_spread_ok"]),
     ]
@@ -503,8 +503,7 @@ def _run_cotlar(cfg, outdir):
                 indices.append((j, k))
                 mats.append(blk.matrix)
     fam = BlockFamily(indices=indices, matrices=mats, grid=grid,
-                      s_in=float(cfg.get("s", 0.0)),
-                      s_out=float(cfg.get("s", 0.0)))
+                      s=float(cfg.get("s", 0.0)))
     ref_m = chi.ravel()[:, None] * weyl_quantize(a).matrix \
         * chi.ravel()[None, :]
     report = recombine_sum(fam, DiscreteOperator(matrix=ref_m, grid=grid),

@@ -21,7 +21,7 @@ import numpy as np
 from .grids import GridSymbol, symbol_derivative
 from .metric import _multi_indices
 from .partition import Partition, localizer_symbol
-from .quantize import DiscreteOperator, operator_norm, weyl_quantize
+from .quantize import spectral_norm, weyl_quantize
 
 
 class InsufficientDataError(ValueError):
@@ -88,7 +88,7 @@ def composition_residual(a: GridSymbol, b: GridSymbol, trunc: MoyalTruncation,
     kb = weyl_quantize(br).matrix
     kp = weyl_quantize(prod).matrix
     m = chi.ravel()[:, None] * (ka @ kb - kp) * chi_prime.ravel()[None, :]
-    return operator_norm(DiscreteOperator(matrix=m, grid=a.grid))
+    return spectral_norm(m)
 
 
 def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
@@ -116,7 +116,7 @@ def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
         dist = max(0.0, sep - 2.0)
         m = chi.ravel()[:, None] * (block(j) @ block(jp)) \
             * chi_prime.ravel()[None, :]
-        norm = operator_norm(DiscreteOperator(matrix=m, grid=a.grid))
+        norm = spectral_norm(m)
         rows.append({"j": j, "j_prime": jp, "d": dist, "D": norm})
 
     dists = sorted({round(r["d"], 9) for r in rows})

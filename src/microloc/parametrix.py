@@ -22,7 +22,7 @@ import numpy as np
 from .grids import GridSpec, GridSymbol
 from .moyal import MoyalTruncation, moyal_truncated
 from .partition import Partition, localizer_symbol, rho
-from .quantize import (DiscreteOperator, fourier_multiplier, operator_norm,
+from .quantize import (DiscreteOperator, fourier_weighted, spectral_norm,
                        weyl_quantize)
 
 
@@ -93,20 +93,6 @@ def _plateau(chi0: np.ndarray, chi0_prime: np.ndarray) -> np.ndarray:
     return (chi0 >= 1.0 - 1e-9) & (chi0_prime >= 1.0 - 1e-9)
 
 
-def _residual_projector(chi0: np.ndarray, chi0_prime: np.ndarray,
-                        xi_ok: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """plateau * Pi_covered as a matrix."""
-    pi = fourier_multiplier(np.where(xi_ok, 1.0, 0.0), grid).matrix
-    return _plateau(chi0, chi0_prime).ravel().astype(float)[:, None] * pi
-
-
-def _operator_residual(comp: np.ndarray, proj: np.ndarray,
-                       grid: GridSpec) -> float:
-    """||(Q Op(p) - I) proj|| by dense SVD."""
-    restr = (comp - np.eye(grid.npoints())) @ proj
-    return operator_norm(DiscreteOperator(matrix=restr, grid=grid))
-
-
 def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
                      chi0: np.ndarray, chi0_prime: np.ndarray,
                      grid: GridSpec) -> Parametrix:
@@ -142,28 +128,32 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     # spectral derivatives of the aggregate symbol ring off the coverage
     # boundary
     kp = weyl_quantize(p.symbol).matrix
-    proj = _residual_projector(
-        chi0, chi0_prime, covered_xi_mask(part, grid, sorted(covered)), grid)
+    eye = np.eye(grid.npoints())
+    plateau = _plateau(chi0, chi0_prime).ravel()
+    xi_ok = covered_xi_mask(part, grid, sorted(covered))
 
     def assemble(sym: GridSymbol):
-        """Q = chi0 Op^w(sym) chi0' and Q Op^w(p)."""
+        """Q = chi0 Op^w(sym) chi0', Q Op^w(p) and the operator residual
+        ||(Q Op^w(p) - I) plateau Pi_covered||."""
         total = chi0.ravel()[:, None] * weyl_quantize(sym).matrix \
             * chi0_prime.ravel()[None, :]
-        return total, total @ kp
+        comp = total @ kp
+        return total, comp, spectral_norm(
+            fourier_weighted((comp - eye) * plateau, grid, w_in=xi_ok))
 
     q = GridSymbol(grid=grid, values=q_sum)
-    total, comp = assemble(q)
-    hist = [_operator_residual(comp, proj, grid)]
+    total, comp, first = assemble(q)
+    hist = [first]
     for _ in range(order - 1):
         res = lam_sum - moyal_truncated(q, p.symbol, trunc).values
         corr = np.zeros_like(res)
         nz = np.abs(res) > 0.0
         corr[nz] = res[nz] / p.symbol.values[nz]
         cand = GridSymbol(grid=grid, values=q.values + corr)
-        cand_total, cand_comp = assemble(cand)
-        cand_res = _operator_residual(cand_comp, proj, grid)
-        if cand_res > hist[-1]:
-            # damping: keep the previous iterate
+        cand_total, cand_comp, cand_res = assemble(cand)
+        if not cand_res < hist[-1] * (1.0 - 1e-12):
+            # damping: keep the previous iterate unless the residual drops
+            # by more than rounding
             break
         q, total, comp = cand, cand_total, cand_comp
         hist.append(cand_res)

@@ -541,7 +541,10 @@ def verify_localizer_derivatives(part: Partition, samples) -> dict:
             stable[key] = bool(0.5 <= (ests[1] + floor) / (ests[0] + floor) <= 2.0)
         per_patch[f"j{j}_k{k}"] = {"constants": consts, "stable": stable}
 
-    spread_ok = True
+    # with every constant at the floor, no sample met a support and the
+    # spread says nothing
+    spread_ok = any(c > 1e-9 for patch in per_patch.values()
+                    for c in patch["constants"].values())
     for g in gammas:
         key = str(g)
         vals = [p["constants"][key] for p in per_patch.values()]

@@ -1,4 +1,5 @@
-"""Discrete Weyl quantization, Sobolev norms, band experiments.
+"""Discrete Weyl quantization, Fourier weighting, spectral norms, band
+experiments.
 
 On the periodic box the Weyl kernel is built from the symbol's mixed
 Fourier series: the spatial harmonic q pairs with frequencies xi in
@@ -153,32 +154,38 @@ def bracket_weights(grid: GridSpec, s: float, xi_scale: float = 1.0) -> np.ndarr
         return (1.0 + q) ** (s / 2.0)
 
 
-def sobolev_multiplier(s: float, grid: GridSpec,
-                       xi_scale: float = 1.0) -> DiscreteOperator:
-    """<D>^s (or its semiclassically scaled variant) as a dense matrix."""
-    return fourier_multiplier(bracket_weights(grid, s, xi_scale), grid)
+def fourier_weighted(m: np.ndarray, grid: GridSpec,
+                     w_out: np.ndarray | None = None,
+                     w_in: np.ndarray | None = None) -> np.ndarray:
+    """W_out m W_in for the multipliers with lattice weights w_out, w_in.
 
-
-def _specnorm(m: np.ndarray) -> float:
-    """Largest singular value of a dense matrix by full SVD."""
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def operator_norm(t: DiscreteOperator, s_in: float = 0.0, s_out: float = 0.0,
-                  xi_scale: float = 1.0) -> float:
-    """Weighted spectral norm ||<D>^{s_out} T <D>^{-s_in}|| by dense SVD.
-
-    The weights use <xi_scale * xi_p>; xi_scale = 2^{-k} gives the
-    semiclassical Sobolev scale of a dyadic band.
+    Weights are sampled as for ``fourier_multiplier``; ``None`` is the
+    identity.  A multiplier is diagonal in the DFT basis, so each side is
+    a transform over that side's lattice axes and no multiplier matrix
+    is formed.
     """
-    m = t.matrix
+    for w in (w_out, w_in):
+        if w is not None and not np.all(np.isfinite(w)):
+            raise DegenerateResultError("non-finite multiplier weights")
+    d, lat = grid.dim, (grid.n_grid,) * grid.dim
+    rows, cols = tuple(range(d)), tuple(range(d, 2 * d))
+    t = m.reshape(lat + lat)
+    if w_out is not None:
+        w = np.fft.ifftshift(w_out).reshape(lat + (1,) * d)
+        t = np.fft.ifftn(np.fft.fftn(t, axes=rows) * w, axes=rows)
+    if w_in is not None:
+        t = np.fft.fftn(np.fft.ifftn(t, axes=cols) * np.fft.ifftshift(w_in),
+                        axes=cols)
+    return t.reshape(m.shape)
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value of a dense matrix by full SVD."""
     if m.shape[0] > 4096:
         raise ValueError("svd norm limited to dimension 4096")
-    if s_out != 0.0:
-        m = sobolev_multiplier(s_out, t.grid, xi_scale).matrix @ m
-    if s_in != 0.0:
-        m = m @ sobolev_multiplier(-s_in, t.grid, xi_scale).matrix
-    return _specnorm(m)
+    if not np.all(np.isfinite(m)):
+        raise DegenerateResultError("non-finite matrix entries")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def make_cutoff(grid: GridSpec, r_one: float, r_zero: float) -> np.ndarray:
@@ -242,8 +249,10 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
             continue
         j = representative_patch(part, k)
         block = assemble_block(a, part, j, k, chi, chi_prime)
-        measured = operator_norm(block, s_in=s, s_out=s - m2,
-                                 xi_scale=2.0 ** (-k))
+        w_out, w_in = (bracket_weights(a.grid, t, 2.0 ** -k) if t else None
+                       for t in (s - m2, -s))
+        measured = spectral_norm(
+            fourier_weighted(block.matrix, a.grid, w_out, w_in))
         value = measured if mode == "semiclassical" \
             else measured * 2.0 ** (3 * k)
         rows.append({"k": k, "j": j, "norm": value,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
-from .quantize import _specnorm, fit_log2_slope, weyl_quantize
+from .quantize import fit_log2_slope, spectral_norm, weyl_quantize
 from .recombine import _recombination
 
 if TYPE_CHECKING:
@@ -350,8 +350,9 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
         lam = band_sum_symbol(part, k, a.grid)
         op = weyl_quantize(a, weight=lam.values)
         del lam  # two band localizers are never alive at once
-        norm = scale * _specnorm(r0 @ (chi_img.ravel()[:, None] * op.matrix
-                                       * chi_img_prime.ravel()[None, :]))
+        norm = scale * spectral_norm(r0 @ (chi_img.ravel()[:, None]
+                                           * op.matrix
+                                           * chi_img_prime.ravel()[None, :]))
         rows.append({"k": k, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5)),
                      "skipped": False})

@@ -13,8 +13,9 @@ so every pair norm comes from an r_i x r_j core plus a tail term, and the
 certificate can fail falsely but never pass falsely.  The diagonal is
 sigma_1(T_i) exactly.  The certificate is sqrt(A B) with A, B the
 row-sup sums, and the achieved norm of the full sum is checked against
-it.  Sobolev weighting is applied once per block up front so all pair
-norms reduce to plain spectral norms.
+it.  ``recombine_sum`` conjugates every block and the reference to plain
+L2 by the Sobolev weights <D>^s and <D>^{-s}, applied by FFT
+(``fourier_weighted``), so all pair norms are plain spectral norms.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .quantize import DiscreteOperator, _specnorm, sobolev_multiplier
+from .quantize import (DiscreteOperator, bracket_weights, fourier_weighted,
+                       spectral_norm)
 
 
 class CoverageGapError(ValueError):
@@ -37,13 +39,12 @@ class CoverageGapError(ValueError):
 
 @dataclass
 class BlockFamily:
-    """Blocks T_{j,k} on a shared grid with shared Sobolev orders."""
+    """Blocks T_{j,k} on a shared grid, measured <D>^s T <D>^{-s}."""
 
     indices: list[tuple[int, int]]
     matrices: list[np.ndarray]
     grid: GridSpec
-    s_in: float = 0.0
-    s_out: float = 0.0
+    s: float = 0.0
 
     def __post_init__(self):
         if len(self.indices) != len(self.matrices):
@@ -55,23 +56,6 @@ class BlockFamily:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-    def weighted(self) -> list[np.ndarray]:
-        """Blocks conjugated to plain L2: <D>^{s_out} T <D>^{-s_in}."""
-        return _weighted(self.matrices, self.grid, self.s_in, self.s_out)
-
-
-def _weighted(mats: list[np.ndarray], grid: GridSpec, s_in: float,
-              s_out: float) -> list[np.ndarray]:
-    """<D>^{s_out} M <D>^{-s_in} for each matrix M."""
-    out = list(mats)
-    if s_out != 0.0:
-        w = sobolev_multiplier(s_out, grid).matrix
-        out = [w @ m for m in out]
-    if s_in != 0.0:
-        wi = sobolev_multiplier(-s_in, grid).matrix
-        out = [m @ wi for m in out]
-    return out
 
 
 @dataclass
@@ -144,14 +128,9 @@ def _cotlar_certificate(blocks: list[np.ndarray],
     return CotlarCertificate(
         a_bound=a_bound, b_bound=b_bound,
         bound=float(np.sqrt(a_bound * b_bound)),
-        achieved=_specnorm(sum(blocks)),
+        achieved=spectral_norm(sum(blocks)),
         star_pair_matrix=star, adj_pair_matrix=adj,
         indices=list(indices))
-
-
-def cotlar_bounds(fam: BlockFamily) -> CotlarCertificate:
-    """Pair-norm bounds, row sums A and B, and the sqrt(AB) certificate."""
-    return _cotlar_certificate(fam.weighted(), fam.indices)
 
 
 def _recombination(blocks: list[np.ndarray], reference: np.ndarray,
@@ -166,8 +145,8 @@ def _recombination(blocks: list[np.ndarray], reference: np.ndarray,
         missing = set(active_bands) - {k for (_, k) in indices}
         if missing:
             raise CoverageGapError(missing)
-    ref_norm = _specnorm(reference)
-    disc = _specnorm(sum(blocks) - reference)
+    ref_norm = spectral_norm(reference)
+    disc = spectral_norm(sum(blocks) - reference)
     return {
         "certificate": _cotlar_certificate(blocks, indices),
         "reference_norm": ref_norm,
@@ -184,8 +163,10 @@ def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,
     (see ``_recombination``, which also checks ``active_bands``), and the
     tail norms ||sum_{k >= K} T|| for each truncation level K.
     """
-    *blocks, ref = _weighted([*fam.matrices, reference.matrix], fam.grid,
-                             fam.s_in, fam.s_out)
+    w_out, w_in = (bracket_weights(fam.grid, t) if t else None
+                   for t in (fam.s, -fam.s))
+    *blocks, ref = (fourier_weighted(m, fam.grid, w_out, w_in)
+                    for m in [*fam.matrices, reference.matrix])
     report = _recombination(blocks, ref, fam.indices, active_bands)
 
     order = sorted(range(len(fam)), key=lambda i: (fam.indices[i][1],
@@ -196,7 +177,7 @@ def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,
         idx = [i for i in order if fam.indices[i][1] >= cut]
         tail = sum(blocks[i] for i in idx) if idx \
             else np.zeros_like(blocks[0])
-        tails.append({"K": cut, "norm": _specnorm(tail)})
+        tails.append({"K": cut, "norm": spectral_norm(tail)})
 
     report["trivial"] = report["reference_norm"] == 0.0
     report["tails"] = tails

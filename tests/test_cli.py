@@ -46,7 +46,8 @@ def test_partition_verify_runs_green(tmp_path):
     assert (outdir / "overlap_histogram.csv").exists()
 
 
-def test_partition_verify_fails_when_no_sample_meets_the_support(tmp_path):
+def test_partition_verify_fails_when_no_sample_meets_the_support(tmp_path,
+                                                               capsys):
     # T_x = 0.1 I maps every sampled xi (|xi| in [8, 16]) below band 3's
     # annulus, so Sigma = 0 on all 1,600 pairs and nothing is checked
     cfg = _base("partition-verify", dim=1,
@@ -59,6 +60,11 @@ def test_partition_verify_fails_when_no_sample_meets_the_support(tmp_path):
     report = json.loads((outdir / "partition_verify.json").read_text())
     assert math.isnan(report["pou_max_deviation"])
     assert report["overlap"]["histogram"] == {"0": 1600}
+    # no sample meets a support, so the overlap and derivative checks
+    # hold vacuously and must fail
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not checks["overlap_bound"]
+    assert not checks["derivative_uniformity"]
 
 
 def test_band_bound_runs_and_is_deterministic(tmp_path):

@@ -9,7 +9,7 @@ import microloc
 SRC = Path(microloc.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 # public entry points that no experiment calls
-ENTRY_POINTS = {"cotlar_bounds", "load_array"}
+ENTRY_POINTS = {"load_array"}
 
 
 def _names(tree) -> Counter:

@@ -11,7 +11,7 @@ from microloc.parametrix import (EllipticSymbol, PatchRejectedError,
                                  build_parametrix, covered_xi_mask,
                                  gaussian_wavepacket, parametrix_residual)
 from microloc.partition import build_partition, localizer_symbol
-from microloc.quantize import make_cutoff
+from microloc.quantize import fourier_multiplier, make_cutoff
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=64)
 MET = identity_field(1)
@@ -146,7 +146,8 @@ def test_parametrix_inverts_multiplier_symbol():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_operator_residual_is_the_accepted_iterates(order):
     # the report reads the residual build_parametrix computed; it must be
-    # the value a fresh projector and SVD give for the returned composition
+    # the value a dense projector plateau * Pi_covered and SVD give for the
+    # returned composition
     part = build_partition(MET, 1, 5, low_freq_cap=True)
     p = EllipticSymbol(
         symbol=sample_on(G, lambda x, xi: xi ** 2 + 1.0 + 0.5 * np.cos(x)),
@@ -155,7 +156,19 @@ def test_operator_residual_is_the_accepted_iterates(order):
     px = build_parametrix(p, part, order, chi, chi, G)
     rep = parametrix_residual(px, [gaussian_wavepacket(G, 0.0, 14.0, 0.55)],
                               G)
-    proj = parametrix._residual_projector(
-        chi, chi, covered_xi_mask(part, G, px.covered_bands), G)
-    assert rep["operator_residual"] \
-        == parametrix._operator_residual(px.composition, proj, G)
+    xi_ok = covered_xi_mask(part, G, px.covered_bands)
+    proj = parametrix._plateau(chi, chi).astype(float)[:, None] \
+        * fourier_multiplier(np.where(xi_ok, 1.0, 0.0), G).matrix
+    dense = np.linalg.norm((px.composition - np.eye(G.npoints())) @ proj, 2)
+    assert rep["operator_residual"] == pytest.approx(dense, rel=1e-12)
+
+
+def test_damping_keeps_only_steps_that_lower_the_residual():
+    # on this config the second correction moves the residual by about one
+    # ulp; a step is kept only if it lowers the residual beyond rounding
+    part = build_partition(MET, 1, 5, low_freq_cap=True)
+    chi = make_cutoff(G, 2.6, 3.1)
+    px = build_parametrix(_elliptic(G), part, 3, chi, chi, G)
+    hist = px.step_residuals["aggregate"]
+    for before, after in zip(hist, hist[1:]):
+        assert after < before * (1.0 - 1e-12)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
 from microloc.partition import build_partition
-from microloc.quantize import (DiscreteOperator, assemble_block,
+from microloc.quantize import (DegenerateResultError, assemble_block,
                                band_bound_experiment, bracket_weights,
                                fit_log2_slope, fourier_multiplier,
-                               make_cutoff, operator_norm,
-                               representative_patch,
-                               sobolev_multiplier, weyl_quantize)
+                               fourier_weighted, make_cutoff,
+                               representative_patch, spectral_norm,
+                               weyl_quantize)
 
 G1 = GridSpec(dim=1, half_width=np.pi, n_grid=32)
 
@@ -155,21 +155,71 @@ def test_real_symbol_gives_hermitian_operator():
     assert np.abs(m - m.conj().T).max() < 1e-12
 
 
-def test_operator_norm_is_the_spectral_norm():
+def test_spectral_norm_is_the_largest_singular_value():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    g = GridSpec(dim=1, half_width=np.pi, n_grid=16)
-    t = DiscreteOperator(matrix=m, grid=g)
-    ref = float(np.linalg.norm(t.matrix, 2))
-    assert operator_norm(t) == pytest.approx(ref, rel=1e-12)
+    ref = float(np.linalg.norm(m, 2))
+    assert spectral_norm(m) == pytest.approx(ref, rel=1e-12)
 
 
-def test_weighted_norm_of_sobolev_multiplier():
-    # <D>^{-1} <D>^{1} = Id, so the weighted norm of <D> at s_in=1 is 1
-    op = sobolev_multiplier(1.0, G1)
-    assert operator_norm(op, s_in=1.0) == pytest.approx(1.0, rel=1e-10)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_norm_refuses_non_finite_entries(bad):
+    m = np.eye(4)
+    m[1, 2] = bad
+    with pytest.raises(DegenerateResultError):
+        spectral_norm(m)
+
+
+def test_spectral_norm_refuses_more_than_4096_rows():
+    # a view of one row repeated: no 4097-row matrix is allocated
+    m = np.broadcast_to(np.ones((1, 2)), (4097, 2))
+    with pytest.raises(ValueError, match="4096"):
+        spectral_norm(m)
+
+
+def test_sobolev_weights_cancel():
+    # <D>^{-1} <D>^{1} = Id, so <D> weighted on the right by <D>^{-1} has
+    # norm 1
+    op = fourier_multiplier(bracket_weights(G1, 1.0), G1).matrix
+    weighted = fourier_weighted(op, G1, w_in=bracket_weights(G1, -1.0))
+    assert spectral_norm(weighted) == pytest.approx(1.0, rel=1e-10)
     w = bracket_weights(G1, 2.0)
     assert w.max() == pytest.approx((1.0 + G1.xi_max ** 2), rel=1e-12)
+
+
+@given(dim=st.sampled_from([1, 2]), log_n=st.integers(1, 4),
+       sides=st.sampled_from(["both", "out", "in", "neither"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fourier_weighted_matches_dense_multipliers(dim, log_n, sides, seed):
+    # asymmetric complex weights tell W from W^T, which Sobolev weights
+    # (even in xi) cannot
+    g = GridSpec(dim=dim, half_width=np.pi, n_grid=2 ** log_n)
+    rng = np.random.default_rng(seed)
+    shape = (g.n_grid,) * dim
+
+    def cgauss(*dims):
+        return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+    m = cgauss(g.npoints(), g.npoints())
+    w_out = cgauss(*shape) if sides in ("both", "out") else None
+    w_in = cgauss(*shape) if sides in ("both", "in") else None
+    want = m
+    if w_out is not None:
+        want = fourier_multiplier(w_out, g).matrix @ want
+    if w_in is not None:
+        want = want @ fourier_multiplier(w_in, g).matrix
+    got = fourier_weighted(m, g, w_out, w_in)
+    assert got.shape == m.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("side", ["w_out", "w_in"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fourier_weighted_refuses_non_finite_weights(side, bad):
+    w = np.ones(G1.n_grid)
+    w[3] = bad
+    with pytest.raises(DegenerateResultError):
+        fourier_weighted(np.eye(G1.npoints()), G1, **{side: w})
 
 
 def test_make_cutoff_profile():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import identity_field
 from microloc.partition import band_sum_symbol, build_partition
-from microloc.quantize import _specnorm, make_cutoff, weyl_quantize
+from microloc.quantize import make_cutoff, spectral_norm, weyl_quantize
 from microloc.radon import (RadonConfig, Sinogram, _angle_geometry,
                             _operator, fbp_invert, load_array, phantom,
                             radon_adjoint, radon_block_experiment,
@@ -201,10 +201,10 @@ def test_radon_recombine_pair_norms_match_dense():
     scale = np.sqrt(cfg.ds * cfg.dtheta / g.l2_weight())
     mats = [scale * b for _, b in blocks]
     assert mats[0].shape == (cfg.n_offsets * cfg.n_angles, g.npoints())
-    star = np.array([[np.sqrt(_specnorm(bi.conj().T @ bj)) for bj in mats]
-                     for bi in mats])
-    adj = np.array([[np.sqrt(_specnorm(bi @ bj.conj().T)) for bj in mats]
-                    for bi in mats])
+    star = np.array([[np.sqrt(spectral_norm(bi.conj().T @ bj))
+                      for bj in mats] for bi in mats])
+    adj = np.array([[np.sqrt(spectral_norm(bi @ bj.conj().T))
+                     for bj in mats] for bi in mats])
     for got, want in ((cert.star_pair_matrix, star),
                       (cert.adj_pair_matrix, adj)):
         assert np.all(got >= want * (1.0 - 1e-12))

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from microloc import recombine
 from microloc.grids import GridSpec
-from microloc.quantize import DiscreteOperator, _specnorm, fourier_multiplier
+from microloc.quantize import (DiscreteOperator, bracket_weights,
+                               fourier_multiplier, spectral_norm)
 from microloc.recombine import (BlockFamily, CotlarCertificate,
                                 CoverageGapError, _cotlar_certificate,
-                                cotlar_bounds, recombine_sum)
+                                recombine_sum)
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=16)
 
@@ -25,14 +26,13 @@ def test_family_validation():
     with pytest.raises(ValueError):
         BlockFamily(indices=[(0, 0)], matrices=[np.eye(4)], grid=G)
     with pytest.raises(ValueError):
-        cotlar_bounds(BlockFamily(indices=[], matrices=[], grid=G))
+        _cotlar_certificate([], [])
 
 
 def test_single_block_certificate_is_tight():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((16, 16))
-    fam = BlockFamily(indices=[(0, 0)], matrices=[m], grid=G)
-    cert = cotlar_bounds(fam)
+    cert = _cotlar_certificate([m], [(0, 0)])
     norm = float(np.linalg.norm(m, 2))
     assert cert.achieved == pytest.approx(norm, rel=1e-12)
     assert cert.bound == pytest.approx(norm, rel=1e-10)
@@ -45,8 +45,7 @@ def test_orthogonal_multipliers_certificate():
     xi = G.xi_axis()
     lo = _multiplier((np.abs(xi) < 4) * 2.0)
     hi = _multiplier((np.abs(xi) >= 4) * 3.0)
-    fam = BlockFamily(indices=[(0, 1), (0, 2)], matrices=[lo, hi], grid=G)
-    cert = cotlar_bounds(fam)
+    cert = _cotlar_certificate([lo, hi], [(0, 1), (0, 2)])
     assert cert.star_pair_matrix[0, 1] < 1e-6
     assert cert.bound == pytest.approx(3.0, rel=1e-6)
     assert cert.achieved == pytest.approx(3.0, rel=1e-10)
@@ -57,9 +56,7 @@ def test_random_families_obey_cotlar():
     rng = np.random.default_rng(5)
     for _ in range(5):
         mats = [rng.standard_normal((16, 16)) for _ in range(4)]
-        fam = BlockFamily(indices=[(j, 0) for j in range(4)],
-                          matrices=mats, grid=G)
-        cert = cotlar_bounds(fam)
+        cert = _cotlar_certificate(mats, [(j, 0) for j in range(4)])
         assert cert.achieved <= cert.bound * (1.0 + 1e-8)
         assert cert.ok
 
@@ -76,6 +73,32 @@ def test_recombine_sum_and_tails():
     tails = {t["K"]: t["norm"] for t in rep["tails"]}
     assert tails[3] == 0.0
     assert tails[2] == pytest.approx(1.0, rel=1e-10)
+
+
+def test_weighted_recombination_matches_dense_multipliers():
+    # recombine_sum at s = 1 measures <D> T <D>^{-1}; its certificate and
+    # discrepancy equal those of blocks weighted by dense multipliers
+    rng = np.random.default_rng(11)
+    mats = [rng.standard_normal((16, 16)) for _ in range(3)]
+    ref = sum(mats) + 1e-3 * rng.standard_normal((16, 16))
+    fam = BlockFamily(indices=[(0, 1), (1, 1), (0, 2)], matrices=mats,
+                      grid=G, s=1.0)
+    rep = recombine_sum(fam, DiscreteOperator(matrix=ref, grid=G))
+    w_out = fourier_multiplier(bracket_weights(G, 1.0), G).matrix
+    w_in = fourier_multiplier(bracket_weights(G, -1.0), G).matrix
+    dense = [w_out @ m @ w_in for m in mats]
+    want = _cotlar_certificate(dense, fam.indices)
+    got = rep["certificate"]
+    for g, w in ((got.star_pair_matrix, want.star_pair_matrix),
+                 (got.adj_pair_matrix, want.adj_pair_matrix)):
+        assert np.abs(g - w).max() <= 1e-12 * w.max()
+    for name in ("a_bound", "b_bound", "bound", "achieved"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                   rel=1e-12)
+    disc = spectral_norm(sum(dense) - w_out @ ref @ w_in)
+    assert rep["discrepancy"] == pytest.approx(disc, rel=1e-9)
+    # the weights are not unitary, so the weighted norms differ from L2
+    assert got.achieved != pytest.approx(spectral_norm(sum(mats)), rel=1e-3)
 
 
 def test_recombine_coverage_gap():
@@ -96,9 +119,9 @@ def test_certificate_ok_flag():
 
 def dense_pair_matrices(blocks):
     """sqrt ||B_i* B_j|| and sqrt ||B_i B_j*|| by one SVD per product."""
-    star = np.array([[np.sqrt(_specnorm(bi.conj().T @ bj)) for bj in blocks]
+    star = np.array([[np.sqrt(spectral_norm(bi.conj().T @ bj)) for bj in blocks]
                      for bi in blocks])
-    adj = np.array([[np.sqrt(_specnorm(bi @ bj.conj().T)) for bj in blocks]
+    adj = np.array([[np.sqrt(spectral_norm(bi @ bj.conj().T)) for bj in blocks]
                     for bi in blocks])
     return star, adj
 
