@@ -424,7 +424,7 @@ def _run_partition_verify(cfg, outdir):
     write_csv(os.path.join(outdir, "overlap_histogram.csv"),
               ["overlap", "count"],
               [[k, v] for k, v in sorted(scan["histogram"].items())])
-    return report, checks
+    return checks
 
 
 def _run_band_bound(cfg, outdir):
@@ -451,13 +451,13 @@ def _run_band_bound(cfg, outdir):
     report = {"rows": rows, "slope": slope}
     write_json(os.path.join(outdir, "band_bound.json"), report)
     checks = [("norms_finite", all(np.isfinite(r["norm"]) for r in live))]
-    return report, checks
+    return checks
 
 
 def _run_moyal_order(cfg, outdir):
     import numpy as np
 
-    from .moyal import MoyalTruncation, composition_residual
+    from .moyal import composition_residual
     grid = _build_grid(cfg)
     a = _build_symbol(cfg["symbol_a"], grid)
     b = _build_symbol(cfg["symbol_b"], grid)
@@ -467,8 +467,7 @@ def _run_moyal_order(cfg, outdir):
     for n in cfg["orders_n"]:
         res = []
         for h in cfg["h_list"]:
-            r = composition_residual(a, b, MoyalTruncation(order=n, h=h),
-                                     chi, chi)
+            r = composition_residual(a, b, n, h, chi, chi)
             rows.append([n, h, r])
             res.append(r)
         hs = np.asarray(cfg["h_list"], dtype=float)
@@ -483,30 +482,26 @@ def _run_moyal_order(cfg, outdir):
     write_json(os.path.join(outdir, "moyal_order.json"), report)
     checks = [("residuals_finite",
                all(np.isfinite(r[2]) for r in rows))]
-    return report, checks
+    return checks
 
 
 def _run_cotlar(cfg, outdir):
     import numpy as np
 
-    from .quantize import DiscreteOperator, assemble_block, weyl_quantize
-    from .recombine import BlockFamily, recombine_sum
+    from .quantize import assemble_block, cut, weyl_quantize
+    from .recombine import recombine_sum
     grid = _build_grid(cfg)
     part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
-    indices, mats = [], []
+    blocks = {}
     for k in part.bands:
         for j in range(part.nets[k].size):
             blk = assemble_block(a, part, j, k, chi, chi)
-            if np.abs(blk.matrix).max() > 1e-14:
-                indices.append((j, k))
-                mats.append(blk.matrix)
-    fam = BlockFamily(indices=indices, matrices=mats, grid=grid,
-                      s=float(cfg.get("s", 0.0)))
-    ref_m = chi.ravel()[:, None] * weyl_quantize(a).matrix \
-        * chi.ravel()[None, :]
-    report = recombine_sum(fam, DiscreteOperator(matrix=ref_m, grid=grid),
+            if np.abs(blk).max() > 1e-14:
+                blocks[(j, k)] = blk
+    report = recombine_sum(blocks, cut(weyl_quantize(a), chi, chi), grid,
+                           s=float(cfg.get("s", 0.0)),
                            active_bands=cfg.get("active_bands"))
     cert = report["certificate"]
     write_json(os.path.join(outdir, "cotlar.json"), {
@@ -515,14 +510,14 @@ def _run_cotlar(cfg, outdir):
         "pair_matrix_file": "pair_matrix.csv",
         "relative_discrepancy": report["relative_discrepancy"],
         "tails": report["tails"],
-        "blocks": len(fam),
+        "blocks": len(blocks),
     })
     write_csv(os.path.join(outdir, "pair_matrix.csv"),
-              [f"b{i}" for i in range(len(fam))],
+              [f"b{i}" for i in range(len(blocks))],
               [list(map(float, row)) for row in cert.star_pair_matrix])
     checks = [("cotlar_inequality", cert.ok),
               ("tail_vanishes", report["tails"][-1]["norm"] <= 1e-10)]
-    return report["tails"], checks
+    return checks
 
 
 def _run_parametrix(cfg, outdir):
@@ -552,7 +547,7 @@ def _run_parametrix(cfg, outdir):
     checks = [("no_rejected_tests", not report["rejected"]),
               ("residuals_finite",
                all(np.isfinite(r) for r in report["rel_errors"]))]
-    return report, checks
+    return checks
 
 
 def _run_radon_block(cfg, outdir):
@@ -579,7 +574,7 @@ def _run_radon_block(cfg, outdir):
                {"rows": rows, "slope": slope})
     live = [r_ for r_ in rows if not r_["skipped"]]
     checks = [("norms_finite", all(np.isfinite(r_["norm"]) for r_ in live))]
-    return rows, checks
+    return checks
 
 
 def _run_radon_invert(cfg, outdir):
@@ -617,7 +612,7 @@ def _run_radon_invert(cfg, outdir):
     write_json(os.path.join(outdir, "radon_invert.json"), report)
     checks = [("adjointness", defect <= 1e-6),
               ("roundtrip", rel <= 0.05 if ph != "disc" else True)]
-    return report, checks
+    return checks
 
 
 _RUNNERS = {
@@ -659,7 +654,7 @@ def main(argv=None) -> int:
     from .recombine import CoverageGapError
     os.makedirs(args.out, exist_ok=True)
     try:
-        _, checks = _RUNNERS[args.experiment](cfg, args.out)
+        checks = _RUNNERS[args.experiment](cfg, args.out)
     except ValidationFailure as exc:
         print(json.dumps({"errors": exc.errors}))
         return 2

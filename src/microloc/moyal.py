@@ -2,18 +2,19 @@
 
 The truncation at order N keeps the terms r < N of
 
-    a # b = sum_r (i h / 2)^r sum_{|alpha|+|beta|=r}
+    a # b = sum_r (i / 2)^r sum_{|alpha|+|beta|=r}
             ((-1)^{|alpha|} / (alpha! beta!))
             (d_xi^alpha d_x^beta a)(d_x^alpha d_xi^beta b),
 
-the expansion of the generator exp((i h / 2)(d_x . d_eta - d_xi . d_y)).
+the expansion of the generator exp((i / 2)(d_x . d_eta - d_xi . d_y)).
 The sign (-1)^{|alpha|} is validated against true operator composition
-(x # xi = x xi + i/2).
+(x # xi = x xi + i/2).  ``moyal_truncated`` works at h = 1;
+``composition_residual`` measures the h-quantized residual by rescaling
+the symbols to a(x, h xi), on which the h = 1 product is the h-product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -21,30 +22,17 @@ import numpy as np
 from .grids import GridSymbol, symbol_derivative
 from .metric import _multi_indices
 from .partition import Partition, localizer_symbol
-from .quantize import spectral_norm, weyl_quantize
+from .quantize import cut, spectral_norm, weyl_quantize
 
 
 class InsufficientDataError(ValueError):
     """Decay fit requested with fewer than 3 distinct separations."""
 
 
-@dataclass(frozen=True)
-class MoyalTruncation:
-    """Truncation order and semiclassical parameter."""
-
-    order: int
-    h: float = 1.0
-
-    def __post_init__(self):
-        if not 1 <= self.order <= 6:
-            raise ValueError("order must lie in 1..6")
-        if not 0.0 < self.h <= 1.0:
-            raise ValueError("h must lie in (0, 1]")
-
-
-def moyal_truncated(a: GridSymbol, b: GridSymbol,
-                    trunc: MoyalTruncation) -> GridSymbol:
-    """Truncated Moyal product a #_h b up to (excluding) order N."""
+def moyal_truncated(a: GridSymbol, b: GridSymbol, order: int) -> GridSymbol:
+    """Truncated Moyal product a # b at h = 1: the terms r < order (1..6)."""
+    if not 1 <= order <= 6:
+        raise ValueError("order must lie in 1..6")
     if a.grid != b.grid:
         raise ValueError("symbols live on different grids")
     d = a.grid.dim
@@ -52,8 +40,8 @@ def moyal_truncated(a: GridSymbol, b: GridSymbol,
     out = np.zeros(a.values.shape, dtype=complex)
     deriv_a: dict = {}
     deriv_b: dict = {}
-    for r in range(trunc.order):
-        pref = (1j * trunc.h / 2.0) ** r
+    for r in range(order):
+        pref = (1j / 2.0) ** r
         for ra in range(r + 1):
             rb = r - ra
             for alpha in _multi_indices(d, ra):
@@ -71,24 +59,22 @@ def moyal_truncated(a: GridSymbol, b: GridSymbol,
     return GridSymbol(grid=a.grid, values=out)
 
 
-def composition_residual(a: GridSymbol, b: GridSymbol, trunc: MoyalTruncation,
+def composition_residual(a: GridSymbol, b: GridSymbol, order: int, h: float,
                          chi: np.ndarray, chi_prime: np.ndarray) -> float:
     """||chi (Op_h(a) Op_h(b) - Op_h(a #_h b_N)) chi'|| in L2 -> L2.
 
-    All three quantizations are performed at scale 1 on the rescaled
+    ``h`` lies in (0, 1].  All three quantizations are performed at scale 1 on the rescaled
     symbols a(x, h eta), b(x, h eta); the truncated product commutes with
     that change of variables, so this equals the h-quantized residual
     while keeping every symbol resolvable on the grid.
     """
-    h = trunc.h
+    if not 0.0 < h <= 1.0:
+        raise ValueError("h must lie in (0, 1]")
     ar = a.resampled(h) if h != 1.0 else a
     br = b.resampled(h) if h != 1.0 else b
-    prod = moyal_truncated(ar, br, MoyalTruncation(order=trunc.order, h=1.0))
-    ka = weyl_quantize(ar).matrix
-    kb = weyl_quantize(br).matrix
-    kp = weyl_quantize(prod).matrix
-    m = chi.ravel()[:, None] * (ka @ kb - kp) * chi_prime.ravel()[None, :]
-    return spectral_norm(m)
+    prod = moyal_truncated(ar, br, order)
+    return spectral_norm(cut(weyl_quantize(ar) @ weyl_quantize(br)
+                             - weyl_quantize(prod), chi, chi_prime))
 
 
 def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
@@ -108,15 +94,13 @@ def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
     def block(j: int) -> np.ndarray:
         if j not in cache:
             lam = localizer_symbol(part, j, k, a.grid)
-            cache[j] = weyl_quantize(a, weight=lam.values).matrix
+            cache[j] = weyl_quantize(a, weight=lam.values)
         return cache[j]
 
     for j, jp in pairs:
         sep = float(np.linalg.norm(centers[j] - centers[jp]))
         dist = max(0.0, sep - 2.0)
-        m = chi.ravel()[:, None] * (block(j) @ block(jp)) \
-            * chi_prime.ravel()[None, :]
-        norm = spectral_norm(m)
+        norm = spectral_norm(cut(block(j) @ block(jp), chi, chi_prime))
         rows.append({"j": j, "j_prime": jp, "d": dist, "D": norm})
 
     dists = sorted({round(r["d"], 9) for r in rows})

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec, GridSymbol
-from .moyal import MoyalTruncation, moyal_truncated
+from .moyal import moyal_truncated
 from .partition import Partition, localizer_symbol, rho
-from .quantize import (DiscreteOperator, fourier_weighted, spectral_norm,
-                       weyl_quantize)
+from .quantize import cut, fourier_weighted, spectral_norm, weyl_quantize
 
 
 class PatchRejectedError(ValueError):
@@ -42,15 +41,14 @@ class EllipticSymbol:
 
 @dataclass
 class Parametrix:
-    operator: DiscreteOperator
     composition: np.ndarray  # the matrix of Q Op^w(p)
-    order: int
     partition: Partition
     chi0: np.ndarray
     chi0_prime: np.ndarray
     covered_bands: list[int]
     excluded: list[tuple[int, int]] = field(default_factory=list)
-    step_residuals: dict = field(default_factory=dict)
+    # operator residual of each accepted iterate
+    residuals: list[float] = field(default_factory=list)
 
 
 def _below_floor(p: EllipticSymbol, part: Partition,
@@ -99,7 +97,6 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     """Assemble Q = sum chi0 Op^w(q^N_{j,k}) chi0' over accepted patches."""
     if not 1 <= order <= 3:
         raise ValueError("correction order must lie in 1..3")
-    trunc = MoyalTruncation(order=order, h=1.0)
     excluded: list[tuple[int, int]] = []
     covered = set()
 
@@ -127,41 +124,37 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     # plateau||; symbol-level residual sups are unreliable here because
     # spectral derivatives of the aggregate symbol ring off the coverage
     # boundary
-    kp = weyl_quantize(p.symbol).matrix
+    kp = weyl_quantize(p.symbol)
     eye = np.eye(grid.npoints())
     plateau = _plateau(chi0, chi0_prime).ravel()
     xi_ok = covered_xi_mask(part, grid, sorted(covered))
 
     def assemble(sym: GridSymbol):
-        """Q = chi0 Op^w(sym) chi0', Q Op^w(p) and the operator residual
-        ||(Q Op^w(p) - I) plateau Pi_covered||."""
-        total = chi0.ravel()[:, None] * weyl_quantize(sym).matrix \
-            * chi0_prime.ravel()[None, :]
-        comp = total @ kp
-        return total, comp, spectral_norm(
+        """Q Op^w(p) for Q = chi0 Op^w(sym) chi0', and the operator
+        residual ||(Q Op^w(p) - I) plateau Pi_covered||."""
+        comp = cut(weyl_quantize(sym), chi0, chi0_prime) @ kp
+        return comp, spectral_norm(
             fourier_weighted((comp - eye) * plateau, grid, w_in=xi_ok))
 
     q = GridSymbol(grid=grid, values=q_sum)
-    total, comp, first = assemble(q)
+    comp, first = assemble(q)
     hist = [first]
     for _ in range(order - 1):
-        res = lam_sum - moyal_truncated(q, p.symbol, trunc).values
+        res = lam_sum - moyal_truncated(q, p.symbol, order).values
         corr = np.zeros_like(res)
         nz = np.abs(res) > 0.0
         corr[nz] = res[nz] / p.symbol.values[nz]
         cand = GridSymbol(grid=grid, values=q.values + corr)
-        cand_total, cand_comp, cand_res = assemble(cand)
+        cand_comp, cand_res = assemble(cand)
         if not cand_res < hist[-1] * (1.0 - 1e-12):
             # damping: keep the previous iterate unless the residual drops
             # by more than rounding
             break
-        q, total, comp = cand, cand_total, cand_comp
+        q, comp = cand, cand_comp
         hist.append(cand_res)
-    return Parametrix(operator=DiscreteOperator(matrix=total, grid=grid),
-                      composition=comp, order=order, partition=part, chi0=chi0,
-                      chi0_prime=chi0_prime,
-                      covered_bands=sorted(covered), excluded=excluded,
-                      step_residuals={"aggregate": hist})
+    return Parametrix(composition=comp, partition=part, chi0=chi0,
+                      chi0_prime=chi0_prime, covered_bands=sorted(covered),
+                      excluded=excluded, residuals=hist)
 
 
 def covered_xi_mask(part: Partition, grid: GridSpec,
@@ -237,6 +230,6 @@ def parametrix_residual(px: Parametrix, test_functions,
         "max_rel_error": max(rels) if rels else float("nan"),
         "median_rel_error": float(np.median(rels)) if rels else float("nan"),
         "rejected": rejected,
-        "operator_residual": px.step_residuals["aggregate"][-1],
+        "operator_residual": px.residuals[-1],
         "excluded_patches": px.excluded,
     }

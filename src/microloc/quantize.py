@@ -26,8 +26,6 @@ odd harmonics leak across the whole frequency lattice with 1/d tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import GridSpec, GridSymbol
@@ -40,22 +38,6 @@ class DegenerateResultError(ValueError):
     slope fit."""
 
 
-@dataclass
-class DiscreteOperator:
-    """Dense matrix acting on flattened grid samples (row-major lattice)."""
-
-    matrix: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        npts = self.grid.npoints()
-        if self.matrix.shape != (npts, npts):
-            raise ValueError(f"matrix shape {self.matrix.shape}, "
-                             f"expected {(npts, npts)}")
-        if not np.all(np.isfinite(self.matrix)):
-            raise DegenerateResultError("non-finite matrix entries")
-
-
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     """View a 1-D array as lying along ``axis`` of an ``ndim``-D array."""
     shape = [1] * ndim
@@ -64,12 +46,14 @@ def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 
 def weyl_quantize(a: GridSymbol,
-                  weight: np.ndarray | None = None) -> DiscreteOperator:
-    """Assemble the dense Weyl operator of a grid symbol.
+                  weight: np.ndarray | None = None) -> np.ndarray:
+    """Dense Weyl matrix of a grid symbol, acting on flattened grid samples
+    (row-major lattice).
 
     ``weight`` (a real array shaped like ``a.values``, such as a localizer's
     samples) is multiplied into each chunk of symbol rows, so the result is
-    Op^w(a * weight) without the product array.
+    Op^w(a * weight) without the product array.  Non-finite entries raise
+    DegenerateResultError.
     """
     g = a.grid
     d, n = g.dim, g.n_grid
@@ -125,10 +109,12 @@ def weyl_quantize(a: GridSymbol,
         r, u, v, p = (_along(w, 0, nd) for w in
                       (x - high - lo, u, x - u, (2 * u - x + high) % (2 * n)))
         out[(u, *mi, v, *mj)] = b[(r, *src_x, p, *src_p)]
-    return DiscreteOperator(matrix=out.reshape(n ** d, n ** d), grid=g)
+    if not np.all(np.isfinite(out)):
+        raise DegenerateResultError("non-finite matrix entries")
+    return out.reshape(n ** d, n ** d)
 
 
-def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> DiscreteOperator:
+def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Dense matrix of the multiplier with the given lattice weights.
 
     ``weights`` is sampled on the xi lattice in ascending order, one axis
@@ -143,7 +129,7 @@ def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> DiscreteOperator:
     m = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
     m = [ax.ravel() for ax in m]
     idx = tuple((ax[:, None] - ax[None, :]) % n for ax in m)
-    return DiscreteOperator(matrix=c[idx], grid=grid)
+    return c[idx]
 
 
 def bracket_weights(grid: GridSpec, s: float, xi_scale: float = 1.0) -> np.ndarray:
@@ -206,13 +192,16 @@ def representative_patch(part: Partition, k: int) -> int:
     return int(np.lexsort((radial, np.round(angle, 9)))[0])
 
 
+def cut(m: np.ndarray, chi: np.ndarray, chi_prime: np.ndarray) -> np.ndarray:
+    """chi m chi' for spatial cutoffs sampled on the grid of m."""
+    return chi.ravel()[:, None] * m * chi_prime.ravel()[None, :]
+
+
 def assemble_block(a: GridSymbol, part: Partition, j: int, k: int,
-                   chi: np.ndarray, chi_prime: np.ndarray) -> DiscreteOperator:
+                   chi: np.ndarray, chi_prime: np.ndarray) -> np.ndarray:
     """T_{j,k} = chi * Op^w(a Lambda_{j,k}) * chi' on the grid of a."""
     lam = localizer_symbol(part, j, k, a.grid)
-    op = weyl_quantize(a, weight=lam.values)
-    m = chi.ravel()[:, None] * op.matrix * chi_prime.ravel()[None, :]
-    return DiscreteOperator(matrix=m, grid=a.grid)
+    return cut(weyl_quantize(a, weight=lam.values), chi, chi_prime)
 
 
 def fit_log2_slope(ks, vals) -> float:
@@ -252,7 +241,7 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
         w_out, w_in = (bracket_weights(a.grid, t, 2.0 ** -k) if t else None
                        for t in (s - m2, -s))
         measured = spectral_norm(
-            fourier_weighted(block.matrix, a.grid, w_out, w_in))
+            fourier_weighted(block, a.grid, w_out, w_in))
         value = measured if mode == "semiclassical" \
             else measured * 2.0 ** (3 * k)
         rows.append({"k": k, "j": j, "norm": value,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
-from .quantize import fit_log2_slope, spectral_norm, weyl_quantize
+from .quantize import cut, fit_log2_slope, spectral_norm, weyl_quantize
 from .recombine import _recombination
 
 if TYPE_CHECKING:
@@ -350,9 +350,7 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
         lam = band_sum_symbol(part, k, a.grid)
         op = weyl_quantize(a, weight=lam.values)
         del lam  # two band localizers are never alive at once
-        norm = scale * spectral_norm(r0 @ (chi_img.ravel()[:, None]
-                                           * op.matrix
-                                           * chi_img_prime.ravel()[None, :]))
+        norm = scale * spectral_norm(r0 @ cut(op, chi_img, chi_img_prime))
         rows.append({"k": k, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5)),
                      "skipped": False})
@@ -362,15 +360,15 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
     return rows, slope
 
 
-def radon_recombine(blocks: list[tuple[tuple[int, int], np.ndarray]],
-                    reference: np.ndarray, cfg: RadonConfig,
+def radon_recombine(blocks: dict, reference: np.ndarray, cfg: RadonConfig,
                     active_bands=None) -> dict:
     """Cotlar certificate and discrepancy for sinogram-valued blocks.
 
-    Blocks and reference are dense (sinogram x image) matrices already
-    composed with their cutoffs; quadrature weights are applied here so
-    pair norms are adjoint-consistent.
+    ``blocks`` maps each index (j, k) to a dense (sinogram x image) block;
+    blocks and reference are already composed with their cutoffs.
+    Quadrature weights are applied here so pair norms are
+    adjoint-consistent.
     """
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
-    return _recombination([scale * m for (_, m) in blocks], scale * reference,
-                          [idx for (idx, _) in blocks], active_bands)
+    return _recombination({idx: scale * m for idx, m in blocks.items()},
+                          scale * reference, active_bands)

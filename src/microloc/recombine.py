@@ -13,9 +13,11 @@ so every pair norm comes from an r_i x r_j core plus a tail term, and the
 certificate can fail falsely but never pass falsely.  The diagonal is
 sigma_1(T_i) exactly.  The certificate is sqrt(A B) with A, B the
 row-sup sums, and the achieved norm of the full sum is checked against
-it.  ``recombine_sum`` conjugates every block and the reference to plain
-L2 by the Sobolev weights <D>^s and <D>^{-s}, applied by FFT
-(``fourier_weighted``), so all pair norms are plain spectral norms.
+it.  A block family is one dict ``{(j, k): matrix}``, in the order its
+pair-matrix rows are reported.  ``recombine_sum`` conjugates every block
+and the reference to plain L2 by the Sobolev weights <D>^s and <D>^{-s},
+applied by FFT (``fourier_weighted``), so all pair norms are plain
+spectral norms.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .quantize import (DiscreteOperator, bracket_weights, fourier_weighted,
-                       spectral_norm)
+from .quantize import (DegenerateResultError, bracket_weights,
+                       fourier_weighted, spectral_norm)
 
 
 class CoverageGapError(ValueError):
@@ -35,27 +37,6 @@ class CoverageGapError(ValueError):
     def __init__(self, missing):
         self.missing = sorted(missing)
         super().__init__(f"block family misses active bands {self.missing}")
-
-
-@dataclass
-class BlockFamily:
-    """Blocks T_{j,k} on a shared grid, measured <D>^s T <D>^{-s}."""
-
-    indices: list[tuple[int, int]]
-    matrices: list[np.ndarray]
-    grid: GridSpec
-    s: float = 0.0
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.matrices):
-            raise ValueError("indices and matrices length mismatch")
-        npts = self.grid.npoints()
-        for m in self.matrices:
-            if m.shape != (npts, npts):
-                raise ValueError("block dimension mismatch")
-
-    def __len__(self) -> int:
-        return len(self.matrices)
 
 
 @dataclass
@@ -92,7 +73,7 @@ def _core_norms(factors) -> np.ndarray:
 
     Row i takes one batched SVD of its cores with the zero-padded factors
     of blocks j > i; padding leaves each core's norm unchanged.  The
-    diagonal is left 0.
+    diagonal is left 0.  Cores that overflow raise DegenerateResultError.
     """
     p = len(factors)
     rmax = max(f.shape[1] for f in factors)
@@ -103,22 +84,30 @@ def _core_norms(factors) -> np.ndarray:
     norms = np.zeros((p, p))
     for i, f in enumerate(factors):
         if f.shape[1]:
-            norms[i, i + 1:] = np.linalg.svd(f.conj().T @ pad[i + 1:],
-                                             compute_uv=False)[:, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                cores = f.conj().T @ pad[i + 1:]
+            if not np.all(np.isfinite(cores)):
+                raise DegenerateResultError("Cotlar pair cores overflow")
+            norms[i, i + 1:] = np.linalg.svd(cores, compute_uv=False)[:, 0]
     return norms + norms.T
 
 
-def _cotlar_certificate(blocks: list[np.ndarray],
-                        indices) -> CotlarCertificate:
+def _cotlar_certificate(blocks: dict) -> CotlarCertificate:
     """Factored pair-norm bounds, row sums A and B, and sqrt(AB).
 
-    Blocks are plain-L2 and may be non-square; all share one shape.
+    ``blocks`` maps each index (j, k) to a plain-L2 block; blocks may be
+    non-square, and all share one shape.  An empty family, or numbers that
+    overflow the pair bounds, raise DegenerateResultError.
     """
     if not blocks:
-        raise ValueError("empty block family")
-    f, g, top, tail = zip(*map(_truncated_factors, blocks))
+        raise DegenerateResultError("empty block family")
+    mats = list(blocks.values())
+    f, g, top, tail = zip(*map(_truncated_factors, mats))
     top, tail = np.array(top), np.array(tail)
-    e = np.outer(tail, top) + np.outer(top, tail) + np.outer(tail, tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.outer(tail, top) + np.outer(top, tail) + np.outer(tail, tail)
+    if not np.all(np.isfinite(e)):
+        raise DegenerateResultError("Cotlar tail terms overflow")
     star = np.sqrt(_core_norms(f) + e)
     adj = np.sqrt(_core_norms(g) + e)
     np.fill_diagonal(star, top)
@@ -128,57 +117,57 @@ def _cotlar_certificate(blocks: list[np.ndarray],
     return CotlarCertificate(
         a_bound=a_bound, b_bound=b_bound,
         bound=float(np.sqrt(a_bound * b_bound)),
-        achieved=spectral_norm(sum(blocks)),
+        achieved=spectral_norm(sum(mats)),
         star_pair_matrix=star, adj_pair_matrix=adj,
-        indices=list(indices))
+        indices=list(blocks))
 
 
-def _recombination(blocks: list[np.ndarray], reference: np.ndarray,
-                   indices, active_bands) -> dict:
-    """Cotlar certificate of plain-L2 blocks and the discrepancy of their
-    sum from the reference.
+def _recombination(blocks: dict, reference: np.ndarray,
+                   active_bands) -> dict:
+    """Cotlar certificate of plain-L2 blocks ``{(j, k): matrix}`` and the
+    discrepancy of their sum from the reference.
 
     ``active_bands`` lists the bands the reference symbol can excite; a
     band with no block raises CoverageGapError.
     """
     if active_bands is not None:
-        missing = set(active_bands) - {k for (_, k) in indices}
+        missing = set(active_bands) - {k for (_, k) in blocks}
         if missing:
             raise CoverageGapError(missing)
     ref_norm = spectral_norm(reference)
-    disc = spectral_norm(sum(blocks) - reference)
+    disc = spectral_norm(sum(blocks.values()) - reference)
     return {
-        "certificate": _cotlar_certificate(blocks, indices),
+        "certificate": _cotlar_certificate(blocks),
         "reference_norm": ref_norm,
         "discrepancy": disc,
         "relative_discrepancy": disc / ref_norm if ref_norm > 0 else 0.0,
     }
 
 
-def recombine_sum(fam: BlockFamily, reference: DiscreteOperator,
-                  active_bands=None) -> dict:
+def recombine_sum(blocks: dict, reference: np.ndarray, grid: GridSpec,
+                  s: float = 0.0, active_bands=None) -> dict:
     """Compare the block sum with the directly quantized reference.
 
-    The report carries the relative discrepancy and the Cotlar certificate
-    (see ``_recombination``, which also checks ``active_bands``), and the
-    tail norms ||sum_{k >= K} T|| for each truncation level K.
+    ``blocks`` maps each index (j, k) to a block on ``grid``; blocks and
+    reference are measured as <D>^s T <D>^{-s}.  The report carries the
+    relative discrepancy and the Cotlar certificate (see
+    ``_recombination``, which also checks ``active_bands``), and the tail
+    norms ||sum_{k >= K} T|| for each truncation level K.
     """
-    w_out, w_in = (bracket_weights(fam.grid, t) if t else None
-                   for t in (fam.s, -fam.s))
-    *blocks, ref = (fourier_weighted(m, fam.grid, w_out, w_in)
-                    for m in [*fam.matrices, reference.matrix])
-    report = _recombination(blocks, ref, fam.indices, active_bands)
+    w_out, w_in = (bracket_weights(grid, t) if t else None for t in (s, -s))
+    weighted = {idx: fourier_weighted(m, grid, w_out, w_in)
+                for idx, m in blocks.items()}
+    ref = fourier_weighted(reference, grid, w_out, w_in)
+    report = _recombination(weighted, ref, active_bands)
 
-    order = sorted(range(len(fam)), key=lambda i: (fam.indices[i][1],
-                                                   fam.indices[i][0]))
-    ks = sorted({k for (_, k) in fam.indices})
+    order = sorted(weighted, key=lambda jk: (jk[1], jk[0]))
+    ks = sorted({k for (_, k) in weighted})
     tails = []
-    for cut in ks + [max(ks) + 1]:
-        idx = [i for i in order if fam.indices[i][1] >= cut]
-        tail = sum(blocks[i] for i in idx) if idx \
-            else np.zeros_like(blocks[0])
-        tails.append({"K": cut, "norm": spectral_norm(tail)})
+    for level in ks + [max(ks) + 1]:
+        idx = [jk for jk in order if jk[1] >= level]
+        tail = sum(weighted[jk] for jk in idx) if idx \
+            else np.zeros_like(ref)
+        tails.append({"K": level, "norm": spectral_norm(tail)})
 
-    report["trivial"] = report["reference_norm"] == 0.0
     report["tails"] = tails
     return report

@@ -14,8 +14,8 @@ from conftest import record
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import (conformal_field, fiber_norm, identity_field,
                              verify_metric_hypotheses)
-from microloc.moyal import (MoyalTruncation, composition_residual,
-                            moyal_truncated, separated_patch_decay)
+from microloc.moyal import (composition_residual, moyal_truncated,
+                            separated_patch_decay)
 from microloc.parametrix import (EllipticSymbol, build_parametrix,
                                  gaussian_wavepacket, parametrix_residual)
 from microloc.partition import (_smoothstep_exp, build_partition,
@@ -27,8 +27,7 @@ from microloc.radon import (RadonConfig, Sinogram, band_sum_symbol,
                             fbp_invert, normal_operator_exponent, phantom,
                             radon_adjoint, radon_block_experiment,
                             radon_forward, radon_matrix, radon_recombine)
-from microloc.recombine import BlockFamily, recombine_sum
-from microloc.quantize import DiscreteOperator
+from microloc.recombine import recombine_sum
 
 
 @lru_cache(maxsize=None)
@@ -96,16 +95,16 @@ def test_criterion_02_overlap_bounds():
 def test_criterion_03_quantization_anchors():
     g = GridSpec(dim=1, half_width=np.pi, n_grid=64)
     one = sample_on(g, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi)
-    id_err = float(np.abs(weyl_quantize(one).matrix - np.eye(64)).max())
+    id_err = float(np.abs(weyl_quantize(one) - np.eye(64)).max())
 
     real = sample_on(g, lambda x, xi: np.cos(x) * np.exp(-(xi / 5.0) ** 2))
-    m = weyl_quantize(real).matrix
+    m = weyl_quantize(real)
     herm_err = float(np.abs(m - m.conj().T).max())
 
     weights = np.exp(-(g.xi_axis() / 7.0) ** 2)
     mult_sym = sample_on(g, lambda x, xi: np.exp(-(xi / 7.0) ** 2) + 0.0 * x)
-    mult_err = float(np.abs(weyl_quantize(mult_sym).matrix
-                            - fourier_multiplier(weights, g).matrix).max())
+    mult_err = float(np.abs(weyl_quantize(mult_sym)
+                            - fourier_multiplier(weights, g)).max())
 
     ok = id_err <= 1e-12 and herm_err <= 1e-12 and mult_err <= 1e-12
     line = record(3, "quantization anchors", ok,
@@ -124,8 +123,7 @@ def test_criterion_04_moyal_order():
     hs = [2.0 ** (-j) for j in range(3, 8)]
     slopes = {}
     for order in (1, 2, 3):
-        res = [composition_residual(a, b, MoyalTruncation(order=order, h=h),
-                                    chi, chi) for h in hs]
+        res = [composition_residual(a, b, order, h, chi, chi) for h in hs]
         slopes[order] = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
 
     # sign-convention anchor: x # xi = x xi + i h / 2 exactly
@@ -147,7 +145,7 @@ def test_criterion_04_moyal_order():
 
     xs = sample_on(g0, table_x((0,), (0,)), deriv=table_x)
     xis = sample_on(g0, table_xi((0,), (0,)), deriv=table_xi)
-    prod = moyal_truncated(xs, xis, MoyalTruncation(order=2)).values
+    prod = moyal_truncated(xs, xis, 2).values
     xm, xim = np.meshgrid(g0.x_axis_doubled(), g0.xi_axis_refined(),
                           indexing="ij")
     anchor_err = float(np.abs(prod - (xm * xim + 0.5j)).max())
@@ -225,19 +223,16 @@ def test_criterion_07_recombination_cotlar():
 
     a = sample_on(g, lambda x, xi: (1.0 + 0.3 * np.cos(x)) * win(np.abs(xi)))
     ones = np.ones(g.n_grid)
-    indices, mats = [], []
+    blocks = {}
     for k in range(2, 6):
         centers = part.nets[k].centers[:, 0]
         for j in range(part.nets[k].size):
             if not 6.0 < abs(centers[j]) < 11.0:
                 continue
             blk = assemble_block(a, part, j, k, ones, ones)
-            if np.abs(blk.matrix).max() > 1e-14:
-                indices.append((j, k))
-                mats.append(blk.matrix)
-    fam = BlockFamily(indices=indices, matrices=mats, grid=g)
-    ref = DiscreteOperator(matrix=weyl_quantize(a).matrix, grid=g)
-    rep = recombine_sum(fam, ref, active_bands=[2, 3])
+            if np.abs(blk).max() > 1e-14:
+                blocks[(j, k)] = blk
+    rep = recombine_sum(blocks, weyl_quantize(a), g, active_bands=[2, 3])
     tails = {t["K"]: t["norm"] for t in rep["tails"]}
     tail_hi = min(v for kk, v in tails.items() if kk >= 4)
     ok = rep["relative_discrepancy"] <= 1e-10 \
@@ -358,13 +353,13 @@ def test_criterion_09_radon_suite():
                    * win(np.sqrt(xi1 ** 2 + xi2 ** 2)) + 0.0 * x2)
     chi_r = make_cutoff(gr, 2.0, 2.6)
     rmat = radon_matrix(cfg_r)
-    blocks = []
+    blocks = {}
     for k in (1, 2):
         lam = band_sum_symbol(part_r, k, gr)
-        op = weyl_quantize(ar, weight=lam.values).matrix
-        blocks.append(((0, k), rmat @ (chi_r.ravel()[:, None] * op
-                                       * chi_r.ravel()[None, :])))
-    ref = rmat @ (chi_r.ravel()[:, None] * weyl_quantize(ar).matrix
+        op = weyl_quantize(ar, weight=lam.values)
+        blocks[(0, k)] = rmat @ (chi_r.ravel()[:, None] * op
+                                 * chi_r.ravel()[None, :])
+    ref = rmat @ (chi_r.ravel()[:, None] * weyl_quantize(ar)
                   * chi_r.ravel()[None, :])
     rec_rep = radon_recombine(blocks, ref, cfg_r, active_bands=[1, 2])
 

@@ -312,6 +312,9 @@ def _without(cfg, key):
            samples={"n_x": 2 ** 40}), "samples.n_x 2**40"),
     (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
            samples={"n_xi": 2 ** 40}), "samples.n_xi 2**40"),
+    (_cotlar(symbol="0"), "zero symbol leaves no block"),
+    (_cotlar(symbol="exp(-(xi1-100)^2)"), "symbol outside every band"),
+    (_cotlar(symbol="1e300*xi1^2"), "Cotlar pair bounds overflow"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)

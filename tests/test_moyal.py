@@ -3,9 +3,8 @@ import pytest
 
 from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
-from microloc.moyal import (InsufficientDataError, MoyalTruncation,
-                            composition_residual, moyal_truncated,
-                            separated_patch_decay)
+from microloc.moyal import (InsufficientDataError, composition_residual,
+                            moyal_truncated, separated_patch_decay)
 from microloc.partition import build_partition
 from microloc.quantize import make_cutoff
 
@@ -26,20 +25,22 @@ def _linear_symbol(grid, in_x: bool):
 
 
 def test_truncation_validation():
+    a = sample_on(G, lambda x, xi: np.cos(x) + 0.0 * xi)
+    ones = np.ones(G.n_grid)
     with pytest.raises(ValueError):
-        MoyalTruncation(order=0)
+        moyal_truncated(a, a, 0)
     with pytest.raises(ValueError):
-        MoyalTruncation(order=7)
+        moyal_truncated(a, a, 7)
     with pytest.raises(ValueError):
-        MoyalTruncation(order=2, h=1.5)
+        composition_residual(a, a, 2, 1.5, ones, ones)
     with pytest.raises(ValueError):
-        MoyalTruncation(order=2, h=0.0)
+        composition_residual(a, a, 2, 0.0, ones, ones)
 
 
 def test_order_one_is_pointwise_product():
     a = sample_on(G, lambda x, xi: np.cos(x) * np.exp(-(xi / 4.0) ** 2))
     b = sample_on(G, lambda x, xi: np.sin(x) + 0.0 * xi)
-    prod = moyal_truncated(a, b, MoyalTruncation(order=1))
+    prod = moyal_truncated(a, b, 1)
     assert np.abs(prod.values - a.values * b.values).max() < 1e-12
 
 
@@ -51,9 +52,8 @@ def test_x_sharp_xi_oracle():
     xd = G.x_axis_doubled()
     xr = G.xi_axis_refined()
     xmesh, ximesh = np.meshgrid(xd, xr, indexing="ij")
-    trunc = MoyalTruncation(order=2)
-    left = moyal_truncated(x_sym, xi_sym, trunc).values
-    right = moyal_truncated(xi_sym, x_sym, trunc).values
+    left = moyal_truncated(x_sym, xi_sym, 2).values
+    right = moyal_truncated(xi_sym, x_sym, 2).values
     assert np.abs(left - (xmesh * ximesh + 0.5j)).max() < 1e-12
     assert np.abs(right - (xmesh * ximesh - 0.5j)).max() < 1e-12
 
@@ -63,8 +63,7 @@ def test_first_order_moyal_term_oracle():
     # {a, b} = d_xi a d_x b - d_x a d_xi b
     a = sample_on(G, lambda x, xi: np.sin(x) + 0.0 * xi)
     b = sample_on(G, lambda x, xi: np.sin(xi * np.pi / G.xi_max) + 0.0 * x)
-    first, second = (moyal_truncated(a, b, MoyalTruncation(order=n)).values
-                     for n in (1, 2))
+    first, second = (moyal_truncated(a, b, n).values for n in (1, 2))
     br = 2j * (second - first)
     xd = G.x_axis_doubled()
     xr = G.xi_axis_refined()
@@ -80,7 +79,7 @@ def test_composition_residual_decreases_in_h():
     b = sample_on(g, lambda x, xi: np.cos((x - 0.3) / 2.0) ** 2
                   * np.exp(-(xi / 0.5) ** 2))
     chi = make_cutoff(g, 2.9, 3.1)
-    res = [composition_residual(a, b, MoyalTruncation(order=1, h=h), chi, chi)
+    res = [composition_residual(a, b, 1, h, chi, chi)
            for h in (0.25, 0.125, 0.0625)]
     assert res[0] > res[1] > res[2]
     assert res[2] < 0.4 * res[0]
@@ -102,6 +101,5 @@ def test_real_and_complex_samples_give_the_same_products():
     ac, bc = (GridSymbol(grid=G, values=s.values.astype(complex))
               for s in (a, b))
     for order in (1, 2, 3):
-        trunc = MoyalTruncation(order=order)
-        assert np.array_equal(moyal_truncated(a, b, trunc).values,
-                              moyal_truncated(ac, bc, trunc).values)
+        assert np.array_equal(moyal_truncated(a, b, order).values,
+                              moyal_truncated(ac, bc, order).values)

@@ -58,7 +58,7 @@ def _random_symbol(grid, seed, complex_values=True):
 def test_weyl_quantize_matches_fft_route(dim, n):
     a = _random_symbol(GridSpec(dim=dim, half_width=2.5, n_grid=n), seed=n)
     want = _fft_route_weyl(a)
-    got = weyl_quantize(a).matrix
+    got = weyl_quantize(a)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -72,12 +72,11 @@ def test_weyl_quantize_invariants(dim, log_n, half_width, c, seed):
     g = GridSpec(dim=dim, half_width=half_width, n_grid=n)
     shape = (2 * n,) * (2 * dim)
     eye = np.eye(g.npoints())
-    one = weyl_quantize(GridSymbol(grid=g, values=np.ones(shape))).matrix
+    one = weyl_quantize(GridSymbol(grid=g, values=np.ones(shape)))
     assert np.abs(one - eye).max() <= 1e-14
     const = weyl_quantize(GridSymbol(grid=g, values=np.full(shape, c)))
-    assert np.abs(const.matrix - c * eye).max() <= 1e-14 * max(abs(c), 1.0)
-    real = weyl_quantize(_random_symbol(g, seed, complex_values=False))
-    m = real.matrix
+    assert np.abs(const - c * eye).max() <= 1e-14 * max(abs(c), 1.0)
+    m = weyl_quantize(_random_symbol(g, seed, complex_values=False))
     assert np.abs(m - m.conj().T).max() <= 1e-14 * np.abs(m).max()
 
 
@@ -87,11 +86,21 @@ def test_weyl_quantize_weight_matches_product(dim, n, complex_values):
     g = GridSpec(dim=dim, half_width=2.5, n_grid=n)
     a = _random_symbol(g, seed=n, complex_values=complex_values)
     w = np.random.default_rng(n + 1).random(a.values.shape)
-    got = weyl_quantize(a, weight=w).matrix
-    want = weyl_quantize(GridSymbol(grid=g, values=a.values * w)).matrix
+    got = weyl_quantize(a, weight=w)
+    want = weyl_quantize(GridSymbol(grid=g, values=a.values * w))
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     with pytest.raises(ValueError):
         weyl_quantize(a, weight=w[:-1])
+
+
+@pytest.mark.parametrize("where", ["symbol", "weight"])
+def test_weyl_quantize_refuses_non_finite_samples(where):
+    # NaN, not inf: an inf sample makes the inverse FFT warn
+    a = _random_symbol(G1, seed=3, complex_values=False)
+    w = np.ones(a.values.shape)
+    (a.values if where == "symbol" else w)[5, 7] = np.nan
+    with pytest.raises(DegenerateResultError):
+        weyl_quantize(a, weight=w)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
@@ -100,7 +109,7 @@ def test_weyl_quantize_real_and_complex_samples_agree(dim, n):
                        complex_values=False)
     assert a.values.dtype == np.float64
     c = GridSymbol(grid=a.grid, values=a.values.astype(complex))
-    assert np.array_equal(weyl_quantize(a).matrix, weyl_quantize(c).matrix)
+    assert np.array_equal(weyl_quantize(a), weyl_quantize(c))
 
 
 def test_weyl_quantize_traced_memory():
@@ -120,14 +129,14 @@ def test_weyl_quantize_traced_memory():
 def test_quantize_one_is_identity():
     sym = sample_on(G1, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi)
     op = weyl_quantize(sym)
-    assert np.abs(op.matrix - np.eye(G1.npoints())).max() < 1e-12
+    assert np.abs(op - np.eye(G1.npoints())).max() < 1e-12
 
 
 def test_multiplier_symbol_matches_multiplier_matrix():
     weights = np.exp(-(G1.xi_axis() / 5.0) ** 2)
     sym = sample_on(G1, lambda x, xi: np.exp(-(xi / 5.0) ** 2) + 0.0 * x)
-    a = weyl_quantize(sym).matrix
-    b = fourier_multiplier(weights, G1).matrix
+    a = weyl_quantize(sym)
+    b = fourier_multiplier(weights, G1)
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -140,7 +149,7 @@ def test_single_harmonic_shift_oracle():
         return np.exp(-(np.asarray(xi, dtype=float) / 6.0) ** 2)
 
     sym = sample_on(G1, lambda x, xi: np.exp(1j * q * x) * g(xi))
-    op = weyl_quantize(sym).matrix
+    op = weyl_quantize(sym)
     x = G1.x_axis()
     n = G1.n_grid
     for f in range(-n // 2, n // 2 - q):
@@ -151,7 +160,7 @@ def test_single_harmonic_shift_oracle():
 
 def test_real_symbol_gives_hermitian_operator():
     sym = sample_on(G1, lambda x, xi: np.cos(x) * np.exp(-(xi / 4.0) ** 2))
-    m = weyl_quantize(sym).matrix
+    m = weyl_quantize(sym)
     assert np.abs(m - m.conj().T).max() < 1e-12
 
 
@@ -180,7 +189,7 @@ def test_spectral_norm_refuses_more_than_4096_rows():
 def test_sobolev_weights_cancel():
     # <D>^{-1} <D>^{1} = Id, so <D> weighted on the right by <D>^{-1} has
     # norm 1
-    op = fourier_multiplier(bracket_weights(G1, 1.0), G1).matrix
+    op = fourier_multiplier(bracket_weights(G1, 1.0), G1)
     weighted = fourier_weighted(op, G1, w_in=bracket_weights(G1, -1.0))
     assert spectral_norm(weighted) == pytest.approx(1.0, rel=1e-10)
     w = bracket_weights(G1, 2.0)
@@ -205,9 +214,9 @@ def test_fourier_weighted_matches_dense_multipliers(dim, log_n, sides, seed):
     w_in = cgauss(*shape) if sides in ("both", "in") else None
     want = m
     if w_out is not None:
-        want = fourier_multiplier(w_out, g).matrix @ want
+        want = fourier_multiplier(w_out, g) @ want
     if w_in is not None:
-        want = want @ fourier_multiplier(w_in, g).matrix
+        want = want @ fourier_multiplier(w_in, g)
     got = fourier_weighted(m, g, w_out, w_in)
     assert got.shape == m.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -244,7 +253,7 @@ def test_assemble_block_zero_symbol():
     sym = sample_on(G1, lambda x, xi: 0.0 * x + 0.0 * xi)
     ones = np.ones(G1.n_grid)
     blk = assemble_block(sym, part, 0, 2, ones, ones)
-    assert np.abs(blk.matrix).max() == 0.0
+    assert np.abs(blk).max() == 0.0
 
 
 def test_representative_patch_near_positive_axis():

@@ -189,17 +189,16 @@ def test_radon_recombine_pair_norms_match_dense():
                   1.0 + 0.2 * np.cos(x1) + 0.0 * (x2 + xi1 + xi2))
     chi = make_cutoff(g, 1.5, 2.5).ravel()
     rmat = radon_matrix(cfg)
-    blocks = []
+    blocks = {}
     for k in part.bands:
         lam = band_sum_symbol(part, k, g)
         op = weyl_quantize(a, weight=lam.values)
-        blocks.append(((0, k),
-                       rmat @ (chi[:, None] * op.matrix * chi[None, :])))
-    rep = radon_recombine(blocks, sum(b for _, b in blocks), cfg)
+        blocks[(0, k)] = rmat @ (chi[:, None] * op * chi[None, :])
+    rep = radon_recombine(blocks, sum(blocks.values()), cfg)
     cert = rep["certificate"]
 
     scale = np.sqrt(cfg.ds * cfg.dtheta / g.l2_weight())
-    mats = [scale * b for _, b in blocks]
+    mats = [scale * b for b in blocks.values()]
     assert mats[0].shape == (cfg.n_offsets * cfg.n_angles, g.npoints())
     star = np.array([[np.sqrt(spectral_norm(bi.conj().T @ bj))
                       for bj in mats] for bi in mats])
@@ -231,7 +230,7 @@ def test_radon_block_gram_factor_matches_dense_norm():
     scale = np.sqrt(cfg.ds * cfg.dtheta / g.l2_weight())
     for row in rows:
         lam = band_sum_symbol(part, row["k"], g)
-        x = chi.ravel()[:, None] * weyl_quantize(a, weight=lam.values).matrix \
+        x = chi.ravel()[:, None] * weyl_quantize(a, weight=lam.values) \
             * chi.ravel()[None, :]
         want = scale * np.linalg.norm(m @ x, 2)
         assert row["norm"] == pytest.approx(want, rel=1e-12)

@@ -7,32 +7,40 @@ from hypothesis import strategies as st
 
 from microloc import recombine
 from microloc.grids import GridSpec
-from microloc.quantize import (DiscreteOperator, bracket_weights,
+from microloc.quantize import (DegenerateResultError, bracket_weights,
                                fourier_multiplier, spectral_norm)
-from microloc.recombine import (BlockFamily, CotlarCertificate,
-                                CoverageGapError, _cotlar_certificate,
-                                recombine_sum)
+from microloc.recombine import (CotlarCertificate, CoverageGapError,
+                                _cotlar_certificate, recombine_sum)
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=16)
 
 
 def _multiplier(mask):
-    return fourier_multiplier(mask.astype(float), G).matrix
+    return fourier_multiplier(mask.astype(float), G)
+
+
+def _family(mats):
+    return {(j, 0): m for j, m in enumerate(mats)}
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
-        BlockFamily(indices=[(0, 0)], matrices=[], grid=G)
-    with pytest.raises(ValueError):
-        BlockFamily(indices=[(0, 0)], matrices=[np.eye(4)], grid=G)
-    with pytest.raises(ValueError):
-        _cotlar_certificate([], [])
+    with pytest.raises(DegenerateResultError):
+        _cotlar_certificate({})
+
+
+def test_overflowing_pair_bounds_are_refused():
+    # the cores F_i* F_j of blocks near 1e300 overflow; they are refused
+    # before their SVD, without a floating-point warning
+    rng = np.random.default_rng(2)
+    mats = [1e300 * rng.standard_normal((16, 16)) for _ in range(2)]
+    with pytest.raises(DegenerateResultError, match="overflow"):
+        _cotlar_certificate(_family(mats))
 
 
 def test_single_block_certificate_is_tight():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((16, 16))
-    cert = _cotlar_certificate([m], [(0, 0)])
+    cert = _cotlar_certificate({(0, 0): m})
     norm = float(np.linalg.norm(m, 2))
     assert cert.achieved == pytest.approx(norm, rel=1e-12)
     assert cert.bound == pytest.approx(norm, rel=1e-10)
@@ -45,7 +53,7 @@ def test_orthogonal_multipliers_certificate():
     xi = G.xi_axis()
     lo = _multiplier((np.abs(xi) < 4) * 2.0)
     hi = _multiplier((np.abs(xi) >= 4) * 3.0)
-    cert = _cotlar_certificate([lo, hi], [(0, 1), (0, 2)])
+    cert = _cotlar_certificate({(0, 1): lo, (0, 2): hi})
     assert cert.star_pair_matrix[0, 1] < 1e-6
     assert cert.bound == pytest.approx(3.0, rel=1e-6)
     assert cert.achieved == pytest.approx(3.0, rel=1e-10)
@@ -56,7 +64,7 @@ def test_random_families_obey_cotlar():
     rng = np.random.default_rng(5)
     for _ in range(5):
         mats = [rng.standard_normal((16, 16)) for _ in range(4)]
-        cert = _cotlar_certificate(mats, [(j, 0) for j in range(4)])
+        cert = _cotlar_certificate(_family(mats))
         assert cert.achieved <= cert.bound * (1.0 + 1e-8)
         assert cert.ok
 
@@ -64,10 +72,8 @@ def test_random_families_obey_cotlar():
 def test_recombine_sum_and_tails():
     xi = G.xi_axis()
     masks = [np.abs(xi) < 4, np.abs(xi) >= 4]
-    mats = [_multiplier(m) for m in masks]
-    fam = BlockFamily(indices=[(0, 1), (0, 2)], matrices=mats, grid=G)
-    ref = DiscreteOperator(matrix=np.eye(16), grid=G)
-    rep = recombine_sum(fam, ref, active_bands=[1, 2])
+    blocks = {(0, 1): _multiplier(masks[0]), (0, 2): _multiplier(masks[1])}
+    rep = recombine_sum(blocks, np.eye(16), G, active_bands=[1, 2])
     assert rep["relative_discrepancy"] < 1e-12
     assert rep["certificate"].ok
     tails = {t["K"]: t["norm"] for t in rep["tails"]}
@@ -81,13 +87,12 @@ def test_weighted_recombination_matches_dense_multipliers():
     rng = np.random.default_rng(11)
     mats = [rng.standard_normal((16, 16)) for _ in range(3)]
     ref = sum(mats) + 1e-3 * rng.standard_normal((16, 16))
-    fam = BlockFamily(indices=[(0, 1), (1, 1), (0, 2)], matrices=mats,
-                      grid=G, s=1.0)
-    rep = recombine_sum(fam, DiscreteOperator(matrix=ref, grid=G))
-    w_out = fourier_multiplier(bracket_weights(G, 1.0), G).matrix
-    w_in = fourier_multiplier(bracket_weights(G, -1.0), G).matrix
+    indices = [(0, 1), (1, 1), (0, 2)]
+    rep = recombine_sum(dict(zip(indices, mats)), ref, G, s=1.0)
+    w_out = fourier_multiplier(bracket_weights(G, 1.0), G)
+    w_in = fourier_multiplier(bracket_weights(G, -1.0), G)
     dense = [w_out @ m @ w_in for m in mats]
-    want = _cotlar_certificate(dense, fam.indices)
+    want = _cotlar_certificate(dict(zip(indices, dense)))
     got = rep["certificate"]
     for g, w in ((got.star_pair_matrix, want.star_pair_matrix),
                  (got.adj_pair_matrix, want.adj_pair_matrix)):
@@ -102,11 +107,9 @@ def test_weighted_recombination_matches_dense_multipliers():
 
 
 def test_recombine_coverage_gap():
-    mats = [_multiplier(np.abs(G.xi_axis()) < 4)]
-    fam = BlockFamily(indices=[(0, 1)], matrices=mats, grid=G)
-    ref = DiscreteOperator(matrix=np.eye(16), grid=G)
+    blocks = {(0, 1): _multiplier(np.abs(G.xi_axis()) < 4)}
     with pytest.raises(CoverageGapError) as err:
-        recombine_sum(fam, ref, active_bands=[1, 2])
+        recombine_sum(blocks, np.eye(16), G, active_bands=[1, 2])
     assert err.value.missing == [2]
 
 
@@ -162,7 +165,7 @@ def low_rank_families(draw, noise_levels):
 @given(low_rank_families([0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-8, 1e-3]))
 def test_factored_certificate_never_below_dense(family):
     blocks, noise = family
-    cert = _cotlar_certificate(blocks, range(len(blocks)))
+    cert = _cotlar_certificate(_family(blocks))
     star, adj = assert_never_below_dense(cert, blocks)
     if noise == 0.0:
         for got, want in ((cert.star_pair_matrix, star),
@@ -176,5 +179,5 @@ def test_discarded_tail_keeps_the_bound(family):
     # far beyond rounding, so only the tail term keeps the bound above
     blocks, _ = family
     with mock.patch.object(recombine, "_RANK_TOL", 1e-3):
-        cert = _cotlar_certificate(blocks, range(len(blocks)))
+        cert = _cotlar_certificate(_family(blocks))
     assert_never_below_dense(cert, blocks)
