@@ -1,11 +1,9 @@
-"""Greedy net selection: the numpy row-wise scan behind ``build_net``.
+"""Greedy net selection: the lattice scan behind ``build_net``.
 
 microloc has one kernel backend, numpy; there is no compiled extension.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -15,66 +13,60 @@ import numpy as np
 COMPILED = False
 
 
-def greedy_select(cands: np.ndarray, min_sep: float) -> np.ndarray:
-    """Indices of the scan-order greedy min_sep-separated subset of cands.
+def _half_widths(step: float) -> list[int]:
+    """Entry dr: the largest w >= 0 with (dr^2 + w^2) step^2 < 1/4, for each
+    dr that has one, in exact integers from step's binary value p/q."""
+    p, q = float(step).as_integer_ratio()
+    widths, w, dr = [], int(0.5 / step) + 1, 0
+    while 4 * p * p * dr * dr < q * q:
+        while 4 * p * p * (dr * dr + w * w) >= q * q:
+            w -= 1
+        widths.append(w)
+        dr += 1
+    return widths
 
-    A candidate is admitted when every admitted point lies at float
-    ``dx*dx + dy*dy >= min_sep**2``.  Points (dim 1 or 2) must come in
-    row-major order, as ``build_net``'s lexicographic lattice scan gives
-    them: rows of equal first coordinate, each sorted by the second.  A row
-    is decided at once.  Earlier rows within ``min_sep`` block a candidate
-    through their admitted points nearest it on either side (the float test
-    is monotone in ``|dy|``); inside the row, ``bisect`` jumps from each
-    admitted point to the next free candidate it does not block.  So Python
-    loops once per admitted point, not once per candidate.
+
+def greedy_select(k: int, dim: int, lattice_step: float) -> np.ndarray:
+    """Centers of the scan-order greedy 1/2-separated net of the lattice
+    points in C_k = {2^k <= |zeta| < 2^{k+1}} (dim 1 or 2).
+
+    The lattice is ``arange(-2^{k+1}, 2^{k+1}]`` at lattice_step per axis,
+    scanned row-major, with |zeta| formed as ``np.linalg.norm`` forms it.
+    A point is admitted unless an admitted point lies at a lattice offset
+    (dr, w) with (dr^2 + w^2) step^2 < 1/4 in exact arithmetic: at a dyadic
+    step, the float test ``dx*dx + dy*dy < 1/4``.  Each row is a uint8
+    raster (1 = free): ``bytes.find`` jumps from one admitted center to the
+    next free point beyond its reach, and one fancy-index store per later
+    row offset clears the stencils of the row's centers.  The raster is a
+    ring of the rows one center reaches.
     """
-    cands = np.asarray(cands, dtype=np.float64)
-    m, n = cands.shape
-    if n not in (1, 2):
-        raise ValueError(f"greedy_select takes points of dim 1 or 2, not {n}")
-    xs = cands[:, 0] if n == 2 else np.zeros(m)
-    ys = cands[:, -1]
-    new_row = xs[1:] != xs[:-1]
-    if not (np.all(xs[1:] >= xs[:-1])
-            and np.all(new_row | (ys[1:] >= ys[:-1]))):
-        raise ValueError("candidates are not in row-major order")
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    sep2 = min_sep * min_sep
-    starts = np.concatenate(([0], np.flatnonzero(new_row) + 1, [m])).tolist()
-    admitted: list[int] = []
-    rows: list[tuple[float, np.ndarray]] = []  # (x, admitted ys), nonempty
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        x, y = xs[lo], ys[lo:hi]
-        free = np.ones(hi - lo, dtype=bool)
-        for rx, ry in reversed(rows):
-            dx2 = (x - rx) * (x - rx)
-            if dx2 >= sep2:
-                break
-            pos = np.searchsorted(ry, y, side="right")
-            for near in (ry[np.maximum(pos - 1, 0)],
-                         ry[np.minimum(pos, ry.size - 1)]):
-                free &= dx2 + (y - near) * (y - near) >= sep2
-        open_ = np.flatnonzero(free).tolist()
-        if not open_:
-            continue
-        yl = y.tolist()
-        row = []
-        j = open_[0]
-        while True:
-            row.append(j)
-            yj = yl[j]
-            # first candidate after j outside its min_sep: bisect, then
-            # settle the float test at the boundary
-            p = bisect.bisect_left(yl, yj + min_sep, j + 1)
-            while p > j + 1 and (yl[p - 1] - yj) * (yl[p - 1] - yj) >= sep2:
-                p -= 1
-            while p < len(yl) and (yl[p] - yj) * (yl[p] - yj) < sep2:
-                p += 1
-            q = bisect.bisect_left(open_, p)
-            if q == len(open_):
-                break
-            j = open_[q]
-        rows.append((x, y[row]))
-        admitted.extend(lo + r for r in row)
-    return np.asarray(admitted, dtype=np.int64)
+    lo, hi = 2.0 ** k, 2.0 ** (k + 1)
+    axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
+    n = len(axis)
+    widths = _half_widths(lattice_step)
+    skip, pad = widths[0] + 1, widths[0]
+    stencils = [np.arange(-w, w + 1) + pad
+                for w in widths[1:]] if dim == 2 else []
+    ring = len(stencils) + 1
+    free = np.ones((ring, n + 2 * pad), dtype=np.uint8)
+    sq = axis * axis
+    cols = []
+    for i in range(n if dim == 2 else 1):
+        r = sq + (sq[i] if dim == 2 else 0.0)
+        np.sqrt(r, out=r)
+        row = free[i % ring, pad:pad + n]
+        row &= (r >= lo) & (r < hi)
+        line, at = row.tobytes(), []
+        c = line.find(1)
+        while c >= 0:
+            at.append(c)
+            c = line.find(1, c + skip)
+        at = np.array(at, dtype=np.intp)
+        for dr, stencil in enumerate(stencils, 1):
+            free[(i + dr) % ring, (at[:, None] + stencil).ravel()] = 0
+        free[i % ring] = 1
+        cols.append(at)
+    y = axis[np.concatenate(cols)]
+    if dim == 1:
+        return y[:, None]
+    return np.stack([np.repeat(axis, [len(c) for c in cols]), y], axis=-1)

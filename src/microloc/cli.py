@@ -133,10 +133,11 @@ def _radon_errors(radon, grid, experiment) -> list[str]:
 
 
 def _lattice_bytes(k_max: int, dim: int, lattice_step: float) -> float:
-    """Bytes held while the band-k_max net's candidates are chosen from the
-    (2^(k_max+2) / lattice_step)^dim points of its lattice: 8 (dim + 4) per
-    point for the mesh coordinates, the stacked points, their squares and
-    norms (peak RSS rise measured at 40 bytes per point in 1D, 48 in 2D).
+    """Bytes held while the (2^(k_max+2) / lattice_step)^dim points of the
+    band-k_max lattice are spelled out, as validate_net does: 8 (dim + 4)
+    per point for the mesh coordinates, the stacked points, their squares
+    and norms (peak RSS rise measured at 40 bytes per point in 1D, 48 in
+    2D).  build_net scans the lattice a row at a time and holds less.
     k_max and the point count are capped at 64 and 2^64, far past any
     ceiling, so that no float overflows."""
     points = 2.0 ** min(dim * (min(k_max, 64) + 2 - math.log2(lattice_step)),

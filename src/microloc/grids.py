@@ -18,6 +18,12 @@ from typing import Callable
 import numpy as np
 
 
+class DegenerateResultError(ValueError):
+    """The numbers of a run leave nothing to report: a symbol, an operator
+    or a multiplier with non-finite entries, or too few nonzero norms for a
+    slope fit."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic box [-half_width, half_width)^dim with n_grid points per axis."""
@@ -131,7 +137,11 @@ class GridSymbol:
 
 def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],
               deriv=None) -> "GridSymbol":
-    """Build a GridSymbol by evaluating func(x1..xd, xi1..xid) broadcast."""
+    """Build a GridSymbol by evaluating func(x1..xd, xi1..xid) broadcast.
+
+    Non-finite samples (a pole such as 1/xi1 at xi1 = 0, or an overflow)
+    raise DegenerateResultError before anything is quantized.
+    """
     d = grid.dim
     xd = grid.x_axis_doubled()
     xa = grid.xi_axis_refined()
@@ -145,8 +155,11 @@ def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],
         shape = [1] * (2 * d)
         shape[d + i] = 2 * grid.n_grid
         xi_args.append(xa.reshape(shape))
-    vals = np.broadcast_to(func(*x_args, *xi_args),
-                           (2 * grid.n_grid,) * d + (2 * grid.n_grid,) * d)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = func(*x_args, *xi_args)
+    if not np.all(np.isfinite(vals)):
+        raise DegenerateResultError("non-finite symbol samples")
+    vals = np.broadcast_to(vals, (2 * grid.n_grid,) * (2 * d))
     # real rules stay float64: half the bytes of a complex sample
     return GridSymbol(grid=grid,
                       values=np.ascontiguousarray(

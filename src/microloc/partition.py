@@ -9,6 +9,13 @@ localizers Lambda_{j,k} = chi_{j,k} / Sigma, which sum to 1 wherever
 Sigma > 0.  The profiles phi and rho are built from one C-infinity step,
 so every localizer derivative exists.
 
+Each net is the scan-order greedy over the lattice points of C_k at
+lattice_step, which backend.greedy_select finds on a byte raster of the
+lattice, one row at a time (about a byte per point of a few rows).
+validate_net checks separation and covering by float distances over the
+explicit lattice of _annulus_lattice (48 bytes per point), independently
+of the raster.
+
 The partition is evaluated in two ways: on a quantization grid
 (localizer_symbol, band_sum_symbol), and on the product of a set of
 points x and a set of frequencies xi (chi_pairs, sigma_pairs,
@@ -106,12 +113,11 @@ def build_net(k: int, dim: int, lattice_step: float = 0.125) -> DyadicNet:
         raise ValueError("lattice_step must be <= 1/8 for covering maximality")
     if dim not in (1, 2):
         raise ValueError("only dim 1 and 2 are supported")
-    cands = _annulus_lattice(k, dim, lattice_step)
-    if cands.shape[0] == 0:
+    centers = backend.greedy_select(k, dim, lattice_step)
+    if centers.shape[0] == 0:
         raise EmptyNetError(f"annulus C_{k} holds no lattice points at "
                             f"step {lattice_step}")
-    idx = backend.greedy_select(cands, 0.5)
-    return DyadicNet(k=k, centers=cands[idx])
+    return DyadicNet(k=k, centers=centers)
 
 
 # Side of an index cell: its diagonal is below 1/2 in dim 1 and 2, so it
@@ -138,13 +144,15 @@ class _CellIndex:
     """
 
     def __init__(self, centers: np.ndarray):
-        n, dim = centers.shape
+        dim = centers.shape[1]
         self.origin = centers.min(axis=0)
         cells = self._cells(centers).astype(np.intp)
         self.shape = cells.max(axis=0) + 1 + _REACH
         self.strides = np.r_[np.cumprod(self.shape[::-1])[::-1][1:], 1]
         flat = cells @ self.strides
-        if np.unique(flat).size < n:
+        # sorted neighbours, not np.unique, whose call path imports numpy.ma
+        s = np.sort(flat)
+        if np.any(s[1:] == s[:-1]):
             raise RuntimeError(_BROKEN)
         self.coords = []
         for i in range(dim):

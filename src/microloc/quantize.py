@@ -28,14 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridSpec, GridSymbol
+from .grids import DegenerateResultError, GridSpec, GridSymbol
 from .partition import Partition, _smoothstep_exp, localizer_symbol
-
-
-class DegenerateResultError(ValueError):
-    """The numbers of a run leave nothing to report: an operator or a
-    multiplier with non-finite entries, or too few nonzero norms for a
-    slope fit."""
 
 
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:

@@ -5,44 +5,41 @@ import pytest
 
 from microloc import backend
 from microloc.grids import GridSpec
-from microloc.partition import _annulus_lattice
+from microloc.partition import _annulus_lattice, _lattice
 from microloc.radon import (RadonConfig, _angle_geometry, radon_forward,
                             radon_matrix)
 
 
-def _brute_force_greedy(cands, min_sep):
-    """Scan-order greedy in O(m^2): admit each candidate unless an admitted
-    point lies at float ``dx*dx + dy*dy < min_sep**2``."""
-    cands = np.asarray(cands, dtype=np.float64)
+def _brute_force_greedy(cands, close):
+    """Scan-order greedy in O(m^2): admit each candidate unless close(dx, dy)
+    holds for some admitted point."""
+    cands = np.asarray(cands)
     m = cands.shape[0]
-    xs = cands[:, 0] if cands.shape[1] == 2 else np.zeros(m)
+    xs = cands[:, 0] if cands.shape[1] == 2 else np.zeros(m, cands.dtype)
     ys = cands[:, -1]
-    sep2 = min_sep * min_sep
-    ax, ay = np.empty(m), np.empty(m)
+    ax, ay = np.empty(m, cands.dtype), np.empty(m, cands.dtype)
     admitted = []
     for i in range(m):
         n = len(admitted)
-        dx, dy = xs[i] - ax[:n], ys[i] - ay[:n]
-        if not np.any(dx * dx + dy * dy < sep2):
+        if not np.any(close(xs[i] - ax[:n], ys[i] - ay[:n])):
             ax[n], ay[n] = xs[i], ys[i]
             admitted.append(i)
     return np.asarray(admitted, dtype=np.int64)
 
 
-def test_greedy_select_matches_brute_force():
-    rng = np.random.default_rng(0)
-    for dim in (1, 2):
-        pts = rng.uniform(-8, 8, (500, dim))
-        # raw points, then snapped to a 1/8 lattice: shared rows and repeats
-        for cands in (pts, np.round(pts * 8) / 8):
-            cands = np.ascontiguousarray(cands[np.lexsort(cands.T[::-1])])
-            assert np.array_equal(backend.greedy_select(cands, 0.5),
-                                  _brute_force_greedy(cands, 0.5))
+def _float_close(dx, dy):
+    return dx * dx + dy * dy < 0.25
+
+
+def _indices_in(cands, centers):
+    """Row index in cands of each center."""
+    where = {tuple(p): i for i, p in enumerate(cands.tolist())}
+    return np.asarray([where[tuple(c)] for c in centers.tolist()], dtype="<i8")
 
 
 # sha256 of the little-endian int64 indices selected from each annulus
 # lattice at lattice_step 1/8 (frozen from the former compiled kernel, which
-# the row-wise greedy reproduced index for index)
+# the row-wise greedy and then the byte raster reproduced index for index)
 NET_DIGESTS = {
     (1, 0): "4514c25ffa3fb00d1065e5eeb397452667c43ab4ae7b1123b8c072b8642085d2",
     (1, 1): "4159a4ab2b40b2fdbf6e0ed8d3f5f6cd20daef8545b0fc059eda7d5e2c9eb433",
@@ -63,34 +60,42 @@ NET_DIGESTS = {
 }
 
 
-def _net_indices(select, dim, k):
-    cands = _annulus_lattice(k, dim, 0.125)
-    return np.asarray(select(cands, 0.5), dtype="<i8")
-
-
 @pytest.mark.parametrize("dim,k", sorted(NET_DIGESTS))
 def test_greedy_select_annulus_net_digest(dim, k):
-    idx = _net_indices(backend.greedy_select, dim, k)
+    cands = _annulus_lattice(k, dim, 0.125)
+    idx = _indices_in(cands, backend.greedy_select(k, dim, 0.125))
     assert hashlib.sha256(idx.tobytes()).hexdigest() == NET_DIGESTS[dim, k]
 
 
 def test_greedy_select_annulus_nets_match_brute_force():
-    # the brute-force scan is quadratic, so it checks the smaller annuli
-    for dim, k in [(1, k) for k in range(10)] + [(2, k) for k in range(4)]:
-        assert np.array_equal(_net_indices(backend.greedy_select, dim, k),
-                              _net_indices(_brute_force_greedy, dim, k)), \
-            (dim, k)
+    # the brute-force scan is quadratic, so it checks the smaller annuli;
+    # at dyadic steps the lattice offsets are exact, so the float test is
+    # the exact one
+    for step, dim, k in ([(1 / 8, 1, k) for k in range(10)]
+                         + [(1 / 8, 2, k) for k in range(4)]
+                         + [(1 / 16, 1, k) for k in range(8)]
+                         + [(1 / 16, 2, k) for k in range(3)]):
+        cands = _annulus_lattice(k, dim, step)
+        want = cands[_brute_force_greedy(cands, _float_close)]
+        got = backend.greedy_select(k, dim, step)
+        assert np.array_equal(got, want), (step, dim, k)
 
 
-@pytest.mark.parametrize("cands", [
-    [[1.0], [0.0]],                      # 1D, decreasing
-    [[1.0, 0.0], [0.0, 0.0]],            # rows out of order
-    [[0.0, 1.0], [0.0, 0.0]],            # decreasing inside a row
-    _annulus_lattice(1, 2, 0.125)[::-1],
-])
-def test_greedy_select_rejects_out_of_order_input(cands):
-    with pytest.raises(ValueError, match="row-major"):
-        backend.greedy_select(np.asarray(cands, dtype=float), 0.5)
+@pytest.mark.parametrize("step", [1 / 10, 0.07, 1 / 12])
+def test_greedy_select_is_the_exact_greedy_at_any_step(step):
+    # integer lattice offsets against the step's exact binary value p/q:
+    # (dr, w) is within 1/2 when 4 p^2 (dr^2 + w^2) < q^2
+    p, q = step.as_integer_ratio()
+    most = (q * q - 1) // (4 * p * p)  # largest dr^2 + w^2 within 1/2
+    for dim, k in [(1, k) for k in range(6)] + [(2, k) for k in range(3)]:
+        hi = 2.0 ** (k + 1)
+        axis = np.arange(-hi, hi + step / 2, step)
+        r = np.linalg.norm(_lattice(axis, dim), axis=1)
+        cands = _lattice(np.arange(len(axis)), dim)[(r >= hi / 2) & (r < hi)]
+        admitted = cands[_brute_force_greedy(
+            cands, lambda dr, w: dr * dr + w * w <= most)]
+        assert np.array_equal(backend.greedy_select(k, dim, step),
+                              axis[admitted]), (dim, k)
 
 
 def _gather_reference(image, cfg):

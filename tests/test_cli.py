@@ -315,6 +315,12 @@ def _without(cfg, key):
     (_cotlar(symbol="0"), "zero symbol leaves no block"),
     (_cotlar(symbol="exp(-(xi1-100)^2)"), "symbol outside every band"),
     (_cotlar(symbol="1e300*xi1^2"), "Cotlar pair bounds overflow"),
+    # a pole on the frequency lattice: refused when the symbol is sampled
+    (_cotlar(symbol="1/xi1"), "cotlar symbol with a pole"),
+    (_parametrix(symbol="1/xi1"), "parametrix symbol with a pole"),
+    (_band_bound(symbol="1/xi1"), "band-bound symbol with a pole"),
+    (_moyal(symbol_a="1/xi1"), "moyal-order symbol with a pole"),
+    (_radon_block(symbol="1/xi1"), "radon-block symbol with a pole"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -483,7 +489,8 @@ def test_net_lattice_beyond_8gb_rejected_before_running(tmp_path, capsys,
 def test_non_radon_experiments_load_no_scipy(tmp_path):
     # only a Radon matrix-vector product (radon-invert) imports scipy.sparse;
     # parametrix, cotlar and radon-block runs, and importing microloc.radon,
-    # load no scipy module
+    # load no scipy module, and the runs load no numpy.ma (about 11 ms of
+    # import)
     runs = []
     for name, cfg in (("parametrix", _parametrix()), ("cotlar", _cotlar()),
                       ("radon-block", _radon_block())):
@@ -499,18 +506,20 @@ def test_non_radon_experiments_load_no_scipy(tmp_path):
         "codes = [cli.main([name, '--config', path, '--out', out])\n"
         "         for name, path, out in json.loads(sys.argv[1])]\n"
         "after_runs = scipy_modules()\n"
+        "masked = 'numpy.ma' in sys.modules\n"
         "import microloc.radon\n"
-        "print(json.dumps([codes, after_runs, scipy_modules()]))\n")
+        "print(json.dumps([codes, after_runs, masked, scipy_modules()]))\n")
     src = str(Path(microloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env,
                           timeout=300, check=True)
-    codes, after_runs, after_import = json.loads(
+    codes, after_runs, masked, after_import = json.loads(
         proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0]
     assert after_runs == []
+    assert not masked
     assert after_import == []
 
 
