@@ -102,13 +102,13 @@ def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
     1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
     at most two copies while its buffers grow (n_grid 256, 360 angles, 256
     offsets: 39.7 M entries, 476 MB, 0.65 GB peak).  radon-block also holds
-    one dense float64 copy of the (n_angles n_offsets, n_grid^2) matrix and
-    three n_grid^2 x n_grid^2 arrays (its Gram matrix, eigenvectors and
-    factor): n_grid 32, 180 angles, 129 offsets trace 232 MB for a 181 MB
-    matrix."""
+    one dense float64 copy of the (n_angles n_offsets, n_grid^2) matrix, then
+    its Gram matrix G and, per band, four complex arrays at most that size
+    (C, GC, C^H, C^H G C), 72 n_grid^4 bytes: n_grid 32, 180 angles, 129
+    offsets trace 192 MiB as the 181 MiB matrix is built, 208 MiB in all."""
     rays = n_angles * n_offsets
     return 2 * 12 * 1.7 * n_grid * rays \
-        + (8 * rays * n_grid ** 2 + 3 * 8 * n_grid ** 4 if dense else 0)
+        + (8 * rays * n_grid ** 2 + 72 * n_grid ** 4 if dense else 0)
 
 
 def _radon_errors(radon, grid, experiment) -> list[str]:

@@ -1,11 +1,12 @@
 """Anisotropic metric families G_x, their square roots T_x, and fiber norms.
 
 A :class:`MetricField` is a callable family ``x -> G_x`` of symmetric
-positive-definite matrices with declared spectral bounds.  The square root
+positive-definite matrices with declared spectral bounds, evaluated once
+per stack of points (a single point is a stack of one).  The square root
 ``T_x = G_x**(1/2)`` is computed by symmetric eigendecomposition, and the
-fiber norm of a covector is ``|T_x xi|``.  ``verify_hypotheses`` checks the
-declared spectral window, the comparability ratios, and the finiteness of
-finite-difference derivative constants on a sample grid.
+fiber norm of a covector is ``|T_x xi|``.  ``verify_metric_hypotheses``
+checks the declared spectral window, the comparability ratios, and the
+finiteness of finite-difference derivative constants on a sample grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class MetricField:
-    """Family x -> G_x of SPD matrices with declared spectral bounds."""
+    """Family x -> G_x of SPD matrices with declared spectral bounds; the
+    evaluator maps points (P, dim) to (P, dim, dim) or one (dim, dim)."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int
@@ -40,7 +42,7 @@ class MetricField:
         return eval_metric(self, x)
 
     def sqrt_at(self, x) -> np.ndarray:
-        return sqrt_metric(eval_metric(self, x))
+        return sqrt_metric(eval_metric(self, x))[0]
 
 
 def identity_field(dim: int) -> MetricField:
@@ -51,26 +53,32 @@ def identity_field(dim: int) -> MetricField:
 
 def conformal_field(sigma: Callable[[np.ndarray], float], dim: int,
                     lambda_min: float, lambda_max: float) -> MetricField:
-    """G_x = sigma(x) * I for a scalar function sigma."""
+    """G_x = sigma(x) * I for a scalar function sigma, called once per stack
+    on its coordinate rows: x[0] holds every point's first coordinate."""
     eye = np.eye(dim)
-    return MetricField(evaluator=lambda x: float(sigma(np.atleast_1d(x))) * eye,
+    return MetricField(evaluator=lambda x: np.multiply.outer(sigma(x.T), eye),
                        dim=dim, lambda_min=lambda_min, lambda_max=lambda_max)
 
 
 def eval_metric(field: MetricField, x) -> np.ndarray:
-    """Evaluate G_x, symmetrized, with finiteness and symmetry checks."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """G_x at each point of a stack x (P, dim), symmetrized, as (P, dim,
+    dim); the shape, finiteness and symmetry checks name the first bad point."""
+    x = np.asarray(x, dtype=float).reshape(-1, field.dim)
+    shape = (len(x), field.dim, field.dim)
     g = np.asarray(field.evaluator(x), dtype=float)
-    if g.shape != (field.dim, field.dim):
+    if g.shape == shape[1:]:
+        g = np.broadcast_to(g, shape)
+    if g.shape != shape:
         raise InvalidFieldError(
-            f"evaluator returned shape {g.shape}, expected {(field.dim, field.dim)}")
-    if not np.all(np.isfinite(g)):
-        raise InvalidFieldError(f"non-finite metric entries at x={x}")
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
+            f"evaluator returned shape {g.shape}, expected {shape}")
+    bad = ~np.isfinite(g).all(axis=(1, 2))
+    if bad.any():
+        raise InvalidFieldError(f"non-finite metric entries at x={x[bad.argmax()]}")
+    bad = np.abs(g - np.swapaxes(g, 1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
+    if bad.any():
         raise InvalidFieldError(
-            f"metric asymmetry {np.max(np.abs(g - g.T)):.3e} exceeds "
-            f"{SYMMETRY_TOL} at x={x}")
-    return 0.5 * (g + g.T)
+            f"metric asymmetry exceeds {SYMMETRY_TOL} at x={x[bad.argmax()]}")
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
 def sqrt_metric(g: np.ndarray) -> np.ndarray:
@@ -88,8 +96,7 @@ def sqrt_metric(g: np.ndarray) -> np.ndarray:
 def fiber_norm(field: MetricField, x, xi) -> float:
     """|T_x xi|, the metric length of the covector xi at the point x."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    t = field.sqrt_at(x)
-    return float(np.linalg.norm(t @ xi))
+    return float(np.linalg.norm(field.sqrt_at(x) @ xi))
 
 
 def _multi_indices(dim: int, order: int):
@@ -107,7 +114,7 @@ def _fd_derivative(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         for _ in range(n):
             new = []
             e = np.zeros_like(x)
-            e[ax] = h
+            e[..., ax] = h
             for w, p in points:
                 new.append((w / (2 * h), p + e))
                 new.append((-w / (2 * h), p - e))
@@ -144,16 +151,18 @@ def verify_metric_hypotheses(fld: MetricField,
     refinement (steps 1e-3 and 5e-4); a constant counts as stable when the
     two estimates agree within a factor of 2.
     """
+    from .quantize import spectral_norm  # quantize imports this module
+
     grid = [np.atleast_1d(np.asarray(p, dtype=float)) for p in sample_grid]
     if not grid:
         raise ValueError("sample_grid must be nonempty")
+    pts = np.stack(grid)
+    g = fld(pts)
+    t = sqrt_metric(g)
 
     violations: list[str] = []
-    lmin, lmax = np.inf, -np.inf
-    for p in grid:
-        w = np.linalg.eigvalsh(eval_metric(fld, p))
-        lmin = min(lmin, w[0])
-        lmax = max(lmax, w[-1])
+    w = np.linalg.eigvalsh(g)
+    lmin, lmax = w[:, 0].min(), w[:, -1].max()
     tol = 1e-10 * max(1.0, fld.lambda_max)
     spectral_ok = lmin >= fld.lambda_min - tol and lmax <= fld.lambda_max + tol
     if not spectral_ok:
@@ -164,15 +173,11 @@ def verify_metric_hypotheses(fld: MetricField,
     consts: dict[tuple[int, ...], float] = {}
     stable: dict[tuple[int, ...], bool] = {}
     for order in (1, 2):
+        weight = np.array([(1.0 + float(p @ p)) ** (order / 2.0) for p in grid])
         for beta in _multi_indices(fld.dim, order):
-            ests = []
-            for h in (1e-3, 5e-4):
-                sup = 0.0
-                for p in grid:
-                    weight = (1.0 + float(p @ p)) ** (order / 2.0)
-                    d = _fd_derivative(fld.sqrt_at, p, beta, h)
-                    sup = max(sup, float(np.linalg.norm(d, 2)) / weight)
-                ests.append(sup)
+            ests = [float(np.max(spectral_norm(_fd_derivative(
+                lambda q: sqrt_metric(fld(q)), pts, beta, h)) / weight))
+                for h in (1e-3, 5e-4)]
             # Richardson: central differences are O(h^2)
             consts[beta] = max(0.0, (4 * ests[1] - ests[0]) / 3)
             floor = 1e-9
@@ -181,18 +186,15 @@ def verify_metric_hypotheses(fld: MetricField,
 
     # comparability of fiber norms across base points (Prop on ratio bounds)
     rng = np.random.default_rng(0)
-    ratio_lo, ratio_hi = np.inf, -np.inf
+    ratios = []
     bound_lo = np.sqrt(fld.lambda_min / fld.lambda_max)
     bound_hi = np.sqrt(fld.lambda_max / fld.lambda_min)
     for _ in range(200):
-        px, py = grid[rng.integers(len(grid))], grid[rng.integers(len(grid))]
+        tx, ty = t[rng.integers(len(grid))], t[rng.integers(len(grid))]
         xi = rng.standard_normal(fld.dim)
-        nx = fiber_norm(fld, px, xi)
-        ny = fiber_norm(fld, py, xi)
-        if ny == 0.0:
-            continue
-        r = nx / ny
-        ratio_lo, ratio_hi = min(ratio_lo, r), max(ratio_hi, r)
+        if ny := float(np.linalg.norm(ty @ xi)):
+            ratios.append(float(np.linalg.norm(tx @ xi)) / ny)
+    ratio_lo, ratio_hi = min(ratios, default=np.inf), max(ratios, default=-np.inf)
     comp_ok = ratio_lo >= bound_lo - 1e-9 and ratio_hi <= bound_hi + 1e-9
     if not comp_ok:
         violations.append(

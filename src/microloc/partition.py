@@ -270,9 +270,8 @@ class Partition:
         Returns (t_unique (U, n, n), inverse (P,)) so t_unique[inverse]
         reproduces the full family.
         """
-        x_arr = np.atleast_2d(np.asarray(x_arr, dtype=float))
-        mats = sqrt_metric(np.stack([self.metric(p) for p in x_arr]))
-        flat = np.round(mats.reshape(len(x_arr), -1), 12)
+        mats = sqrt_metric(self.metric(x_arr))
+        flat = np.round(mats.reshape(len(mats), -1), 12)
         _, first, inv = np.unique(flat, axis=0, return_index=True,
                                   return_inverse=True)
         return mats[first], inv

@@ -22,6 +22,8 @@ few rows of the first spatial axis at a time.  An optional real weight
 symbol, the weight, the output and one chunk.  This keeps Op(1) = Id,
 multipliers, and frequency locality exact; without the parity pairing,
 odd harmonics leak across the whole frequency lattice with 1/d tails.
+``spectral_norm`` and the Radon block norms are roots of Hermitian top
+eigenvalues: of a Gram matrix, and of C^H G C.
 """
 
 from __future__ import annotations
@@ -159,13 +161,27 @@ def fourier_weighted(m: np.ndarray, grid: GridSpec,
     return t.reshape(m.shape)
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of a dense matrix by full SVD."""
-    if m.shape[0] > 4096:
-        raise ValueError("svd norm limited to dimension 4096")
-    if not np.all(np.isfinite(m)):
+def _top_eigenvalue(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each Hermitian matrix in h, clamped at 0."""
+    if not np.all(np.isfinite(h)):
         raise DegenerateResultError("non-finite matrix entries")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return np.linalg.eigvalsh(h).max(axis=-1, initial=0.0)
+
+
+def spectral_norm(m: np.ndarray):
+    """Largest singular value of each matrix (at most 4096 rows) in m: the
+    root of the top eigenvalue of its Gram matrix on the smaller side, after
+    scaling to a largest entry of 1 so that no finite input overflows."""
+    if m.shape[-2] > 4096:
+        raise ValueError("svd norm limited to dimension 4096")
+    peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    if not np.all(np.isfinite(peak)):
+        raise DegenerateResultError("non-finite matrix entries")
+    u = m / np.where(peak > 0.0, peak, 1.0)
+    uh = np.swapaxes(u.conj(), -1, -2)
+    gram = uh @ u if m.shape[-1] <= m.shape[-2] else u @ uh
+    norm = peak[..., 0, 0] * np.sqrt(_top_eigenvalue(gram))
+    return float(norm) if m.ndim == 2 else norm
 
 
 def make_cutoff(grid: GridSpec, r_one: float, r_zero: float) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
-from .quantize import cut, fit_log2_slope, spectral_norm, weyl_quantize
+from .quantize import _top_eigenvalue, cut, fit_log2_slope, weyl_quantize
 from .recombine import _recombination
 
 if TYPE_CHECKING:
@@ -329,17 +329,17 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
     the band aggregate is faithfully sampled; per-band scaling is what the
     slope fit measures.  Norms are L2(dA) -> L2(ds dtheta).
 
-    The sinogram cutoff side ``M = chi_sino R`` is the same for every band,
-    so it is reduced once to a square factor of its Gram matrix: with
-    ``M^T M = V W V^T``, ``R0 = W^{1/2} V^T`` has ``R0^T R0 = M^T M``, so
-    ``||M X|| = ||R0 X||``.  Unlike a QR factor, this makes no working
-    copy of the dense ``M``.
+    The sinogram side ``M = chi_sino R`` is the same for every band, so
+    only ``G = M^T M`` is kept: ``||M C|| = sqrt(lambda_max(C^H G C))`` for
+    ``C = chi op chi'``, scaled to a largest entry of 1 first.  C is zero
+    off the rows where chi > 0 and the columns where chi' > 0, and so is
+    the rest of C^H G C, so only those rows and columns are kept.
     """
+    on, on_prime = np.flatnonzero(chi_img), np.flatnonzero(chi_img_prime)
     m = radon_matrix(cfg)
     m *= chi_sino.ravel()[:, None]
-    w, v = np.linalg.eigh(m.T @ m)
+    gram = (m.T @ m)[np.ix_(on, on)]
     del m  # not resident through the band loop
-    r0 = np.sqrt(np.maximum(w, 0.0))[:, None] * v.T
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
     rows = []
     for k in k_range:
@@ -348,9 +348,13 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
                          "renorm_ratio": float("nan"), "skipped": True})
             continue
         lam = band_sum_symbol(part, k, a.grid)
-        op = weyl_quantize(a, weight=lam.values)
+        c = cut(weyl_quantize(a, weight=lam.values)[np.ix_(on, on_prime)],
+                chi_img.ravel()[on], chi_img_prime.ravel()[on_prime])
         del lam  # two band localizers are never alive at once
-        norm = scale * spectral_norm(r0 @ cut(op, chi_img, chi_img_prime))
+        peak = np.abs(c).max(initial=0.0)
+        c /= peak if peak > 0.0 else 1.0
+        norm = scale * peak * float(
+            np.sqrt(_top_eigenvalue(c.conj().T @ (gram @ c))))
         rows.append({"k": k, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5)),
                      "skipped": False})

@@ -10,7 +10,9 @@ With t_i the largest discarded singular value,
     e_ij = t_i ||T_j|| + ||T_i|| t_j + t_i t_j,
 
 so every pair norm comes from an r_i x r_j core plus a tail term, and the
-certificate can fail falsely but never pass falsely.  The diagonal is
+certificate can fail falsely but never pass falsely; so the factors take
+an SVD, since t_i can sit at 1e-13 of sigma_1, below what a Gram
+eigenvalue resolves (about 1e-8 relative).  The diagonal is
 sigma_1(T_i) exactly.  The certificate is sqrt(A B) with A, B the
 row-sup sums, and the achieved norm of the full sum is checked against
 it.  A block family is one dict ``{(j, k): matrix}``, in the order its
@@ -71,8 +73,8 @@ def _truncated_factors(b: np.ndarray):
 def _core_norms(factors) -> np.ndarray:
     """||F_i* F_j|| for i != j, from the r_i x r_j cores F_i* F_j.
 
-    Row i takes one batched SVD of its cores with the zero-padded factors
-    of blocks j > i; padding leaves each core's norm unchanged.  The
+    Row i takes one stacked spectral_norm of its cores with the zero-padded
+    factors of blocks j > i; padding leaves each core's norm unchanged.  The
     diagonal is left 0.  Cores that overflow raise DegenerateResultError.
     """
     p = len(factors)
@@ -88,7 +90,7 @@ def _core_norms(factors) -> np.ndarray:
                 cores = f.conj().T @ pad[i + 1:]
             if not np.all(np.isfinite(cores)):
                 raise DegenerateResultError("Cotlar pair cores overflow")
-            norms[i, i + 1:] = np.linalg.svd(cores, compute_uv=False)[:, 0]
+            norms[i, i + 1:] = spectral_norm(cores)
     return norms + norms.T
 
 
@@ -162,12 +164,7 @@ def recombine_sum(blocks: dict, reference: np.ndarray, grid: GridSpec,
 
     order = sorted(weighted, key=lambda jk: (jk[1], jk[0]))
     ks = sorted({k for (_, k) in weighted})
-    tails = []
-    for level in ks + [max(ks) + 1]:
-        idx = [jk for jk in order if jk[1] >= level]
-        tail = sum(weighted[jk] for jk in idx) if idx \
-            else np.zeros_like(ref)
-        tails.append({"K": level, "norm": spectral_norm(tail)})
-
-    report["tails"] = tails
+    report["tails"] = [{"K": level, "norm": spectral_norm(sum(
+        (weighted[jk] for jk in order if jk[1] >= level), np.zeros_like(ref)))}
+        for level in ks + [max(ks) + 1]]
     return report

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
+from microloc.grids import GridSpec
+
 from microloc.metric import (InvalidFieldError, MetricField,
                              NotPositiveDefiniteError, conformal_field,
                              eval_metric, fiber_norm, identity_field,
@@ -59,6 +61,57 @@ def test_eval_metric_validation():
     nonfinite = MetricField(evaluator=lambda x: np.array([[np.nan]]), dim=1)
     with pytest.raises(InvalidFieldError):
         eval_metric(nonfinite, [0.0])
+
+
+def _bad_from_the_third_point(x, g, bad):
+    # every point from the third on (x1 >= 2) gets the bad entry
+    g = np.broadcast_to(g, (len(x),) + g.shape).copy()
+    g[x[:, 0] >= 2.0, 0, -1] = bad
+    return g
+
+
+@pytest.mark.parametrize("dim,bad,message", [
+    (1, np.nan, "non-finite"), (1, np.inf, "non-finite"),
+    (2, np.nan, "non-finite"), (2, 0.5, "asymmetry")])
+def test_eval_metric_names_the_first_bad_point_of_a_stack(dim, bad, message):
+    x = np.zeros((6, dim))
+    x[:, 0] = np.arange(6.0)
+    fld = MetricField(dim=dim, evaluator=lambda x: _bad_from_the_third_point(
+        x, np.eye(dim), bad))
+    with pytest.raises(InvalidFieldError, match=message) as err:
+        eval_metric(fld, x)
+    assert f"x={x[2]}" in str(err.value)
+    assert eval_metric(fld, x[:2]).shape == (2, dim, dim)
+    for wrong in (np.ones((5, dim, dim)), np.ones((6, dim)),
+                  np.ones((6, dim + 1, dim + 1))):
+        with pytest.raises(InvalidFieldError, match="shape"):
+            eval_metric(MetricField(dim=dim, evaluator=lambda x: wrong), x)
+
+
+def _doubled_lattice(dim, n_grid):
+    axis = GridSpec(dim=dim, half_width=np.pi, n_grid=n_grid).x_axis_doubled()
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+@pytest.mark.parametrize("dim,sigma", [
+    (1, None), (2, None),
+    (1, lambda x: 2.0 + np.sin(x[0])),
+    (2, lambda x: 2.0 + np.sin(x[0]) * np.cos(x[1])),
+    (2, lambda x: 3.0 + np.exp(-x[0] ** 2) * np.cos(x[1]) / 2.0)])
+def test_stacked_sqrt_equals_the_per_point_path(dim, sigma):
+    # one evaluator call per stack gives bitwise the T_x of one call per
+    # point, sigma then seeing one point's coordinates as scalars
+    x = _doubled_lattice(dim, 32 if dim == 1 else 16)
+    if sigma is None:
+        fld, per_point = identity_field(dim), lambda p: np.eye(dim)
+    else:
+        fld = conformal_field(sigma, dim, lambda_min=0.5, lambda_max=4.0)
+        per_point = lambda p: float(sigma(p)) * np.eye(dim)  # noqa: E731
+    want = np.stack([sqrt_metric(0.5 * (g + g.T))
+                     for g in map(per_point, x)])
+    assert np.array_equal(sqrt_metric(fld(x)), want)
+    assert np.array_equal(np.stack([fld.sqrt_at(p) for p in x]), want)
 
 
 def test_identity_fiber_norm_is_euclidean():

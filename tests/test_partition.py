@@ -268,10 +268,18 @@ def test_grid_sigma_memory_is_bounded_by_the_chunk():
 
 
 def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
-    # 33 distinct T_x: one neighbor search per band, not one per T_x
-    part = build_partition(_conformal_1d(), 1, 4, low_freq_cap=True)
+    # 33 distinct T_x: one neighbor search per band, not one per T_x, and
+    # one metric evaluation for all 64 points of the doubled lattice
+    calls = {"_sigma": 0, "fiber_transforms": 0, "_neighbor_distances": 0,
+             "evaluator": 0}
+
+    def sigma(x):
+        calls["evaluator"] += 1
+        return 2.0 + np.sin(x[0])
+
+    metric = conformal_field(sigma, 1, lambda_min=1.0, lambda_max=3.0)
+    part = build_partition(metric, 1, 4, low_freq_cap=True)
     grid = GridSpec(dim=1, half_width=np.pi, n_grid=32)
-    calls = {"_sigma": 0, "fiber_transforms": 0, "_neighbor_distances": 0}
 
     def counted(name):
         method = getattr(part, name)
@@ -282,7 +290,7 @@ def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in ("_sigma", "fiber_transforms", "_neighbor_distances"):
         monkeypatch.setattr(part, name, counted(name))
     p = EllipticSymbol(symbol=sample_on(grid, lambda x, xi: 1.0 + xi ** 2
                                         * (2.0 + np.sin(x))),
@@ -291,7 +299,7 @@ def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
     px = build_parametrix(p, part, 1, ones, ones, grid)
     assert px.covered_bands == part.bands
     assert calls == {"_sigma": 1, "fiber_transforms": 1,
-                     "_neighbor_distances": len(part.bands)}
+                     "_neighbor_distances": len(part.bands), "evaluator": 1}
 
 
 def test_grid_samples_are_keyed_by_grid():
@@ -412,7 +420,7 @@ def test_broken_2d_net_exceeds_neighbor_budget():
 
 @functools.cache
 def _pou_partition(dim, k_min, k_max, conformal, low_freq_cap):
-    metric = (conformal_field(lambda x: 2.0 + np.sin(x.sum()), dim,
+    metric = (conformal_field(lambda x: 2.0 + np.sin(x.sum(axis=0)), dim,
                               lambda_min=1.0, lambda_max=3.0)
               if conformal else identity_field(dim))
     return build_partition(metric, k_min, k_max, low_freq_cap=low_freq_cap)

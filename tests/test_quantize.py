@@ -164,11 +164,44 @@ def test_real_symbol_gives_hermitian_operator():
     assert np.abs(m - m.conj().T).max() < 1e-12
 
 
-def test_spectral_norm_is_the_largest_singular_value():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    ref = float(np.linalg.norm(m, 2))
-    assert spectral_norm(m) == pytest.approx(ref, rel=1e-12)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       complex_values=st.booleans(), exponent=st.sampled_from([-150, 0, 150]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_spectral_norm_is_the_largest_singular_value(rows, cols,
+                                                     complex_values, exponent,
+                                                     seed):
+    # at 1e+-150 an unscaled Gram matrix would overflow or underflow; the
+    # SVD does not
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols))
+    if complex_values:
+        m = m + 1j * rng.standard_normal((rows, cols))
+    m *= 10.0 ** exponent
+    ref = float(np.linalg.svd(m, compute_uv=False)[0])
+    got = spectral_norm(m)
+    assert isinstance(got, float)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_spectral_norm_of_zero_is_zero():
+    for shape in ((1, 1), (3, 5), (5, 3)):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+        assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 4), (2, 3, 7, 5), (5, 9, 2)])
+def test_spectral_norm_of_a_stack_is_the_per_matrix_norms(shape):
+    rng = np.random.default_rng(len(shape))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m[0] = 0.0
+    m[-1] *= 1e200
+    got = spectral_norm(m)
+    assert got.shape == shape[:-2]
+    want = np.array([spectral_norm(x) for x in m.reshape((-1,) + shape[-2:])])
+    assert np.array_equal(got.ravel(), want)
+    m[1, ..., 0, 0] = np.nan
+    with pytest.raises(DegenerateResultError):
+        spectral_norm(m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

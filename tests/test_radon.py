@@ -212,12 +212,13 @@ def test_radon_recombine_pair_norms_match_dense():
     assert cert.ok and rep["relative_discrepancy"] < 1e-12
 
 
-def test_radon_block_gram_factor_matches_dense_norm():
-    # the block norms come from a square factor of (chi_sino R)^T (chi_sino
-    # R); they must equal the dense norms of chi_sino R X
+def test_radon_block_gram_norms_match_dense_svd():
+    # the block norms come from the Gram matrix G of chi_sino R, as
+    # sqrt(lambda_max(C^H G C)); they must equal the largest singular value
+    # of the dense chi_sino R C
     g = GridSpec(dim=2, half_width=np.pi, n_grid=8)
     part = build_partition(identity_field(2), 0, 2)
-    cfg = RadonConfig(grid=g, n_angles=12, n_offsets=11)
+    cfg = RadonConfig(grid=g, n_angles=12, n_offsets=17)
     a = sample_on(g, lambda x1, x2, xi1, xi2:
                   np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2) + 0.2 * np.cos(x1)
                   + 0.0 * x2)
@@ -225,12 +226,13 @@ def test_radon_block_gram_factor_matches_dense_norm():
     chi_sino = np.random.default_rng(5).random((cfg.n_offsets,
                                                 cfg.n_angles))
     rows, _ = radon_block_experiment(a, part, chi_sino, chi, chi,
-                                     part.bands, cfg, 1.0)
+                                     [1, 2], cfg, 1.0)
     m = chi_sino.ravel()[:, None] * radon_matrix(cfg)
     scale = np.sqrt(cfg.ds * cfg.dtheta / g.l2_weight())
+    assert [row["k"] for row in rows] == [1, 2]
     for row in rows:
         lam = band_sum_symbol(part, row["k"], g)
-        x = chi.ravel()[:, None] * weyl_quantize(a, weight=lam.values) \
+        c = chi.ravel()[:, None] * weyl_quantize(a, weight=lam.values) \
             * chi.ravel()[None, :]
-        want = scale * np.linalg.norm(m @ x, 2)
-        assert row["norm"] == pytest.approx(want, rel=1e-12)
+        want = scale * np.linalg.svd(m @ c, compute_uv=False)[0]
+        assert row["norm"] == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -30,7 +30,7 @@ def test_family_validation():
 
 def test_overflowing_pair_bounds_are_refused():
     # the cores F_i* F_j of blocks near 1e300 overflow; they are refused
-    # before their SVD, without a floating-point warning
+    # before their norms are taken, without a floating-point warning
     rng = np.random.default_rng(2)
     mats = [1e300 * rng.standard_normal((16, 16)) for _ in range(2)]
     with pytest.raises(DegenerateResultError, match="overflow"):
