@@ -388,16 +388,20 @@ def _run_partition_verify(cfg, outdir):
     x_half = float(s.get("x_half_width", np.pi))
     xs = np.linspace(-x_half, x_half, n_x)[:, None] \
         * np.ones(dim)[None, :]
-    lo, hi = 2.0 ** part.k_min, 2.0 ** (part.k_max + 1)
-    mags = np.exp(rng.uniform(np.log(max(lo, 1e-3)), np.log(hi), n_xi))
+    # log-uniform |xi| whose fiber norm |T_x xi| lies in the built annuli
+    # [2^k_min, 2^(k_max+1)) for every T_x the metric allows; when
+    # lambda_max / lambda_min spans more than the bands, the range is empty
+    # and every sample clips to its top
+    lo = 2.0 ** part.k_min / np.sqrt(part.metric.lambda_min)
+    top = 2.0 ** (part.k_max + 1) / np.sqrt(part.metric.lambda_max)
+    log_lo = np.log(max(lo, 1e-3))
+    mags = np.exp(log_lo + (np.log(top) - log_lo) * rng.random(n_xi))
     dirs = rng.standard_normal((n_xi, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    # restrict to the effective support: fiber norm inside built annuli
-    scale = np.sqrt(part.metric.lambda_max)
-    mags = np.clip(mags, lo, hi / scale * 0.999)
+    mags = np.clip(mags, lo, top * 0.999)
     xis = mags[:, None] * dirs
 
-    nets = {k: validate_net(part.nets[k], dim, part.lattice_step)
+    nets = {k: validate_net(part.nets[k], part.lattice_step)
             for k in part.bands}
     dev = pou_deviation(part, xs, xis)
     scan = overlap_scan(part, xs, xis)
@@ -437,7 +441,7 @@ def _run_band_bound(cfg, outdir):
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
     k_lo, k_hi = cfg["k_range"]
-    rows = band_bound_experiment(a, part, chi, chi, float(cfg.get("s", 0.0)),
+    rows = band_bound_experiment(a, part, chi, float(cfg.get("s", 0.0)),
                                  range(int(k_lo), int(k_hi) + 1),
                                  cfg.get("mode", "semiclassical"),
                                  float(cfg["m2"]))
@@ -468,7 +472,7 @@ def _run_moyal_order(cfg, outdir):
     for n in cfg["orders_n"]:
         res = []
         for h in cfg["h_list"]:
-            r = composition_residual(a, b, n, h, chi, chi)
+            r = composition_residual(a, b, n, h, chi)
             rows.append([n, h, r])
             res.append(r)
         hs = np.asarray(cfg["h_list"], dtype=float)
@@ -498,10 +502,10 @@ def _run_cotlar(cfg, outdir):
     blocks = {}
     for k in part.bands:
         for j in range(part.nets[k].size):
-            blk = assemble_block(a, part, j, k, chi, chi)
+            blk = assemble_block(a, part, j, k, chi)
             if np.abs(blk).max() > 1e-14:
                 blocks[(j, k)] = blk
-    report = recombine_sum(blocks, cut(weyl_quantize(a), chi, chi), grid,
+    report = recombine_sum(blocks, cut(weyl_quantize(a), chi), grid,
                            s=float(cfg.get("s", 0.0)),
                            active_bands=cfg.get("active_bands"))
     cert = report["certificate"]
@@ -535,7 +539,7 @@ def _run_parametrix(cfg, outdir):
                        big_r=float(cfg.get("big_r", 0.0)))
     chi = _build_cutoff(cfg, grid)
     try:
-        px = build_parametrix(p, part, int(cfg["order"]), chi, chi, grid)
+        px = build_parametrix(p, part, int(cfg["order"]), chi)
     except PatchRejectedError as exc:
         raise ValidationFailure([str(exc)]) from exc
     t = cfg.get("tests", {})
@@ -543,7 +547,7 @@ def _run_parametrix(cfg, outdir):
     tests = [gaussian_wavepacket(grid, t.get("x0", [0.0] * grid.dim),
                                  xi0, sigma)
              for xi0 in t.get("xi0_list", [[8.0] + [0.0] * (grid.dim - 1)])]
-    report = parametrix_residual(px, tests, grid)
+    report = parametrix_residual(px, tests)
     write_json(os.path.join(outdir, "parametrix.json"), report)
     checks = [("no_rejected_tests", not report["rejected"]),
               ("residuals_finite",
@@ -561,10 +565,8 @@ def _run_radon_block(cfg, outdir):
     r = cfg["radon"]
     rcfg = RadonConfig(grid=grid, n_angles=int(r["n_angles"]),
                        n_offsets=int(r["n_offsets"]))
-    chi = _build_cutoff(cfg, grid)
-    chi_sino = np.ones((rcfg.n_offsets, rcfg.n_angles))
     k_lo, k_hi = cfg["k_range"]
-    rows, slope = radon_block_experiment(a, part, chi_sino, chi, chi,
+    rows, slope = radon_block_experiment(a, part, _build_cutoff(cfg, grid),
                                          range(int(k_lo), int(k_hi) + 1),
                                          rcfg, float(cfg["m2"]))
     write_csv(os.path.join(outdir, "radon_block.csv"),

@@ -11,6 +11,8 @@ The sign (-1)^{|alpha|} is validated against true operator composition
 (x # xi = x xi + i/2).  ``moyal_truncated`` works at h = 1;
 ``composition_residual`` measures the h-quantized residual by rescaling
 the symbols to a(x, h xi), on which the h = 1 product is the h-product.
+The residual and the patch compositions are both measured between one
+spatial cutoff chi on each side, as chi m chi.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def moyal_truncated(a: GridSymbol, b: GridSymbol, order: int) -> GridSymbol:
 
 
 def composition_residual(a: GridSymbol, b: GridSymbol, order: int, h: float,
-                         chi: np.ndarray, chi_prime: np.ndarray) -> float:
-    """||chi (Op_h(a) Op_h(b) - Op_h(a #_h b_N)) chi'|| in L2 -> L2.
+                         chi: np.ndarray) -> float:
+    """||chi (Op_h(a) Op_h(b) - Op_h(a #_h b_N)) chi|| in L2 -> L2.
 
     ``h`` lies in (0, 1].  All three quantizations are performed at scale 1 on the rescaled
     symbols a(x, h eta), b(x, h eta); the truncated product commutes with
@@ -74,15 +76,14 @@ def composition_residual(a: GridSymbol, b: GridSymbol, order: int, h: float,
     br = b.resampled(h) if h != 1.0 else b
     prod = moyal_truncated(ar, br, order)
     return spectral_norm(cut(weyl_quantize(ar) @ weyl_quantize(br)
-                             - weyl_quantize(prod), chi, chi_prime))
+                             - weyl_quantize(prod), chi))
 
 
 def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
-                          pairs, chi: np.ndarray,
-                          chi_prime: np.ndarray) -> dict:
+                          pairs, chi: np.ndarray) -> dict:
     """Composition norms of same-band patch pairs against center separation.
 
-    For each pair (j, j'): D = ||chi Op(a Lam_{j,k}) Op(a Lam_{j',k}) chi'||
+    For each pair (j, j'): D = ||chi Op(a Lam_{j,k}) Op(a Lam_{j',k}) chi||
     and the proxy distance d = max(0, |zeta_j - zeta_j'| - 2) (unit support
     radii).  Returns the (d, D) table with the fitted exponent of
     log D against log(1 + d).
@@ -100,7 +101,7 @@ def separated_patch_decay(a: GridSymbol, part: Partition, k: int,
     for j, jp in pairs:
         sep = float(np.linalg.norm(centers[j] - centers[jp]))
         dist = max(0.0, sep - 2.0)
-        norm = spectral_norm(cut(block(j) @ block(jp), chi, chi_prime))
+        norm = spectral_norm(cut(block(j) @ block(jp), chi))
         rows.append({"j": j, "j_prime": jp, "d": dist, "D": norm})
 
     dists = sorted({round(r["d"], 9) for r in rows})

@@ -2,15 +2,17 @@
 
 Per patch the leading symbol is q0 = Lambda_{j,k} / p (with the
 ellipticity floor checked on the patch support).  The patch symbols share
-one pair of spatial cutoffs, so the block sum collapses to
-Q = chi0 Op^w(sum_j q_{j,k}) chi0'; the optional Neumann corrections are
+one spatial cutoff chi0 on each side, so the block sum collapses to
+Q = chi0 Op^w(sum_j q_{j,k}) chi0; the optional Neumann corrections are
 therefore applied to the aggregate, q <- q + (Lambda_sum - q # p)_N / p,
 each step damped (rejected unless it lowers the operator residual on
 covered frequencies).  Correcting per patch instead would break the
 cancellation between neighboring localizers (their derivatives telescope
 only in the sum) and amplify discretization noise.  Parametrix quality
 is measured by ||Q Op^w(p) u - u|| / ||u|| on microlocalized test
-functions.
+functions, which must lie on the plateau where chi0 = 1 and at
+frequencies the built bands cover.  ``build_parametrix`` computes both
+masks once and keeps them on the ``Parametrix``.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ class EllipticSymbol:
 @dataclass
 class Parametrix:
     composition: np.ndarray  # the matrix of Q Op^w(p)
-    partition: Partition
-    chi0: np.ndarray
-    chi0_prime: np.ndarray
+    xi_ok: np.ndarray  # covered_xi_mask of the covered bands
+    plateau: np.ndarray  # lattice points where chi0 = 1
     covered_bands: list[int]
     excluded: list[tuple[int, int]] = field(default_factory=list)
     # operator residual of each accepted iterate
@@ -86,17 +87,13 @@ def bandwise_inverse(p: EllipticSymbol, lam: GridSymbol,
     return GridSymbol(grid=lam.grid, values=vals)
 
 
-def _plateau(chi0: np.ndarray, chi0_prime: np.ndarray) -> np.ndarray:
-    """Lattice points where both cutoffs equal 1."""
-    return (chi0 >= 1.0 - 1e-9) & (chi0_prime >= 1.0 - 1e-9)
-
-
 def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
-                     chi0: np.ndarray, chi0_prime: np.ndarray,
-                     grid: GridSpec) -> Parametrix:
-    """Assemble Q = sum chi0 Op^w(q^N_{j,k}) chi0' over accepted patches."""
+                     chi0: np.ndarray) -> Parametrix:
+    """Assemble Q = sum chi0 Op^w(q^N_{j,k}) chi0 over accepted patches, on
+    the grid of p."""
     if not 1 <= order <= 3:
         raise ValueError("correction order must lie in 1..3")
+    grid = p.symbol.grid
     excluded: list[tuple[int, int]] = []
     covered = set()
 
@@ -126,15 +123,15 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     # boundary
     kp = weyl_quantize(p.symbol)
     eye = np.eye(grid.npoints())
-    plateau = _plateau(chi0, chi0_prime).ravel()
+    plateau = chi0 >= 1.0 - 1e-9
     xi_ok = covered_xi_mask(part, grid, sorted(covered))
 
     def assemble(sym: GridSymbol):
-        """Q Op^w(p) for Q = chi0 Op^w(sym) chi0', and the operator
+        """Q Op^w(p) for Q = chi0 Op^w(sym) chi0, and the operator
         residual ||(Q Op^w(p) - I) plateau Pi_covered||."""
-        comp = cut(weyl_quantize(sym), chi0, chi0_prime) @ kp
-        return comp, spectral_norm(
-            fourier_weighted((comp - eye) * plateau, grid, w_in=xi_ok))
+        comp = cut(weyl_quantize(sym), chi0) @ kp
+        return comp, spectral_norm(fourier_weighted(
+            (comp - eye) * plateau.ravel(), grid, w_in=xi_ok))
 
     q = GridSymbol(grid=grid, values=q_sum)
     comp, first = assemble(q)
@@ -152,9 +149,9 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
             break
         q, comp = cand, cand_comp
         hist.append(cand_res)
-    return Parametrix(composition=comp, partition=part, chi0=chi0,
-                      chi0_prime=chi0_prime, covered_bands=sorted(covered),
-                      excluded=excluded, residuals=hist)
+    return Parametrix(composition=comp, xi_ok=xi_ok, plateau=plateau,
+                      covered_bands=sorted(covered), excluded=excluded,
+                      residuals=hist)
 
 
 def covered_xi_mask(part: Partition, grid: GridSpec,
@@ -188,18 +185,15 @@ def gaussian_wavepacket(grid: GridSpec, x0, xi0, sigma: float) -> np.ndarray:
     return np.exp(-q / (2.0 * sigma ** 2)) * np.exp(1j * phase)
 
 
-def parametrix_residual(px: Parametrix, test_functions,
-                        grid: GridSpec) -> dict:
+def parametrix_residual(px: Parametrix, test_functions) -> dict:
     """Relative errors ||Q Op(p) u - u|| / ||u|| over admissible u.
 
     Test functions must be frequency-supported (to 1e-8 energy fraction)
     in the covered-band region and spatially supported on the plateau of
-    both cutoffs; others are rejected with a reason.  The operator
-    residual is the accepted iterate's, as ``build_parametrix`` computed it.
+    the cutoff; others are rejected with a reason.  The operator residual
+    is the accepted iterate's, as ``build_parametrix`` computed it.
     """
-    comp = px.composition
-    xi_ok = covered_xi_mask(px.partition, grid, px.covered_bands)
-    plateau = _plateau(px.chi0, px.chi0_prime)
+    comp, xi_ok, plateau = px.composition, px.xi_ok, px.plateau
 
     rels, rejected = [], []
     for idx, u in enumerate(test_functions):

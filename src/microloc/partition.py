@@ -220,8 +220,9 @@ def _nearest(centers: np.ndarray, index, pts: np.ndarray,
     return np.sqrt(best)
 
 
-def validate_net(net: DyadicNet, dim: int, lattice_step: float = 0.125) -> dict:
+def validate_net(net: DyadicNet, lattice_step: float = 0.125) -> dict:
     """Exhaustive separation and covering check on the construction lattice."""
+    dim = net.centers.shape[1]
     try:
         index = _CellIndex(net.centers)
     except RuntimeError:  # two centers share a cell: closer than 1/2
@@ -402,24 +403,25 @@ class Partition:
         return self._band_eval(t_uniq, xi_arr, self.bands, count,
                                dtype=np.int64)[inv]
 
-    def radial_band_count(self, xi_arr: np.ndarray) -> np.ndarray:
-        """Number of integers k (all of Z) with rho(2^{-k}|xi|) > 0."""
-        xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
-        xi_norm = np.linalg.norm(xi_arr, axis=1)
-        counts = np.zeros(len(xi_arr), dtype=np.int64)
-        pos = xi_norm > 0.0
-        if pos.any():
-            lo = np.ceil(np.log2(xi_norm[pos]) - 2.0).astype(int)
-            hi = np.floor(np.log2(xi_norm[pos]) + 2.0).astype(int)
-            sub = np.zeros(pos.sum(), dtype=np.int64)
-            for off in range(5):
-                kk = lo + off
-                ok = kk <= hi
-                if not ok.any():
-                    continue
-                sub[ok] += (rho(xi_norm[pos][ok] / 2.0 ** kk[ok]) > 0)
-            counts[pos] = sub
-        return counts
+
+def radial_band_count(xi_arr: np.ndarray) -> np.ndarray:
+    """Number of integers k (all of Z) with rho(2^{-k}|xi|) > 0."""
+    xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
+    xi_norm = np.linalg.norm(xi_arr, axis=1)
+    counts = np.zeros(len(xi_arr), dtype=np.int64)
+    pos = xi_norm > 0.0
+    if pos.any():
+        lo = np.ceil(np.log2(xi_norm[pos]) - 2.0).astype(int)
+        hi = np.floor(np.log2(xi_norm[pos]) + 2.0).astype(int)
+        sub = np.zeros(pos.sum(), dtype=np.int64)
+        for off in range(5):
+            kk = lo + off
+            ok = kk <= hi
+            if not ok.any():
+                continue
+            sub[ok] += (rho(xi_norm[pos][ok] / 2.0 ** kk[ok]) > 0)
+        counts[pos] = sub
+    return counts
 
 
 def build_partition(metric: MetricField, k_min: int, k_max: int,
@@ -443,6 +445,16 @@ def localizer_symbol(part: Partition, j: int, k: int,
 def band_sum_symbol(part: Partition, k: int, grid: GridSpec) -> GridSymbol:
     """sum_j Lambda_{j,k} sampled as a GridSymbol."""
     return part._normalized(k, part._chi_band_sum, grid)
+
+
+def representative_patch(part: Partition, k: int) -> int:
+    """Index j of the band-k center closest in angle to the positive first
+    axis, and of those the one closest to the radius 1.5 * 2^k."""
+    centers = part.nets[k].centers
+    norms = np.linalg.norm(centers, axis=1)
+    angle = np.arccos(np.clip(centers[:, 0] / norms, -1.0, 1.0))
+    radial = np.abs(norms - 1.5 * 2.0 ** k)
+    return int(np.lexsort((radial, np.round(angle, 9)))[0])
 
 
 # verification scans -----------------------------------------------------
@@ -482,7 +494,7 @@ def overlap_scan(part: Partition, x_arr: np.ndarray,
                  xi_arr: np.ndarray) -> dict:
     """Exhaustive overlap statistics over the sample product set."""
     counts = part.overlap_pairs(x_arr, xi_arr)
-    radial = part.radial_band_count(xi_arr)
+    radial = radial_band_count(xi_arr)
     hist_vals, hist_counts = np.unique(counts, return_counts=True)
     return {
         "max_overlap": int(counts.max()),
@@ -499,49 +511,44 @@ def verify_localizer_derivatives(part: Partition, samples) -> dict:
     with |gamma| <= 2, reports the empirical sup over samples of
     |Delta^gamma Lambda| / (<x>^{|alpha|+|gamma|} <xi>^{|beta|+1+|gamma|}),
     with a Richardson stability flag (estimates at steps 1e-3 and 5e-4
-    agree within a factor of 2).
+    agree within a factor of 2).  Each stencil offset evaluates chi and
+    Sigma once on the stack of samples, as the diagonal of the pairwise
+    product, so the evaluator calls do not grow with the sample count.
     """
     n = part.dim
     samples = [(np.atleast_1d(np.asarray(x, float)),
                 np.atleast_1d(np.asarray(xi, float))) for x, xi in samples]
-
-    reps = []
-    for k in part.bands:
-        centers = part.nets[k].centers
-        j = int(np.argmin(np.linalg.norm(
-            centers - np.r_[1.5 * 2.0 ** k, np.zeros(n - 1)], axis=1)))
-        reps.append((j, k))
-
-    def lam(j, k):
-        def f(z):
-            """Lambda_{j,k} at z = (x, xi), exactly 0 off supp chi."""
-            x, xi = z[None, :n], z[None, n:]
-            chi = float(part.chi_pairs(j, k, x, xi)[0, 0])
-            if chi == 0.0:
-                return 0.0
-            return chi / float(part.sigma_pairs(x, xi)[0, 0])
-        return f
+    z = np.array([np.concatenate([x, xi]) for x, xi in samples])
 
     from itertools import product as iproduct
     gammas = [g for g in iproduct(range(3), repeat=2 * n) if 1 <= sum(g) <= 2]
 
     per_patch: dict[str, dict] = {}
-    for j, k in reps:
-        f = lam(j, k)
+    for k in part.bands:
+        j = representative_patch(part, k)
+
+        def lam(zs):
+            """Lambda_{j,k} at each row (x, xi) of zs, exactly 0 off supp chi."""
+            x, xi = zs[:, :n], zs[:, n:]
+            chi = np.diag(part.chi_pairs(j, k, x, xi))
+            on = chi != 0.0
+            out = np.zeros_like(chi)
+            out[on] = chi[on] / np.diag(part.sigma_pairs(x, xi))[on]
+            return out
+
         consts, stable = {}, {}
         for g in gammas:
             a_ord = sum(g[:n])
             b_ord = sum(g[n:])
             tot = a_ord + b_ord
-            ests = []
-            for h in (1e-3, 5e-4):
-                sup = 0.0
-                for x, xi in samples:
-                    z = np.concatenate([x, xi])
-                    w = ((1.0 + x @ x) ** ((a_ord + tot) / 2.0)
-                         * (1.0 + xi @ xi) ** ((b_ord + 1 + tot) / 2.0))
-                    sup = max(sup, abs(_fd_derivative(f, z, g, h)) / w)
-                ests.append(sup)
+            # per sample in scalar arithmetic, which array powers and sums
+            # do not reproduce bit for bit
+            w = np.array([(1.0 + x @ x) ** ((a_ord + tot) / 2.0)
+                          * (1.0 + xi @ xi) ** ((b_ord + 1 + tot) / 2.0)
+                          for x, xi in samples])
+            ests = [float(np.max(np.abs(_fd_derivative(lam, z, g, h)) / w,
+                                 initial=0.0))
+                    for h in (1e-3, 5e-4)]
             key = str(g)
             consts[key] = ests[1]
             floor = 1e-9

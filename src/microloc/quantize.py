@@ -31,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import DegenerateResultError, GridSpec, GridSymbol
-from .partition import Partition, _smoothstep_exp, localizer_symbol
+from .partition import (Partition, _smoothstep_exp, localizer_symbol,
+                        representative_patch)
 
 
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -193,25 +194,17 @@ def make_cutoff(grid: GridSpec, r_one: float, r_zero: float) -> np.ndarray:
     return 1.0 - _smoothstep_exp((r - r_one) / (r_zero - r_one))
 
 
-def representative_patch(part: Partition, k: int) -> int:
-    """Index j of the band-k center closest to the positive first axis."""
-    centers = part.nets[k].centers
-    norms = np.linalg.norm(centers, axis=1)
-    angle = np.arccos(np.clip(centers[:, 0] / norms, -1.0, 1.0))
-    radial = np.abs(norms - 1.5 * 2.0 ** k)
-    return int(np.lexsort((radial, np.round(angle, 9)))[0])
-
-
-def cut(m: np.ndarray, chi: np.ndarray, chi_prime: np.ndarray) -> np.ndarray:
-    """chi m chi' for spatial cutoffs sampled on the grid of m."""
-    return chi.ravel()[:, None] * m * chi_prime.ravel()[None, :]
+def cut(m: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """chi m chi for a spatial cutoff sampled on the grid of m."""
+    c = chi.ravel()
+    return c[:, None] * m * c[None, :]
 
 
 def assemble_block(a: GridSymbol, part: Partition, j: int, k: int,
-                   chi: np.ndarray, chi_prime: np.ndarray) -> np.ndarray:
-    """T_{j,k} = chi * Op^w(a Lambda_{j,k}) * chi' on the grid of a."""
+                   chi: np.ndarray) -> np.ndarray:
+    """T_{j,k} = chi Op^w(a Lambda_{j,k}) chi on the grid of a."""
     lam = localizer_symbol(part, j, k, a.grid)
-    return cut(weyl_quantize(a, weight=lam.values), chi, chi_prime)
+    return cut(weyl_quantize(a, weight=lam.values), chi)
 
 
 def fit_log2_slope(ks, vals) -> float:
@@ -226,8 +219,8 @@ def fit_log2_slope(ks, vals) -> float:
 
 
 def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
-                          chi_prime: np.ndarray, s: float, k_range,
-                          mode: str, m2: float) -> list[dict]:
+                          s: float, k_range, mode: str,
+                          m2: float) -> list[dict]:
     """Per-band block norms against the 2^{k m2} scale.
 
     Semiclassical mode measures the block in semiclassically weighted
@@ -247,7 +240,7 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
                          "skipped": True})
             continue
         j = representative_patch(part, k)
-        block = assemble_block(a, part, j, k, chi, chi_prime)
+        block = assemble_block(a, part, j, k, chi)
         w_out, w_in = (bracket_weights(a.grid, t, 2.0 ** -k) if t else None
                        for t in (s - m2, -s))
         measured = spectral_norm(

@@ -317,27 +317,25 @@ def normal_operator_exponent(cfg: RadonConfig) -> dict:
     return {"exponent": float(slope), "points": int(mask.sum())}
 
 
-def radon_block_experiment(a: GridSymbol, part: Partition,
-                           chi_sino: np.ndarray, chi_img: np.ndarray,
-                           chi_img_prime: np.ndarray, k_range,
-                           cfg: RadonConfig,
+def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
+                           k_range, cfg: RadonConfig,
                            m2: float) -> tuple[list[dict], float]:
-    """Norms of bandwise Radon blocks against the 2^{k(m2 - 1/2)} scale.
+    """Norms of the bandwise Radon blocks R chi Op^w(a sum_j Lambda_{j,k}) chi
+    against the 2^{k(m2 - 1/2)} scale.
 
     Blocks aggregate each band's patches through sum_j Lambda_{j,k}: at
     desk-scale frequency lattices the unit patch bumps are sub-grid, while
     the band aggregate is faithfully sampled; per-band scaling is what the
     slope fit measures.  Norms are L2(dA) -> L2(ds dtheta).
 
-    The sinogram side ``M = chi_sino R`` is the same for every band, so
-    only ``G = M^T M`` is kept: ``||M C|| = sqrt(lambda_max(C^H G C))`` for
-    ``C = chi op chi'``, scaled to a largest entry of 1 first.  C is zero
-    off the rows where chi > 0 and the columns where chi' > 0, and so is
-    the rest of C^H G C, so only those rows and columns are kept.
+    R is the same for every band, so only ``G = R^T R`` is kept:
+    ``||R C|| = sqrt(lambda_max(C^H G C))`` for ``C = chi op chi``, scaled
+    to a largest entry of 1 first.  C is zero off the rows and columns
+    where chi > 0, and so is the rest of C^H G C, so only those rows and
+    columns are kept.
     """
-    on, on_prime = np.flatnonzero(chi_img), np.flatnonzero(chi_img_prime)
+    on = np.flatnonzero(chi)
     m = radon_matrix(cfg)
-    m *= chi_sino.ravel()[:, None]
     gram = (m.T @ m)[np.ix_(on, on)]
     del m  # not resident through the band loop
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
@@ -348,8 +346,8 @@ def radon_block_experiment(a: GridSymbol, part: Partition,
                          "renorm_ratio": float("nan"), "skipped": True})
             continue
         lam = band_sum_symbol(part, k, a.grid)
-        c = cut(weyl_quantize(a, weight=lam.values)[np.ix_(on, on_prime)],
-                chi_img.ravel()[on], chi_img_prime.ravel()[on_prime])
+        c = cut(weyl_quantize(a, weight=lam.values)[np.ix_(on, on)],
+                chi.ravel()[on])
         del lam  # two band localizers are never alive at once
         peak = np.abs(c).max(initial=0.0)
         c /= peak if peak > 0.0 else 1.0

@@ -69,8 +69,8 @@ def test_criterion_02_overlap_bounds():
     part1 = _part_1d_identity_0_6()
     xs, xis = _interior_samples(part1)
     scan1 = overlap_scan(part1, xs, xis)
-    nets_ok = all(validate_net(part1.nets[k], 1)["separation_ok"]
-                  and validate_net(part1.nets[k], 1)["covering_ok"]
+    nets_ok = all(validate_net(part1.nets[k])["separation_ok"]
+                  and validate_net(part1.nets[k])["covering_ok"]
                   for k in part1.bands)
 
     part2 = build_partition(identity_field(2), 0, 3)
@@ -123,7 +123,7 @@ def test_criterion_04_moyal_order():
     hs = [2.0 ** (-j) for j in range(3, 8)]
     slopes = {}
     for order in (1, 2, 3):
-        res = [composition_residual(a, b, order, h, chi, chi) for h in hs]
+        res = [composition_residual(a, b, order, h, chi) for h in hs]
         slopes[order] = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
 
     # sign-convention anchor: x # xi = x xi + i h / 2 exactly
@@ -167,9 +167,9 @@ def test_criterion_05_band_factor():
     for m2 in (1.0, 2.0):
         a = sample_on(g, lambda x, xi, m2=m2:
                       (1.0 + xi ** 2) ** (m2 / 2.0) + 0.0 * x)
-        semi = band_bound_experiment(a, part, chi, chi, 0.0, ks,
+        semi = band_bound_experiment(a, part, chi, 0.0, ks,
                                      "semiclassical", m2)
-        cons = band_bound_experiment(a, part, chi, chi, 0.0, ks,
+        cons = band_bound_experiment(a, part, chi, 0.0, ks,
                                      "conservative", m2)
         s_slope = fit_log2_slope([r["k"] for r in semi],
                                  [r["norm"] for r in semi])
@@ -203,7 +203,7 @@ def test_criterion_06_separated_patch_decay():
     pairs = [(pos[0], pos[0]), (pos[0], pos[1]), (pos[0], pos[4]),
              (pos[0], pos[8]), (pos[0], pos[-1]), (neg[0], pos[-1]),
              (neg[0], pos[0])]
-    rep = separated_patch_decay(a, part, k, pairs, chi, chi)
+    rep = separated_patch_decay(a, part, k, pairs, chi)
     base = max(r["D"] for r in rep["rows"] if r["d"] <= 1.0)
     far = max(r["D"] for r in rep["rows"] if r["d"] >= 8.0)
     ok = rep["exponent"] <= -2.0 and far <= 1e-3 * base
@@ -229,7 +229,7 @@ def test_criterion_07_recombination_cotlar():
         for j in range(part.nets[k].size):
             if not 6.0 < abs(centers[j]) < 11.0:
                 continue
-            blk = assemble_block(a, part, j, k, ones, ones)
+            blk = assemble_block(a, part, j, k, ones)
             if np.abs(blk).max() > 1e-14:
                 blocks[(j, k)] = blk
     rep = recombine_sum(blocks, weyl_quantize(a), g, active_bands=[2, 3])
@@ -257,10 +257,10 @@ def test_criterion_08_parametrix_suites():
         symbol=sample_on(g1, lambda x, xi: 1.0 + xi ** 2 + 0.0 * x),
         m2=2, c0=0.4, big_r=1.0)
     ones1 = np.ones(g1.n_grid)
-    px1 = build_parametrix(p1, part1, 2, ones1, ones1, g1)
+    px1 = build_parametrix(p1, part1, 2, ones1)
     tests1 = [gaussian_wavepacket(g1, x0, s * 20.0, 0.4)
               for x0 in (-0.4, 0.0, 0.4) for s in (-1, 1)]
-    rep1 = parametrix_residual(px1, tests1, g1)
+    rep1 = parametrix_residual(px1, tests1)
     results["multiplier"] = rep1
 
     # variable-coefficient and anisotropic suites at three orders
@@ -281,8 +281,8 @@ def test_criterion_08_parametrix_suites():
                  for s in (-1, 1)]
         errs = []
         for order in (1, 2, 3):
-            px = build_parametrix(p, part, order, ones2, ones2, g2)
-            rep = parametrix_residual(px, tests, g2)
+            px = build_parametrix(p, part, order, ones2)
+            rep = parametrix_residual(px, tests)
             assert not rep["rejected"]
             errs.append(rep["max_rel_error"])
         results[name] = errs
@@ -334,9 +334,7 @@ def test_criterion_09_radon_suite():
     cfg_b = RadonConfig(grid=gb, n_angles=60, n_offsets=65)
     a = sample_on(gb, lambda x1, x2, xi1, xi2:
                   np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2) + 0.0 * x1 + 0.0 * x2)
-    chi_img = make_cutoff(gb, 1.0, 1.3)
-    chi_sino = np.ones((cfg_b.n_offsets, cfg_b.n_angles))
-    _, slope = radon_block_experiment(a, part, chi_sino, chi_img, chi_img,
+    _, slope = radon_block_experiment(a, part, make_cutoff(gb, 1.0, 1.3),
                                       range(1, 4), cfg_b, 1.0)
 
     # bandwise recombination against the directly assembled operator

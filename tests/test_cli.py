@@ -48,23 +48,43 @@ def test_partition_verify_runs_green(tmp_path):
 
 def test_partition_verify_fails_when_no_sample_meets_the_support(tmp_path,
                                                                capsys):
-    # T_x = 0.1 I maps every sampled xi (|xi| in [8, 16]) below band 3's
-    # annulus, so Sigma = 0 on all 1,600 pairs and nothing is checked
+    # T_x = 0.1 I in both.  Declared exactly, |xi| is drawn in [80, 160),
+    # which puts |T_x xi| in band 3's annulus, but band 3's radial cutoff
+    # rho(|xi| / 8) vanishes beyond |xi| = 32: this metric leaves band 3
+    # no support.  Declared in [0.01, 1], |xi| would lie in [80, 16], an
+    # empty range, so every sample clips to its top, |xi| = 15.98, where
+    # |T_x xi| = 1.6 misses band 3.  Sigma = 0 on all 1,600 pairs and
+    # nothing is checked.
+    for i, lambda_max in enumerate((0.01, 1.0)):
+        cfg = _base("partition-verify", dim=1,
+                    metric={"kind": "conformal", "expr": "0.01",
+                            "lambda_min": 0.01, "lambda_max": lambda_max},
+                    bands={"k_min": 3, "k_max": 3},
+                    samples={"n_x": 8, "n_xi": 200})
+        code, outdir = _run(tmp_path, "partition-verify", cfg, out=f"out{i}")
+        assert code == 1
+        report = json.loads((outdir / "partition_verify.json").read_text())
+        assert math.isnan(report["pou_max_deviation"])
+        assert report["overlap"]["histogram"] == {"0": 1600}
+        # no sample meets a support, so the overlap and derivative checks
+        # hold vacuously and must fail
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert not checks["overlap_bound"]
+        assert not checks["derivative_uniformity"]
+
+
+def test_partition_verify_samples_inside_the_built_annuli(tmp_path):
+    # T_x = sqrt(0.5) I: |xi| is drawn in [8, 16] / sqrt(0.5), so every
+    # |T_x xi| lies in band 3's annulus and every pair meets a support
     cfg = _base("partition-verify", dim=1,
-                metric={"kind": "conformal", "expr": "0.01",
-                        "lambda_min": 0.01, "lambda_max": 0.01},
+                metric={"kind": "conformal", "expr": "0.5",
+                        "lambda_min": 0.5, "lambda_max": 0.5},
                 bands={"k_min": 3, "k_max": 3},
                 samples={"n_x": 8, "n_xi": 200})
     code, outdir = _run(tmp_path, "partition-verify", cfg)
-    assert code == 1
+    assert code == 0
     report = json.loads((outdir / "partition_verify.json").read_text())
-    assert math.isnan(report["pou_max_deviation"])
-    assert report["overlap"]["histogram"] == {"0": 1600}
-    # no sample meets a support, so the overlap and derivative checks
-    # hold vacuously and must fail
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert not checks["overlap_bound"]
-    assert not checks["derivative_uniformity"]
+    assert "0" not in report["overlap"]["histogram"]
 
 
 def test_band_bound_runs_and_is_deterministic(tmp_path):

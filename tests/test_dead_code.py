@@ -1,4 +1,5 @@
-"""Every public function and method of the package has a caller."""
+"""Every public function and method of the package has a caller, and reads
+every parameter it takes."""
 
 import ast
 from collections import Counter
@@ -27,9 +28,12 @@ def _public_defs(tree):
                 yield d
 
 
+def _trees():
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
 def test_every_public_function_is_named_outside_its_def():
-    trees = {p.name: ast.parse(p.read_text())
-             for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     named = sum((_names(t) for t in trees.values()), Counter())
     acceptance = set(_names(ast.parse(ACCEPTANCE.read_text())))
     defined, uncalled = set(), []
@@ -41,3 +45,16 @@ def test_every_public_function_is_named_outside_its_def():
                 uncalled.append(f"{fname}:{d.lineno} {d.name}")
     assert not uncalled
     assert ENTRY_POINTS <= defined
+
+
+def test_every_public_function_reads_each_parameter():
+    unread = []
+    for fname, tree in _trees().items():
+        for d in _public_defs(tree):
+            a = d.args
+            params = a.posonlyargs + a.args + a.kwonlyargs \
+                + [v for v in (a.vararg, a.kwarg) if v]
+            read = {n.id for n in ast.walk(d) if isinstance(n, ast.Name)}
+            unread += [f"{fname}:{d.lineno} {d.name}({p.arg})"
+                       for p in params if p.arg not in read]
+    assert not unread

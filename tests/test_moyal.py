@@ -32,9 +32,9 @@ def test_truncation_validation():
     with pytest.raises(ValueError):
         moyal_truncated(a, a, 7)
     with pytest.raises(ValueError):
-        composition_residual(a, a, 2, 1.5, ones, ones)
+        composition_residual(a, a, 2, 1.5, ones)
     with pytest.raises(ValueError):
-        composition_residual(a, a, 2, 0.0, ones, ones)
+        composition_residual(a, a, 2, 0.0, ones)
 
 
 def test_order_one_is_pointwise_product():
@@ -79,7 +79,7 @@ def test_composition_residual_decreases_in_h():
     b = sample_on(g, lambda x, xi: np.cos((x - 0.3) / 2.0) ** 2
                   * np.exp(-(xi / 0.5) ** 2))
     chi = make_cutoff(g, 2.9, 3.1)
-    res = [composition_residual(a, b, 1, h, chi, chi)
+    res = [composition_residual(a, b, 1, h, chi)
            for h in (0.25, 0.125, 0.0625)]
     assert res[0] > res[1] > res[2]
     assert res[2] < 0.4 * res[0]
@@ -91,7 +91,7 @@ def test_separated_patch_decay_needs_three_separations():
     a = sample_on(g, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi)
     ones = np.ones(g.n_grid)
     with pytest.raises(InsufficientDataError):
-        separated_patch_decay(a, part, 3, [(0, 0), (0, 1)], ones, ones)
+        separated_patch_decay(a, part, 3, [(0, 0), (0, 1)], ones)
 
 
 def test_real_and_complex_samples_give_the_same_products():

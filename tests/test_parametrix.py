@@ -44,7 +44,7 @@ def test_ellipticity_floor_rejection():
         bandwise_inverse(p, localizer_symbol(part, 0, 3, G),
                          _below_floor(p, part, G))
     with pytest.raises(PatchRejectedError):
-        build_parametrix(p, part, 1, np.ones(G.n_grid), np.ones(G.n_grid), G)
+        build_parametrix(p, part, 1, np.ones(G.n_grid))
 
 
 def test_build_parametrix_samples_each_localizer_once(monkeypatch):
@@ -57,7 +57,7 @@ def test_build_parametrix_samples_each_localizer_once(monkeypatch):
 
     monkeypatch.setattr(parametrix, "localizer_symbol", counting)
     ones = np.ones(G.n_grid)
-    build_parametrix(_elliptic(G), part, 1, ones, ones, G)
+    build_parametrix(_elliptic(G), part, 1, ones)
     assert calls == [(j, k) for k in part.bands
                      for j in range(part.nets[k].size)]
 
@@ -68,7 +68,7 @@ def test_partial_exclusion_matches_patchwise_check():
     # floor (checked from big_r = 1 on) rejects low-band patches only
     p = _elliptic(G, c0=1.6)
     ones = np.ones(G.n_grid)
-    px = build_parametrix(p, part, 1, ones, ones, G)
+    px = build_parametrix(p, part, 1, ones)
 
     # brute force, patch by patch; the identity metric's fiber norm is |xi|
     xi = np.abs(G.xi_axis_refined())
@@ -93,9 +93,9 @@ def test_build_parametrix_order_validation():
     p = _elliptic(G)
     ones = np.ones(G.n_grid)
     with pytest.raises(ValueError):
-        build_parametrix(p, part, 0, ones, ones, G)
+        build_parametrix(p, part, 0, ones)
     with pytest.raises(ValueError):
-        build_parametrix(p, part, 4, ones, ones, G)
+        build_parametrix(p, part, 4, ones)
 
 
 def test_covered_xi_mask_identity():
@@ -122,9 +122,9 @@ def test_residual_rejects_uncovered_test_function():
     part = build_partition(MET, 2, 4)
     p = _elliptic(G)
     ones = np.ones(G.n_grid)
-    px = build_parametrix(p, part, 1, ones, ones, G)
+    px = build_parametrix(p, part, 1, ones)
     bad = gaussian_wavepacket(G, 0.0, 1.0, 0.5)  # centered off the coverage
-    rep = parametrix_residual(px, [bad, np.zeros(G.n_grid)], G)
+    rep = parametrix_residual(px, [bad, np.zeros(G.n_grid)])
     assert len(rep["rejected"]) == 2
     assert "frequency" in rep["rejected"][0]["reason"]
     assert np.isnan(rep["max_rel_error"])
@@ -134,9 +134,9 @@ def test_parametrix_inverts_multiplier_symbol():
     part = build_partition(MET, 1, 5, low_freq_cap=True)
     p = _elliptic(G)
     ones = np.ones(G.n_grid)
-    px = build_parametrix(p, part, 1, ones, ones, G)
+    px = build_parametrix(p, part, 1, ones)
     tests = [gaussian_wavepacket(G, 0.0, s * 14.0, 0.55) for s in (-1, 1)]
-    rep = parametrix_residual(px, tests, G)
+    rep = parametrix_residual(px, tests)
     assert not rep["rejected"]
     assert rep["max_rel_error"] < 1e-6
     assert not px.excluded
@@ -153,11 +153,10 @@ def test_operator_residual_is_the_accepted_iterates(order):
         symbol=sample_on(G, lambda x, xi: xi ** 2 + 1.0 + 0.5 * np.cos(x)),
         m2=2, c0=0.4, big_r=1.0)
     chi = make_cutoff(G, 2.6, 3.1)
-    px = build_parametrix(p, part, order, chi, chi, G)
-    rep = parametrix_residual(px, [gaussian_wavepacket(G, 0.0, 14.0, 0.55)],
-                              G)
+    px = build_parametrix(p, part, order, chi)
+    rep = parametrix_residual(px, [gaussian_wavepacket(G, 0.0, 14.0, 0.55)])
     xi_ok = covered_xi_mask(part, G, px.covered_bands)
-    proj = parametrix._plateau(chi, chi).astype(float)[:, None] \
+    proj = (chi >= 1.0 - 1e-9).astype(float)[:, None] \
         * fourier_multiplier(np.where(xi_ok, 1.0, 0.0), G)
     dense = np.linalg.norm((px.composition - np.eye(G.npoints())) @ proj, 2)
     assert rep["operator_residual"] == pytest.approx(dense, rel=1e-12)
@@ -168,7 +167,25 @@ def test_damping_keeps_only_steps_that_lower_the_residual():
     # ulp; a step is kept only if it lowers the residual beyond rounding
     part = build_partition(MET, 1, 5, low_freq_cap=True)
     chi = make_cutoff(G, 2.6, 3.1)
-    px = build_parametrix(_elliptic(G), part, 3, chi, chi, G)
+    px = build_parametrix(_elliptic(G), part, 3, chi)
     hist = px.residuals
     for before, after in zip(hist, hist[1:]):
         assert after < before * (1.0 - 1e-12)
+
+
+def test_parametrix_keeps_the_masks_of_its_residual(monkeypatch):
+    # the frequency and plateau masks are computed once, by build_parametrix,
+    # and parametrix_residual reads them
+    part = build_partition(MET, 1, 5, low_freq_cap=True)
+    chi = make_cutoff(G, 2.6, 3.1)
+    px = build_parametrix(_elliptic(G), part, 1, chi)
+    assert np.array_equal(px.xi_ok,
+                          covered_xi_mask(part, G, px.covered_bands))
+    assert np.array_equal(px.plateau, chi >= 1.0 - 1e-9)
+
+    calls = []
+    monkeypatch.setattr(parametrix, "covered_xi_mask",
+                        lambda *args: calls.append(args))
+    rep = parametrix_residual(px, [gaussian_wavepacket(G, 0.0, 14.0, 0.55)])
+    assert not calls
+    assert not rep["rejected"]

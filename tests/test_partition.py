@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from microloc import partition
 from microloc.grids import GridSpec, sample_on
-from microloc.metric import conformal_field, identity_field
+from microloc.metric import _fd_derivative, conformal_field, identity_field
 from microloc.parametrix import EllipticSymbol, build_parametrix
 from microloc.partition import (DyadicNet, EmptyNetError, Partition,
                                 _annulus_lattice, _lattice, band_sum_symbol,
                                 build_net, build_partition, localizer_symbol,
                                 packing_bound, phi_profile, pou_deviation,
-                                rho, validate_net)
+                                radial_band_count, representative_patch, rho,
+                                validate_net, verify_localizer_derivatives)
 
 
 def test_bump_profiles():
@@ -32,7 +34,7 @@ def test_bump_profiles():
 @pytest.mark.parametrize("dim,k", [(1, 0), (1, 3), (2, 1), (2, 2)])
 def test_net_separation_covering_packing(dim, k):
     net = build_net(k, dim)
-    rep = validate_net(net, dim)
+    rep = validate_net(net)
     assert rep["separation_ok"]
     assert rep["covering_ok"]
     assert net.size <= packing_bound(k, dim)
@@ -49,7 +51,7 @@ def test_net_deterministic():
 @given(dim=st.sampled_from([1, 2]), k=st.integers(0, 3),
        lattice_step=st.sampled_from([1 / 8, 1 / 10, 1 / 16, 0.07]))
 def test_net_separated_and_covering_on_its_lattice(dim, k, lattice_step):
-    rep = validate_net(build_net(k, dim, lattice_step), dim, lattice_step)
+    rep = validate_net(build_net(k, dim, lattice_step), lattice_step)
     assert rep["separation_ok"]
     assert rep["covering_ok"]
 
@@ -100,10 +102,10 @@ def test_overlap_and_radial_bounds():
     xs = rng.uniform(-2, 2, (40, 2))
     xis = rng.uniform(-10, 10, (40, 2))
     assert np.diag(part.overlap_pairs(xs, xis)).max() <= 5 ** (part.dim + 1)
-    counts = part.radial_band_count(rng.uniform(-12, 12, (200, 2)))
+    counts = radial_band_count(rng.uniform(-12, 12, (200, 2)))
     assert counts.max() <= 5
     # |xi| = 1: rho(2^-k) > 0 exactly for k in {-1, 0, 1}
-    assert part.radial_band_count(np.array([[1.0, 0.0]]))[0] == 3
+    assert radial_band_count(np.array([[1.0, 0.0]]))[0] == 3
 
 
 def test_overlap_pairs_matches_direct_count():
@@ -296,7 +298,7 @@ def test_build_parametrix_samples_the_partition_once_per_grid(monkeypatch):
                                         * (2.0 + np.sin(x))),
                        m2=2, c0=0.4, big_r=1.0)
     ones = np.ones(grid.n_grid)
-    px = build_parametrix(p, part, 1, ones, ones, grid)
+    px = build_parametrix(p, part, 1, ones)
     assert px.covered_bands == part.bands
     assert calls == {"_sigma": 1, "fiber_transforms": 1,
                      "_neighbor_distances": len(part.bands), "evaluator": 1}
@@ -388,7 +390,7 @@ def test_validate_net_matches_a_full_scan(dim, k):
     # 1D k=-1 is two centers 1.375 apart: its separation comes from the
     # scan behind the index
     net = build_net(k, dim)
-    rep = validate_net(net, dim)
+    rep = validate_net(net)
     assert (rep["min_separation"], rep["covering_radius"]) \
         == _scan_validate(net, dim)
     assert rep["separation_ok"] and rep["covering_ok"]
@@ -400,7 +402,7 @@ def test_validate_net_reports_a_net_the_index_cannot_hold():
     base = build_net(1, 2)
     net = DyadicNet(k=1, centers=np.vstack(
         [base.centers, base.centers[:1] + [0.1, 0.0]]))
-    rep = validate_net(net, 2)
+    rep = validate_net(net)
     assert (rep["min_separation"], rep["covering_radius"]) \
         == _scan_validate(net, 2)
     assert rep["min_separation"] == pytest.approx(0.1)
@@ -441,3 +443,87 @@ def test_partition_of_unity_property(dim, k_min, span, conformal,
     dirs = rng.standard_normal((32, dim))
     xi = mags[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     assert pou_deviation(part, x, xi) <= 1e-12
+
+
+def _derivative_samples(part, sigma, rng, per_band):
+    """Samples (x, xi) with T_x xi = sqrt(sigma(x)) xi at distance 0.55 to
+    0.95 from each band's representative center, where its cutoff falls,
+    so that no patch's constants vanish."""
+    samples = []
+    for k in part.bands:
+        zeta = part.nets[k].centers[representative_patch(part, k)]
+        for _ in range(per_band):
+            x = rng.uniform(-3.0, 3.0, part.dim)
+            d = rng.standard_normal(part.dim)
+            u = zeta + rng.uniform(0.55, 0.95) * d / np.linalg.norm(d)
+            samples.append((x, u / np.sqrt(sigma(x))))
+    return samples
+
+
+def _one_row_constants(part, samples):
+    """verify_localizer_derivatives' constants with Lambda evaluated one
+    stencil point at a time, each a one-row chi_pairs / sigma_pairs."""
+    n = part.dim
+    gammas = [g for g in product(range(3), repeat=2 * n) if 1 <= sum(g) <= 2]
+    out = {}
+    for k in part.bands:
+        j = representative_patch(part, k)
+
+        def lam(z):
+            x, xi = z[None, :n], z[None, n:]
+            chi = float(part.chi_pairs(j, k, x, xi)[0, 0])
+            return 0.0 if chi == 0.0 \
+                else chi / float(part.sigma_pairs(x, xi)[0, 0])
+
+        consts = {}
+        for g in gammas:
+            a_ord, b_ord = sum(g[:n]), sum(g[n:])
+            tot = a_ord + b_ord
+            sup = 0.0
+            for x, xi in samples:
+                w = ((1.0 + x @ x) ** ((a_ord + tot) / 2.0)
+                     * (1.0 + xi @ xi) ** ((b_ord + 1 + tot) / 2.0))
+                z = np.concatenate([x, xi])
+                sup = max(sup, abs(_fd_derivative(lam, z, g, 5e-4)) / w)
+            consts[str(g)] = sup
+        out[f"j{j}_k{k}"] = consts
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_derivative_constants_equal_one_row_ones(dim):
+    if dim == 1:
+        sigma = lambda x: 2.0 + np.sin(x[0])  # noqa: E731
+        part = build_partition(_conformal_1d(), 2, 3, low_freq_cap=True)
+    else:
+        sigma = lambda x: 2.0 + np.sin(x[0]) + 0.5 * np.sin(x[1])  # noqa
+        part = build_partition(_conformal_2d(), 1, 2)
+    samples = _derivative_samples(part, sigma, np.random.default_rng(4), 4)
+    got = verify_localizer_derivatives(part, samples)["patches"]
+    want = _one_row_constants(part, samples)
+    assert {p: v["constants"] for p, v in got.items()} == want
+    assert all(c > 0.0 for consts in want.values() for c in consts.values())
+
+
+def test_derivative_evaluator_calls_do_not_grow_with_the_samples(monkeypatch):
+    part = build_partition(_conformal_1d(), 2, 3)
+    calls = []
+    chi_pairs = part.chi_pairs
+
+    def counting(j, k, x, xi):
+        calls.append(len(x))
+        return chi_pairs(j, k, x, xi)
+
+    monkeypatch.setattr(part, "chi_pairs", counting)
+    sigma = lambda x: 2.0 + np.sin(x[0])  # noqa: E731
+    counts = []
+    for per_band in (2, 8):
+        calls.clear()
+        samples = _derivative_samples(part, sigma, np.random.default_rng(1),
+                                      per_band)
+        verify_localizer_derivatives(part, samples)
+        assert set(calls) == {len(samples)}
+        counts.append(len(calls))
+    # per band, one call per stencil point of each |gamma| <= 2 at two steps:
+    # 2 gammas of order 1 (2 points), 3 of order 2 (4 points)
+    assert counts == [len(part.bands) * 2 * (2 * 2 + 3 * 4)] * 2

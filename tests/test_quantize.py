@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
-from microloc.partition import build_partition
+from microloc.partition import build_partition, representative_patch
 from microloc.quantize import (DegenerateResultError, assemble_block,
                                band_bound_experiment, bracket_weights,
                                fit_log2_slope, fourier_multiplier,
-                               fourier_weighted, make_cutoff,
-                               representative_patch, spectral_norm,
+                               fourier_weighted, make_cutoff, spectral_norm,
                                weyl_quantize)
 
 G1 = GridSpec(dim=1, half_width=np.pi, n_grid=32)
@@ -285,7 +284,7 @@ def test_assemble_block_zero_symbol():
     part = build_partition(identity_field(1), 2, 3)
     sym = sample_on(G1, lambda x, xi: 0.0 * x + 0.0 * xi)
     ones = np.ones(G1.n_grid)
-    blk = assemble_block(sym, part, 0, 2, ones, ones)
+    blk = assemble_block(sym, part, 0, 2, ones)
     assert np.abs(blk).max() == 0.0
 
 
@@ -301,8 +300,8 @@ def test_band_bound_skips_missing_band():
     part = build_partition(identity_field(1), 2, 3)
     sym = sample_on(G1, lambda x, xi: (1.0 + xi ** 2) ** 0.5 + 0.0 * x)
     chi = make_cutoff(G1, 2.0, 2.8)
-    rows = band_bound_experiment(sym, part, chi, chi, 0.0, range(2, 5),
+    rows = band_bound_experiment(sym, part, chi, 0.0, range(2, 5),
                                  "semiclassical", 1.0)
     assert [r["skipped"] for r in rows] == [False, False, True]
     with pytest.raises(ValueError):
-        band_bound_experiment(sym, part, chi, chi, 0.0, [2], "exact", 1.0)
+        band_bound_experiment(sym, part, chi, 0.0, [2], "exact", 1.0)
