@@ -1,6 +1,8 @@
 """Greedy net selection: the lattice scan behind ``build_net``.
 
-microloc has one kernel backend, numpy; there is no compiled extension.
+Every net is scanned on the lattice of step STEP = 1/8, so the points
+within 1/2 of a lattice point are one fixed table of offsets.  microloc
+has one kernel backend, numpy; there is no compiled extension.
 """
 
 from __future__ import annotations
@@ -12,41 +14,33 @@ import numpy as np
 # ``backend`` layer, so both the flag and the module stay.
 COMPILED = False
 
-
-def _half_widths(step: float) -> list[int]:
-    """Entry dr: the largest w >= 0 with (dr^2 + w^2) step^2 < 1/4, for each
-    dr that has one, in exact integers from step's binary value p/q."""
-    p, q = float(step).as_integer_ratio()
-    widths, w, dr = [], int(0.5 / step) + 1, 0
-    while 4 * p * p * dr * dr < q * q:
-        while 4 * p * p * (dr * dr + w * w) >= q * q:
-            w -= 1
-        widths.append(w)
-        dr += 1
-    return widths
+# Step of the lattice each annulus net is scanned on.
+STEP = 0.125
+# Lattice offsets within 1/2 of a point: entry dr is the largest w >= 0
+# with dr^2 + w^2 < 16, that is (dr^2 + w^2) STEP^2 < 1/4.
+_HALF_WIDTHS = (3, 3, 3, 2)
 
 
-def greedy_select(k: int, dim: int, lattice_step: float) -> np.ndarray:
+def greedy_select(k: int, dim: int) -> np.ndarray:
     """Centers of the scan-order greedy 1/2-separated net of the lattice
     points in C_k = {2^k <= |zeta| < 2^{k+1}} (dim 1 or 2).
 
-    The lattice is ``arange(-2^{k+1}, 2^{k+1}]`` at lattice_step per axis,
-    scanned row-major, with |zeta| formed as ``np.linalg.norm`` forms it.
-    A point is admitted unless an admitted point lies at a lattice offset
-    (dr, w) with (dr^2 + w^2) step^2 < 1/4 in exact arithmetic: at a dyadic
-    step, the float test ``dx*dx + dy*dy < 1/4``.  Each row is a uint8
-    raster (1 = free): ``bytes.find`` jumps from one admitted center to the
-    next free point beyond its reach, and one fancy-index store per later
-    row offset clears the stencils of the row's centers.  The raster is a
-    ring of the rows one center reaches.
+    The lattice is ``arange(-2^{k+1}, 2^{k+1}]`` at STEP per axis, scanned
+    row-major, with |zeta| formed as ``np.linalg.norm`` forms it.  A point
+    is admitted unless an admitted point lies at a lattice offset (dr, w)
+    of _HALF_WIDTHS, which at the dyadic STEP is exactly the float test
+    ``dx*dx + dy*dy < 1/4``.  Each row is a uint8 raster (1 = free):
+    ``bytes.find`` jumps from one admitted center to the next free point
+    beyond its reach, and one fancy-index store per later row offset
+    clears the stencils of the row's centers.  The raster is a ring of the
+    rows one center reaches.
     """
     lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-    axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
+    axis = np.arange(-hi, hi + STEP / 2, STEP)
     n = len(axis)
-    widths = _half_widths(lattice_step)
-    skip, pad = widths[0] + 1, widths[0]
+    skip, pad = _HALF_WIDTHS[0] + 1, _HALF_WIDTHS[0]
     stencils = [np.arange(-w, w + 1) + pad
-                for w in widths[1:]] if dim == 2 else []
+                for w in _HALF_WIDTHS[1:]] if dim == 2 else []
     ring = len(stencils) + 1
     free = np.ones((ring, n + 2 * pad), dtype=np.uint8)
     sq = axis * axis

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -26,27 +25,25 @@ _BYTES_MAX = 7 * 2 ** 30
 _COMMON_KEYS = {"schema_version", "experiment", "seed"}
 
 _SCHEMAS = {
-    "partition-verify": {"dim", "metric", "bands", "lattice_step",
-                         "low_freq_cap", "samples"},
-    "band-bound": {"grid", "metric", "bands", "lattice_step", "symbol",
-                   "m2", "s", "k_range", "mode", "cutoff"},
+    "partition-verify": {"dim", "metric", "bands", "low_freq_cap",
+                         "samples"},
+    "band-bound": {"grid", "metric", "bands", "symbol", "m2", "s",
+                   "k_range", "mode", "cutoff"},
     "moyal-order": {"grid", "symbol_a", "symbol_b", "orders_n", "h_list",
                     "cutoff"},
-    "cotlar": {"grid", "metric", "bands", "lattice_step", "symbol", "s",
-               "cutoff", "active_bands"},
-    "parametrix": {"grid", "metric", "bands", "lattice_step",
-                   "low_freq_cap", "symbol", "m2", "c0", "big_r",
-                   "order", "cutoff", "tests"},
-    "radon-block": {"grid", "metric", "bands", "lattice_step", "symbol",
-                    "m2", "k_range", "radon", "cutoff"},
-    "radon-invert": {"grid", "radon", "phantom", "filter"},
+    "cotlar": {"grid", "metric", "bands", "symbol", "s", "cutoff",
+               "active_bands"},
+    "parametrix": {"grid", "metric", "bands", "low_freq_cap", "symbol",
+                   "m2", "c0", "big_r", "order", "cutoff", "tests"},
+    "radon-block": {"grid", "metric", "bands", "symbol", "m2", "k_range",
+                    "radon", "cutoff"},
+    "radon-invert": {"grid", "radon", "phantom"},
 }
 
 # string-valued options and the values their runners accept
 _CHOICES = {
     "band-bound": {"mode": ("semiclassical", "conservative")},
-    "radon-invert": {"phantom": ("disc", "gaussian", "two-bumps"),
-                     "filter": ("ramp", "none")},
+    "radon-invert": {"phantom": ("disc", "gaussian", "two-bumps")},
 }
 
 
@@ -132,17 +129,15 @@ def _radon_errors(radon, grid, experiment) -> list[str]:
     return errors
 
 
-def _lattice_bytes(k_max: int, dim: int, lattice_step: float) -> float:
-    """Bytes held while the (2^(k_max+2) / lattice_step)^dim points of the
-    band-k_max lattice are spelled out, as validate_net does: 8 (dim + 4)
+def _lattice_bytes(k_max: int, dim: int) -> float:
+    """Bytes held while the (2^(k_max+5))^dim points of the band-k_max
+    lattice at step 1/8 are spelled out, as validate_net does: 8 (dim + 4)
     per point for the mesh coordinates, the stacked points, their squares
     and norms (peak RSS rise measured at 40 bytes per point in 1D, 48 in
     2D).  build_net scans the lattice a row at a time and holds less.
-    k_max and the point count are capped at 64 and 2^64, far past any
-    ceiling, so that no float overflows."""
-    points = 2.0 ** min(dim * (min(k_max, 64) + 2 - math.log2(lattice_step)),
-                        64)
-    return 8 * (dim + 4) * points
+    k_max is clipped to [-64, 64], far past any ceiling, so that no float
+    overflows."""
+    return 8 * (dim + 4) * 2.0 ** (dim * (min(max(k_max, -64), 64) + 5))
 
 
 def _cutoff_errors(cutoff, grid) -> list[str]:
@@ -181,9 +176,6 @@ def _sample_errors(samples, dim) -> list[str]:
             samples.get("n_x", 16), samples.get("n_xi", 400),
             dim) > _BYTES_MAX:
         errors.append("samples.n_x and samples.n_xi need more than 8 GB")
-    hw = samples.get("x_half_width")
-    if "x_half_width" in samples and not (_is_number(hw) and hw > 0):
-        errors.append("samples.x_half_width must be a positive number")
     return errors
 
 
@@ -307,10 +299,6 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                     and _is_number(hi) and 0 < lo <= hi):
                 errors.append("a conformal metric needs a string expr and "
                               "numbers 0 < lambda_min <= lambda_max")
-    ls = cfg.get("lattice_step", 0.125)
-    ls_ok = _is_number(ls) and 0 < ls <= 0.125
-    if not ls_ok:
-        errors.append("lattice_step must lie in (0, 1/8]")
     if "bands" in schema:
         bands = cfg.get("bands")
         dim = cfg.get("dim", 1) if experiment == "partition-verify" \
@@ -320,10 +308,14 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
             errors.append("bands must be an object with int k_min, k_max")
         elif bands["k_min"] > bands["k_max"]:
             errors.append("bands.k_min must be <= bands.k_max")
-        elif (ls_ok and _is_int(dim) and dim in (1, 2)
-              and _lattice_bytes(bands["k_max"], dim, ls) > _BYTES_MAX):
-            errors.append("bands.k_max and lattice_step need more than 8 GB "
-                          "to build the nets")
+        elif (_is_int(dim) and dim in (1, 2)
+              and _lattice_bytes(bands["k_max"], dim) > _BYTES_MAX):
+            errors.append("bands.k_max needs more than 8 GB to build the "
+                          "nets")
+        elif _is_pair(k_range, _is_int) and not (
+                bands["k_min"] <= k_range[0] <= k_range[1] <= bands["k_max"]):
+            errors.append("k_range must lie within [bands.k_min, "
+                          "bands.k_max]")
     if "radon" in schema:
         errors += _radon_errors(cfg.get("radon"), grid, experiment)
     if "cutoff" in cfg:
@@ -355,7 +347,6 @@ def _build_partition(cfg, dim):
     b = cfg["bands"]
     return build_partition(_build_metric(cfg, dim),
                            int(b["k_min"]), int(b["k_max"]),
-                           lattice_step=float(cfg.get("lattice_step", 0.125)),
                            low_freq_cap=bool(cfg.get("low_freq_cap", False)))
 
 
@@ -385,8 +376,7 @@ def _run_partition_verify(cfg, outdir):
     s = cfg.get("samples", {})
     n_x = int(s.get("n_x", 16))
     n_xi = int(s.get("n_xi", 400))
-    x_half = float(s.get("x_half_width", np.pi))
-    xs = np.linspace(-x_half, x_half, n_x)[:, None] \
+    xs = np.linspace(-np.pi, np.pi, n_x)[:, None] \
         * np.ones(dim)[None, :]
     # log-uniform |xi| whose fiber norm |T_x xi| lies in the built annuli
     # [2^k_min, 2^(k_max+1)) for every T_x the metric allows; when
@@ -401,8 +391,7 @@ def _run_partition_verify(cfg, outdir):
     mags = np.clip(mags, lo, top * 0.999)
     xis = mags[:, None] * dirs
 
-    nets = {k: validate_net(part.nets[k], part.lattice_step)
-            for k in part.bands}
+    nets = {k: validate_net(part.nets[k]) for k in part.bands}
     dev = pou_deviation(part, xs, xis)
     scan = overlap_scan(part, xs, xis)
     deriv_samples = [(xs[i % len(xs)], xis[i]) for i in range(0, n_xi,
@@ -445,17 +434,16 @@ def _run_band_bound(cfg, outdir):
                                  range(int(k_lo), int(k_hi) + 1),
                                  cfg.get("mode", "semiclassical"),
                                  float(cfg["m2"]))
-    live = [r for r in rows if not r["skipped"]]
-    slope = fit_log2_slope([r["k"] for r in live],
-                           [r["norm"] for r in live]) \
-        if len(live) >= 2 else float("nan")
+    slope = fit_log2_slope([r["k"] for r in rows],
+                           [r["norm"] for r in rows]) \
+        if len(rows) >= 2 else float("nan")
     write_csv(os.path.join(outdir, "band_bound.csv"),
               ["k", "j", "norm", "renorm_ratio", "mode"],
               [[r["k"], r["j"], r["norm"], r["renorm_ratio"], r["mode"]]
                for r in rows])
     report = {"rows": rows, "slope": slope}
     write_json(os.path.join(outdir, "band_bound.json"), report)
-    checks = [("norms_finite", all(np.isfinite(r["norm"]) for r in live))]
+    checks = [("norms_finite", all(np.isfinite(r["norm"]) for r in rows))]
     return checks
 
 
@@ -571,20 +559,18 @@ def _run_radon_block(cfg, outdir):
                                          rcfg, float(cfg["m2"]))
     write_csv(os.path.join(outdir, "radon_block.csv"),
               ["k", "norm", "renorm_ratio"],
-              [[r_["k"], r_["norm"], r_["renorm_ratio"]] for r_ in rows
-               if not r_["skipped"]])
+              [[r_["k"], r_["norm"], r_["renorm_ratio"]] for r_ in rows])
     write_json(os.path.join(outdir, "radon_block.json"),
                {"rows": rows, "slope": slope})
-    live = [r_ for r_ in rows if not r_["skipped"]]
-    checks = [("norms_finite", all(np.isfinite(r_["norm"]) for r_ in live))]
+    checks = [("norms_finite", all(np.isfinite(r_["norm"]) for r_ in rows))]
     return checks
 
 
 def _run_radon_invert(cfg, outdir):
     import numpy as np
 
-    from .radon import (RadonConfig, fbp_invert, phantom, radon_adjoint,
-                        radon_forward, save_array)
+    from .radon import (RadonConfig, _support_touches_boundary, fbp_invert,
+                        phantom, radon_adjoint, radon_forward, save_array)
     grid = _build_grid(cfg)
     r = cfg["radon"]
     rcfg = RadonConfig(grid=grid, n_angles=int(r["n_angles"]),
@@ -592,7 +578,7 @@ def _run_radon_invert(cfg, outdir):
     ph = cfg.get("phantom", "gaussian")
     img = phantom(ph, grid)
     sino = radon_forward(img, rcfg)
-    recon = fbp_invert(sino, cfg.get("filter", "ramp"))
+    recon = fbp_invert(sino)
     rel = float(np.linalg.norm(recon - img) / np.linalg.norm(img))
 
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
@@ -611,7 +597,7 @@ def _run_radon_invert(cfg, outdir):
     report = {"phantom": ph, "rel_l2_error": rel,
               "adjointness_defect": defect,
               "support_touches_boundary":
-                  sino.meta["support_touches_boundary"]}
+                  _support_touches_boundary(img, rcfg)}
     write_json(os.path.join(outdir, "radon_invert.json"), report)
     checks = [("adjointness", defect <= 1e-6),
               ("roundtrip", rel <= 0.05 if ph != "disc" else True)]

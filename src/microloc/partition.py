@@ -9,12 +9,12 @@ localizers Lambda_{j,k} = chi_{j,k} / Sigma, which sum to 1 wherever
 Sigma > 0.  The profiles phi and rho are built from one C-infinity step,
 so every localizer derivative exists.
 
-Each net is the scan-order greedy over the lattice points of C_k at
-lattice_step, which backend.greedy_select finds on a byte raster of the
-lattice, one row at a time (about a byte per point of a few rows).
-validate_net checks separation and covering by float distances over the
-explicit lattice of _annulus_lattice (48 bytes per point), independently
-of the raster.
+Each net is the scan-order greedy over the points of C_k on the lattice
+of step 1/8 (backend.STEP), which backend.greedy_select finds on a byte
+raster of the lattice, one row at a time (about a byte per point of a
+few rows).  validate_net checks separation and covering by float
+distances over the explicit lattice of _annulus_lattice (48 bytes per
+point), independently of the raster.
 
 The partition is evaluated in two ways: on a quantization grid
 (localizer_symbol, band_sum_symbol), and on the product of a set of
@@ -98,25 +98,23 @@ def _lattice(axis: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _annulus_lattice(k: int, dim: int, lattice_step: float) -> np.ndarray:
+def _annulus_lattice(k: int, dim: int) -> np.ndarray:
     """The lattice points in C_k, in lexicographic (row-major) order."""
     lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-    axis = np.arange(-hi, hi + lattice_step / 2, lattice_step)
+    axis = np.arange(-hi, hi + backend.STEP / 2, backend.STEP)
     pts = _lattice(axis, dim)
     r = np.linalg.norm(pts, axis=1)
     return np.ascontiguousarray(pts[(r >= lo) & (r < hi)])
 
 
-def build_net(k: int, dim: int, lattice_step: float = 0.125) -> DyadicNet:
+def build_net(k: int, dim: int) -> DyadicNet:
     """Greedy maximal 1/2-separated net over a lexicographic lattice scan."""
-    if lattice_step > 0.125:
-        raise ValueError("lattice_step must be <= 1/8 for covering maximality")
     if dim not in (1, 2):
         raise ValueError("only dim 1 and 2 are supported")
-    centers = backend.greedy_select(k, dim, lattice_step)
+    centers = backend.greedy_select(k, dim)
     if centers.shape[0] == 0:
         raise EmptyNetError(f"annulus C_{k} holds no lattice points at "
-                            f"step {lattice_step}")
+                            f"step {backend.STEP}")
     return DyadicNet(k=k, centers=centers)
 
 
@@ -220,7 +218,7 @@ def _nearest(centers: np.ndarray, index, pts: np.ndarray,
     return np.sqrt(best)
 
 
-def validate_net(net: DyadicNet, lattice_step: float = 0.125) -> dict:
+def validate_net(net: DyadicNet) -> dict:
     """Exhaustive separation and covering check on the construction lattice."""
     dim = net.centers.shape[1]
     try:
@@ -230,7 +228,7 @@ def validate_net(net: DyadicNet, lattice_step: float = 0.125) -> dict:
     sep = _nearest(net.centers, index, net.centers, skip_self=True)
     min_sep = float(sep.min()) if net.size > 1 else np.inf
     cover = _nearest(net.centers, index,
-                     _annulus_lattice(net.k, dim, lattice_step))
+                     _annulus_lattice(net.k, dim))
     return {
         "min_separation": min_sep,
         "covering_radius": float(cover.max()),
@@ -246,7 +244,7 @@ class Partition:
 
     def __init__(self, metric: MetricField, k_min: int, k_max: int,
                  nets: dict[int, DyadicNet],
-                 low_freq_cap: bool = False, lattice_step: float = 0.125):
+                 low_freq_cap: bool = False):
         if k_min > k_max:
             raise ValueError("k_min must be <= k_max")
         self.metric = metric
@@ -254,7 +252,6 @@ class Partition:
         self.k_max = k_max
         self.nets = nets
         self.low_freq_cap = low_freq_cap
-        self.lattice_step = lattice_step
         self.dim = metric.dim
         self._indexes: dict[int, _CellIndex] = {}
         self._grid_samples: dict[GridSpec, tuple] = {}
@@ -425,13 +422,10 @@ def radial_band_count(xi_arr: np.ndarray) -> np.ndarray:
 
 
 def build_partition(metric: MetricField, k_min: int, k_max: int,
-                    lattice_step: float = 0.125,
                     low_freq_cap: bool = False) -> Partition:
     """Build nets for every band in [k_min, k_max] and bundle the family."""
-    nets = {k: build_net(k, metric.dim, lattice_step)
-            for k in range(k_min, k_max + 1)}
-    return Partition(metric, k_min, k_max, nets,
-                     low_freq_cap=low_freq_cap, lattice_step=lattice_step)
+    nets = {k: build_net(k, metric.dim) for k in range(k_min, k_max + 1)}
+    return Partition(metric, k_min, k_max, nets, low_freq_cap=low_freq_cap)
 
 
 # grid sampling ----------------------------------------------------------

@@ -228,17 +228,16 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
     the 2^{k m2} band factor.  Conservative mode reports the certified
     bound 2^{3k} times the same measured norm (N_xi = 3), the loss an
     estimate through finitely many xi-derivatives of the symbol cannot
-    avoid; it is never below the semiclassical value.
+    avoid; it is never below the semiclassical value.  Every k of k_range
+    must be a built band.
     """
     if mode not in ("conservative", "semiclassical"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not set(k_range) <= set(part.nets):
+        raise ValueError(f"k_range reaches past bands "
+                         f"{part.k_min}..{part.k_max}")
     rows = []
     for k in k_range:
-        if k not in part.nets or part.nets[k].size == 0:
-            rows.append({"k": k, "j": -1, "norm": float("nan"),
-                         "renorm_ratio": float("nan"), "mode": mode,
-                         "skipped": True})
-            continue
         j = representative_patch(part, k)
         block = assemble_block(a, part, j, k, chi)
         w_out, w_in = (bracket_weights(a.grid, t, 2.0 ** -k) if t else None
@@ -249,5 +248,5 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
             else measured * 2.0 ** (3 * k)
         rows.append({"k": k, "j": j, "norm": value,
                      "renorm_ratio": value / 2.0 ** (k * m2),
-                     "mode": mode, "skipped": False})
+                     "mode": mode})
     return rows

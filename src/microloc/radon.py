@@ -19,7 +19,7 @@ import functools
 import json
 import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,7 +72,6 @@ class RadonConfig:
 class Sinogram:
     values: np.ndarray
     config: RadonConfig
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         want = (self.config.n_offsets, self.config.n_angles)
@@ -185,14 +184,19 @@ def radon_forward(image: np.ndarray, cfg: RadonConfig) -> Sinogram:
     n = g.n_grid
     if image.shape != (n, n):
         raise ValueError(f"image shape {image.shape}, expected {(n, n)}")
-    mesh = g.x_mesh()
-    r = np.sqrt(sum(np.square(ax) for ax in mesh))
-    boundary = bool(np.any((r > cfg.s_max - 2 * g.dx)
-                           & (np.abs(image) > 1e-12 * max(np.abs(image).max(),
-                                                          1e-300))))
     vals = _csr(cfg) @ np.asarray(image, dtype=float).ravel()
     return Sinogram(values=vals.reshape(cfg.n_angles, cfg.n_offsets).T,
-                    config=cfg, meta={"support_touches_boundary": boundary})
+                    config=cfg)
+
+
+def _support_touches_boundary(image: np.ndarray, cfg: RadonConfig) -> bool:
+    """Whether the image exceeds 1e-12 of its peak within two pixels of
+    the largest offset s_max, the edge of the sampled lines."""
+    g = cfg.grid
+    r = np.sqrt(sum(np.square(ax) for ax in g.x_mesh()))
+    return bool(np.any((r > cfg.s_max - 2 * g.dx)
+                       & (np.abs(image) > 1e-12 * max(np.abs(image).max(),
+                                                      1e-300))))
 
 
 def radon_adjoint(g: Sinogram) -> np.ndarray:
@@ -203,7 +207,7 @@ def radon_adjoint(g: Sinogram) -> np.ndarray:
     return scale * (_csr(cfg).T @ g.values.T.ravel()).reshape(n, n)
 
 
-def ramp_filter(g: Sinogram, kind: str = "ramp") -> Sinogram:
+def ramp_filter(g: Sinogram) -> Sinogram:
     """Per-angle 1D ramp filter in the offset variable.
 
     Uses the band-limited discrete ramp (Ram-Lak) kernel applied by
@@ -211,11 +215,6 @@ def ramp_filter(g: Sinogram, kind: str = "ramp") -> Sinogram:
     the circular FFT, it keeps the correct DC weight and avoids wrap
     artifacts.
     """
-    if kind == "none":
-        return Sinogram(values=g.values.copy(), config=g.config,
-                        meta=dict(g.meta))
-    if kind != "ramp":
-        raise ValueError(f"unknown filter {kind!r}")
     cfg = g.config
     n = cfg.n_offsets
     npad = 1 << int(np.ceil(np.log2(2 * n)))
@@ -229,7 +228,7 @@ def ramp_filter(g: Sinogram, kind: str = "ramp") -> Sinogram:
     padded[:n] = g.values
     vals = np.fft.ifft(filt * np.fft.fft(padded, axis=0), axis=0).real[:n]
     vals *= 2.0 * np.pi * cfg.ds
-    return Sinogram(values=vals, config=cfg, meta=dict(g.meta))
+    return Sinogram(values=vals, config=cfg)
 
 
 @functools.cache
@@ -240,9 +239,9 @@ def fbp_constant(cfg: RadonConfig) -> float:
     return float((recon * recon).sum() / (recon * truth).sum())
 
 
-def fbp_invert(g: Sinogram, kind: str = "ramp") -> np.ndarray:
+def fbp_invert(g: Sinogram) -> np.ndarray:
     """Filtered backprojection: ramp filter, backproject, fixed constant."""
-    return radon_adjoint(ramp_filter(g, kind)) / fbp_constant(g.config)
+    return radon_adjoint(ramp_filter(g)) / fbp_constant(g.config)
 
 
 def radon_matrix(cfg: RadonConfig) -> np.ndarray:
@@ -332,8 +331,11 @@ def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
     ``||R C|| = sqrt(lambda_max(C^H G C))`` for ``C = chi op chi``, scaled
     to a largest entry of 1 first.  C is zero off the rows and columns
     where chi > 0, and so is the rest of C^H G C, so only those rows and
-    columns are kept.
+    columns are kept.  Every k of k_range must be a built band.
     """
+    if not set(k_range) <= set(part.nets):
+        raise ValueError(f"k_range reaches past bands "
+                         f"{part.k_min}..{part.k_max}")
     on = np.flatnonzero(chi)
     m = radon_matrix(cfg)
     gram = (m.T @ m)[np.ix_(on, on)]
@@ -341,10 +343,6 @@ def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
     rows = []
     for k in k_range:
-        if k not in part.nets or part.nets[k].size == 0:
-            rows.append({"k": k, "norm": float("nan"),
-                         "renorm_ratio": float("nan"), "skipped": True})
-            continue
         lam = band_sum_symbol(part, k, a.grid)
         c = cut(weyl_quantize(a, weight=lam.values)[np.ix_(on, on)],
                 chi.ravel()[on])
@@ -354,11 +352,10 @@ def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
         norm = scale * peak * float(
             np.sqrt(_top_eigenvalue(c.conj().T @ (gram @ c))))
         rows.append({"k": k, "norm": norm,
-                     "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5)),
-                     "skipped": False})
-    ks = [r["k"] for r in rows if not r["skipped"]]
-    vals = [r["norm"] for r in rows if not r["skipped"]]
-    slope = fit_log2_slope(ks, vals) if len(ks) >= 2 else float("nan")
+                     "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5))})
+    slope = fit_log2_slope([r["k"] for r in rows],
+                           [r["norm"] for r in rows]) \
+        if len(rows) >= 2 else float("nan")
     return rows, slope
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from microloc import backend
 from microloc.grids import GridSpec
-from microloc.partition import _annulus_lattice, _lattice
+from microloc.partition import _annulus_lattice
 from microloc.radon import (RadonConfig, _angle_geometry, radon_forward,
                             radon_matrix)
 
@@ -38,7 +38,7 @@ def _indices_in(cands, centers):
 
 
 # sha256 of the little-endian int64 indices selected from each annulus
-# lattice at lattice_step 1/8 (frozen from the former compiled kernel, which
+# lattice at step 1/8 (frozen from the former compiled kernel, which
 # the row-wise greedy and then the byte raster reproduced index for index)
 NET_DIGESTS = {
     (1, 0): "4514c25ffa3fb00d1065e5eeb397452667c43ab4ae7b1123b8c072b8642085d2",
@@ -62,40 +62,20 @@ NET_DIGESTS = {
 
 @pytest.mark.parametrize("dim,k", sorted(NET_DIGESTS))
 def test_greedy_select_annulus_net_digest(dim, k):
-    cands = _annulus_lattice(k, dim, 0.125)
-    idx = _indices_in(cands, backend.greedy_select(k, dim, 0.125))
+    cands = _annulus_lattice(k, dim)
+    idx = _indices_in(cands, backend.greedy_select(k, dim))
     assert hashlib.sha256(idx.tobytes()).hexdigest() == NET_DIGESTS[dim, k]
 
 
 def test_greedy_select_annulus_nets_match_brute_force():
     # the brute-force scan is quadratic, so it checks the smaller annuli;
-    # at dyadic steps the lattice offsets are exact, so the float test is
-    # the exact one
-    for step, dim, k in ([(1 / 8, 1, k) for k in range(10)]
-                         + [(1 / 8, 2, k) for k in range(4)]
-                         + [(1 / 16, 1, k) for k in range(8)]
-                         + [(1 / 16, 2, k) for k in range(3)]):
-        cands = _annulus_lattice(k, dim, step)
+    # at the dyadic step 1/8 the lattice offsets are exact, so the float
+    # test is the exact one
+    for dim, k in [(1, k) for k in range(10)] + [(2, k) for k in range(4)]:
+        cands = _annulus_lattice(k, dim)
         want = cands[_brute_force_greedy(cands, _float_close)]
-        got = backend.greedy_select(k, dim, step)
-        assert np.array_equal(got, want), (step, dim, k)
-
-
-@pytest.mark.parametrize("step", [1 / 10, 0.07, 1 / 12])
-def test_greedy_select_is_the_exact_greedy_at_any_step(step):
-    # integer lattice offsets against the step's exact binary value p/q:
-    # (dr, w) is within 1/2 when 4 p^2 (dr^2 + w^2) < q^2
-    p, q = step.as_integer_ratio()
-    most = (q * q - 1) // (4 * p * p)  # largest dr^2 + w^2 within 1/2
-    for dim, k in [(1, k) for k in range(6)] + [(2, k) for k in range(3)]:
-        hi = 2.0 ** (k + 1)
-        axis = np.arange(-hi, hi + step / 2, step)
-        r = np.linalg.norm(_lattice(axis, dim), axis=1)
-        cands = _lattice(np.arange(len(axis)), dim)[(r >= hi / 2) & (r < hi)]
-        admitted = cands[_brute_force_greedy(
-            cands, lambda dr, w: dr * dr + w * w <= most)]
-        assert np.array_equal(backend.greedy_select(k, dim, step),
-                              axis[admitted]), (dim, k)
+        got = backend.greedy_select(k, dim)
+        assert np.array_equal(got, want), (dim, k)
 
 
 def _gather_reference(image, cfg):

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,7 +163,7 @@ def test_radon_invert_runs(tmp_path):
     cfg = _base("radon-invert",
                 grid={"dim": 2, "half_width": np.pi, "n_grid": 64},
                 radon={"n_angles": 90, "n_offsets": 129},
-                phantom="gaussian", filter="ramp")
+                phantom="gaussian")
     code, outdir = _run(tmp_path, "radon-invert", cfg)
     assert code == 0
     report = json.loads((outdir / "radon_invert.json").read_text())
@@ -181,7 +182,6 @@ def test_radon_invert_runs(tmp_path):
     (lambda c: c.update(surprise=1), "unknown key"),
     (lambda c: c.update(schema_version=2), "wrong schema version"),
     (lambda c: c.update(experiment="cotlar"), "experiment mismatch"),
-    (lambda c: c.update(lattice_step=0.5), "lattice step too coarse"),
 ])
 def test_validation_rejections(tmp_path, mutate, desc):
     cfg = _base("band-bound", grid={"dim": 1, "half_width": np.pi,
@@ -309,7 +309,8 @@ def _without(cfg, key):
     (_cotlar(schema_version=True), "boolean schema version"),
     (_band_bound(mode="x"), "unknown band-bound mode"),
     (_radon_invert() | {"phantom": "x"}, "unknown phantom"),
-    (_radon_invert() | {"filter": "x"}, "unknown filter"),
+    # radon-invert has one filter, the ramp: a filter key is unknown
+    (_radon_invert() | {"filter": "ramp"}, "unknown filter"),
     (_radon_invert() | {"grid": {"dim": 1, "half_width": np.pi,
                                  "n_grid": 32}}, "1D Radon grid"),
     (_cotlar(s=math.nan), "NaN Sobolev exponent"),
@@ -341,6 +342,10 @@ def _without(cfg, key):
     (_band_bound(symbol="1/xi1"), "band-bound symbol with a pole"),
     (_moyal(symbol_a="1/xi1"), "moyal-order symbol with a pole"),
     (_radon_block(symbol="1/xi1"), "radon-block symbol with a pole"),
+    (_band_bound(k_range=[2, 6]), "band-bound k_range outside bands"),
+    (_radon_block(k_range=[0, 3]), "radon-block k_range outside bands"),
+    (_cotlar(bands={"k_min": -10 ** 400, "k_max": -10 ** 400}),
+     "k_max below floats"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -408,26 +413,24 @@ def test_every_schema_key_is_read():
 
 
 _G1 = {"dim": 1, "half_width": np.pi, "n_grid": 8}
-_NET = {"lattice_step": 0.125}
 _FUZZ_BASES = [
     _base("partition-verify", dim=1, metric={"kind": "identity"},
           bands={"k_min": 2, "k_max": 3}, low_freq_cap=False, seed=0,
-          samples={"n_x": 2, "n_xi": 8, "x_half_width": 3.0}, **_NET),
+          samples={"n_x": 2, "n_xi": 8}),
     _band_bound(grid=_G1, bands={"k_min": 0, "k_max": 1}, k_range=[0, 1],
                 s=0.0, mode="semiclassical",
-                cutoff={"r_one": 2.4, "r_zero": 3.0}, **_NET),
+                cutoff={"r_one": 2.4, "r_zero": 3.0}),
     _moyal(grid=_G1, cutoff={"r_one": 2.4, "r_zero": 3.0}),
     _cotlar(grid=_G1, bands={"k_min": 1, "k_max": 1}, s=0.0,
             active_bands=[1], cutoff={"r_one": 2.4, "r_zero": 3.0},
             metric={"kind": "conformal", "expr": "2+sin(x1)",
-                    "lambda_min": 1, "lambda_max": 3}, **_NET),
+                    "lambda_min": 1, "lambda_max": 3}),
     _parametrix(grid=_G1, bands={"k_min": 0, "k_max": 1}, c0=0.5,
                 big_r=0.0, tests={"x0": [0.0], "xi0_list": [[1.5]],
-                                  "sigma": 0.7}, **_NET),
-    _radon_block(cutoff={"r_one": 0.7, "r_zero": 1.0}, **_NET),
+                                  "sigma": 0.7}),
+    _radon_block(cutoff={"r_one": 0.7, "r_zero": 1.0}),
     _base("radon-invert", grid={"dim": 2, "half_width": np.pi, "n_grid": 8},
-          radon={"n_angles": 8, "n_offsets": 9}, phantom="disc",
-          filter="ramp", seed=0),
+          radon={"n_angles": 8, "n_offsets": 9}, phantom="disc", seed=0),
 ]
 _FUZZ_VALUES = [None, True, "x", [], {}, [1, 2], {"a": 1}, 0, 1, -1, 2, 3,
                 0.0, 0.5, -0.5, 1e300, -1e300, math.nan, math.inf, -math.inf]
@@ -488,18 +491,18 @@ def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg", [
-    _cotlar(lattice_step=1e-9),
+    _cotlar(bands={"k_min": 2, "k_max": 23}),
     _cotlar(grid={"dim": 2, "half_width": np.pi, "n_grid": 16},
             bands={"k_min": 2, "k_max": 14}),
     _base("partition-verify", dim=2, bands={"k_min": 2, "k_max": 9}),
-], ids=["lattice_step 1e-9", "2D k_max 14", "partition-verify 2D k_max 9"])
+], ids=["1D k_max 23", "2D k_max 14", "partition-verify 2D k_max 9"])
 def test_net_lattice_beyond_8gb_rejected_before_running(tmp_path, capsys,
                                                         cfg):
-    # the k_max annulus lattice: 1D at step 1e-9 asks numpy for 60 GiB,
-    # 2D k_max 14 for 12 TiB; 2D k_max 8 (3 GiB) still runs
+    # the k_max annulus lattice at step 1/8: 1D k_max 23 asks numpy for
+    # 10 GiB, 2D k_max 14 for 12 TiB; k_max 8 (3 GiB in 2D) still runs
     errors = cli.validate_config(cfg, cfg["experiment"])
     assert any("8 GB" in e for e in errors), errors
-    ok = {**cfg, "lattice_step": 0.125, "bands": {"k_min": 2, "k_max": 8}}
+    ok = {**cfg, "bands": {"k_min": 2, "k_max": 8}}
     assert cli.validate_config(ok, cfg["experiment"]) == []
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
     assert code == 2
@@ -564,3 +567,14 @@ def test_missing_config_file(tmp_path):
     code = cli.main(["cotlar", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_readme_configs_validate():
+    # every JSON config block of the README passes validation, so an
+    # example cannot keep a key the CLI no longer takes
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        cfg = json.loads(block)
+        assert cli.validate_config(cfg, cfg["experiment"]) == [], block

@@ -48,10 +48,9 @@ def test_net_deterministic():
     assert np.array_equal(a.centers, b.centers)
 
 
-@given(dim=st.sampled_from([1, 2]), k=st.integers(0, 3),
-       lattice_step=st.sampled_from([1 / 8, 1 / 10, 1 / 16, 0.07]))
-def test_net_separated_and_covering_on_its_lattice(dim, k, lattice_step):
-    rep = validate_net(build_net(k, dim, lattice_step), lattice_step)
+@given(dim=st.sampled_from([1, 2]), k=st.integers(0, 3))
+def test_net_separated_and_covering_on_its_lattice(dim, k):
+    rep = validate_net(build_net(k, dim))
     assert rep["separation_ok"]
     assert rep["covering_ok"]
 
@@ -61,8 +60,6 @@ def test_net_validation():
         build_net(-5, 1)
     with pytest.raises(ValueError):
         build_net(1, 3)
-    with pytest.raises(ValueError):
-        build_net(1, 1, lattice_step=0.25)
 
 
 def test_partition_of_unity_random_points():
@@ -344,7 +341,7 @@ def _scan_validate(net, dim):
     """Separation and covering of a net by scanning every pair."""
     d2 = _scan_sq_dist(net.centers, net.centers)
     np.fill_diagonal(d2, np.inf)
-    lattice = _annulus_lattice(net.k, dim, 0.125)
+    lattice = _annulus_lattice(net.k, dim)
     cover = max(np.sqrt(_scan_sq_dist(net.centers, lattice[lo:lo + 512])
                         .min(axis=1)).max()
                 for lo in range(0, len(lattice), 512))

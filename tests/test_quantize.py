@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from microloc import cli
 from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
 from microloc.partition import build_partition, representative_patch
@@ -296,12 +298,25 @@ def test_representative_patch_near_positive_axis():
     assert abs(c[1]) <= np.linalg.norm(c) * 0.5
 
 
-def test_band_bound_skips_missing_band():
+def test_band_bound_refuses_a_k_range_outside_bands(tmp_path, capsys):
     part = build_partition(identity_field(1), 2, 3)
     sym = sample_on(G1, lambda x, xi: (1.0 + xi ** 2) ** 0.5 + 0.0 * x)
     chi = make_cutoff(G1, 2.0, 2.8)
-    rows = band_bound_experiment(sym, part, chi, 0.0, range(2, 5),
-                                 "semiclassical", 1.0)
-    assert [r["skipped"] for r in rows] == [False, False, True]
+    with pytest.raises(ValueError):
+        band_bound_experiment(sym, part, chi, 0.0, range(2, 5),
+                              "semiclassical", 1.0)
     with pytest.raises(ValueError):
         band_bound_experiment(sym, part, chi, 0.0, [2], "exact", 1.0)
+    # the CLI refuses it before building anything
+    cfg = {"schema_version": 1, "experiment": "band-bound",
+           "grid": {"dim": 1, "half_width": np.pi, "n_grid": 32},
+           "bands": {"k_min": 2, "k_max": 3}, "k_range": [2, 6],
+           "symbol": "sqrt(1 + xi1^2)", "m2": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["band-bound", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    errors = json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+    assert errors == ["k_range must lie within [bands.k_min, bands.k_max]"]
+    assert not (tmp_path / "out").exists()
