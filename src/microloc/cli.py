@@ -94,18 +94,22 @@ def _is_pair(v, test) -> bool:
 
 
 def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
-                 dense: bool) -> float:
+                 block: bool) -> float:
     """Bytes of a Radon run.  The cached sparse operator holds about
     1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
     at most two copies while its buffers grow (n_grid 256, 360 angles, 256
-    offsets: 39.7 M entries, 476 MB, 0.65 GB peak).  radon-block also holds
-    one dense float64 copy of the (n_angles n_offsets, n_grid^2) matrix, then
-    its Gram matrix G and, per band, four complex arrays at most that size
-    (C, GC, C^H, C^H G C), 72 n_grid^4 bytes: n_grid 32, 180 angles, 129
-    offsets trace 192 MiB as the 181 MiB matrix is built, 208 MiB in all."""
-    rays = n_angles * n_offsets
-    return 2 * 12 * 1.7 * n_grid * rays \
-        + (8 * rays * n_grid ** 2 + 72 * n_grid ** 4 if dense else 0)
+    offsets: 39.7 M entries, 476 MB, 0.65 GB peak), besides the temporaries
+    of one angle's (2 sqrt(2) n_grid + 1) n_offsets line samples, 70 to 124
+    bytes a sample (n_grid 8 to 256, 1 to 180 angles).  radon-block adds
+    its Gram matrix G, summed from the operator in dense blocks of 1,024
+    rows of 8 n_grid^2 bytes, and per band four complex arrays at most G's
+    size (C, GC, C^H, C^H G C): 72 n_grid^4 + 8192 n_grid^2 bytes.  At
+    n_grid 32, 180 angles and 129 offsets a radon-block run traces 80 MiB
+    at its peak, 75 MiB of it in 2D Weyl assembly, and 12 MiB in the Gram
+    sum, where the dense R it replaced traced 192 MiB."""
+    samples = (2 ** 1.5 * n_grid + 1) * n_offsets
+    return 2 * 12 * 1.7 * n_grid * n_angles * n_offsets + 128 * samples \
+        + (72 * n_grid ** 4 + 8192 * n_grid ** 2 if block else 0)
 
 
 def _radon_errors(radon, grid, experiment) -> list[str]:
@@ -138,6 +142,19 @@ def _lattice_bytes(k_max: int, dim: int) -> float:
     k_max is clipped to [-64, 64], far past any ceiling, so that no float
     overflows."""
     return 8 * (dim + 4) * 2.0 ** (dim * (min(max(k_max, -64), 64) + 5))
+
+
+def _band_missed(k: int, lambda_min: float, lambda_max: float) -> bool:
+    """Whether a metric with eigenvalues in [lambda_min, lambda_max] leaves
+    band k no support.  chi_{j,k} > 0 needs the raw |xi| in
+    (2^(k-2), 2^(k+2)), where rho(2^-k |xi|) > 0, and |T_x xi| within 1 of
+    the annulus [2^k, 2^(k+1)), so |xi| in ((2^k - 1) / sqrt(lambda_max),
+    (2^(k+1) + 1) / sqrt(lambda_min)).  Windows that miss at k miss at
+    every larger k, so the top band is the one to check.  k is clipped
+    from below at -1100, where 2^k is 0.0 and no window misses."""
+    t = 2.0 ** max(k, -1100)
+    return (4 * t <= (t - 1) / lambda_max ** 0.5
+            or (2 * t + 1) / lambda_min ** 0.5 <= t / 4)
 
 
 def _cutoff_errors(cutoff, grid) -> list[str]:
@@ -288,6 +305,7 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         errors.append("k_range must be 2 ascending ints at most 64 apart")
     if "m2" in schema and not _is_number(cfg.get("m2")):
         errors.append("m2 must be a number")
+    lambdas = (1.0, 1.0)  # the eigenvalue window of a valid metric
     if "metric" in schema:
         metric = cfg.get("metric", {"kind": "identity"})
         if not (isinstance(metric, dict)
@@ -299,6 +317,8 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                     and _is_number(hi) and 0 < lo <= hi):
                 errors.append("a conformal metric needs a string expr and "
                               "numbers 0 < lambda_min <= lambda_max")
+            else:
+                lambdas = (lo, hi)
     if "bands" in schema:
         bands = cfg.get("bands")
         dim = cfg.get("dim", 1) if experiment == "partition-verify" \
@@ -312,6 +332,10 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
               and _lattice_bytes(bands["k_max"], dim) > _BYTES_MAX):
             errors.append("bands.k_max needs more than 8 GB to build the "
                           "nets")
+        elif _band_missed(bands["k_max"], *lambdas):
+            errors.append(f"metric.lambda_min and metric.lambda_max leave "
+                          f"band {bands['k_max']} no support: no |xi| meets "
+                          f"both its radial cutoff and its annulus")
         elif _is_pair(k_range, _is_int) and not (
                 bands["k_min"] <= k_range[0] <= k_range[1] <= bands["k_max"]):
             errors.append("k_range must lie within [bands.k_min, "

@@ -97,6 +97,9 @@ class GridSymbol:
     """A symbol sampled on (doubled x-lattice) x (refined xi-lattice).
 
     ``values`` has shape ``(2N,)*dim + (2N,)*dim`` with spatial axes first.
+    It may be a read-only broadcast view, with stride 0 along the axes the
+    samples do not vary on (as ``sample_on`` and the partition's
+    localizers return it), so it is read and never written in place.
     ``func`` optionally carries the analytic rule ``a(x, xi)`` used to build
     the samples, so the symbol can be resampled (semiclassical rescaling).
     ``deriv`` optionally maps a pair of multi-indices ``(alpha, beta)`` to the
@@ -139,8 +142,10 @@ def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],
               deriv=None) -> "GridSymbol":
     """Build a GridSymbol by evaluating func(x1..xd, xi1..xid) broadcast.
 
-    Non-finite samples (a pole such as 1/xi1 at xi1 = 0, or an overflow)
-    raise DegenerateResultError before anything is quantized.
+    ``values`` is a read-only broadcast view of the rule's result at the
+    full shape: an axis the rule ignores has stride 0 and is not written
+    out.  Non-finite samples (a pole such as 1/xi1 at xi1 = 0, or an
+    overflow) raise DegenerateResultError before anything is quantized.
     """
     d = grid.dim
     xd = grid.x_axis_doubled()
@@ -159,11 +164,10 @@ def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],
         vals = func(*x_args, *xi_args)
     if not np.all(np.isfinite(vals)):
         raise DegenerateResultError("non-finite symbol samples")
-    vals = np.broadcast_to(vals, (2 * grid.n_grid,) * (2 * d))
     # real rules stay float64: half the bytes of a complex sample
-    return GridSymbol(grid=grid,
-                      values=np.ascontiguousarray(
-                          vals, dtype=np.result_type(vals, np.float64)),
+    vals = np.asarray(vals, dtype=np.result_type(vals, np.float64))
+    shape = (2 * grid.n_grid,) * (2 * d)
+    return GridSymbol(grid=grid, values=np.broadcast_to(vals, shape),
                       func=func, deriv=deriv)
 
 

@@ -108,7 +108,8 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
                 excluded.append((j, k))
                 continue
             if q_sum is None:
-                q_sum, lam_sum = q0.values, lam.values
+                # the localizer is a read-only view: sum into a copy
+                q_sum, lam_sum = q0.values, np.array(lam.values)
             else:
                 q_sum += q0.values
                 lam_sum += lam.values

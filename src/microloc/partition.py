@@ -23,7 +23,9 @@ overlap_pairs), which with one row each gives a single point's value.
 Evaluation is lazy: per-point sums prune to the few bands and centers
 whose supports can reach the point (at most 5 radial bands, at most 5^n
 centers per band), and only the distinct T_x and Sigma of a quantization
-grid are tabulated, once per grid.  Each band is one stacked query over
+grid are tabulated, once per grid.  A grid localizer is a read-only
+broadcast view, written out along the frequency axes and only the spatial
+axes along which T_x varies.  Each band is one stacked query over
 the fiber coordinates T_x xi of every distinct T_x, cut into slices whose
 cell blocks hold at most _CHUNK entries, so an x-dependent metric costs
 one neighbor search per band and slice, not one per T_x.  The centers
@@ -356,14 +358,22 @@ class Partition:
         return self._grid_samples[grid]
 
     def _normalized(self, k: int, term, grid: GridSpec) -> GridSymbol:
-        """(band-k sum of term) / Sigma on the grid; 0 where the sum is 0."""
+        """(band-k sum of term) / Sigma on the grid; 0 where the sum is 0.
+
+        The values are a read-only broadcast view: each spatial axis along
+        which the distinct-T_x index is constant is kept at length 1.
+        """
         xi_pts, t_uniq, inv, sigma = self._grid_sample(grid)
         num = self._band_eval(t_uniq, xi_pts, [k], term)
         out = np.zeros_like(num)
         mask = num > 0.0
         out[mask] = num[mask] / sigma[mask]
-        shape = (2 * grid.n_grid,) * (2 * grid.dim)
-        return GridSymbol(grid=grid, values=out[inv].reshape(shape))
+        lat = (2 * grid.n_grid,) * grid.dim
+        inv = inv.reshape(lat)
+        inv = inv[tuple(slice(0, 1) if np.all(inv == inv.take([0], axis=i))
+                        else slice(None) for i in range(grid.dim))]
+        vals = out[inv].reshape(inv.shape + lat)
+        return GridSymbol(grid=grid, values=np.broadcast_to(vals, lat + lat))
 
     def _chi_term(self, j: int, k: int):
         """Band term of chi_{j,k}: rho * phi(|u - zeta_{j,k}|)."""

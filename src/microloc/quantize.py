@@ -49,8 +49,10 @@ def weyl_quantize(a: GridSymbol,
 
     ``weight`` (a real array shaped like ``a.values``, such as a localizer's
     samples) is multiplied into each chunk of symbol rows, so the result is
-    Op^w(a * weight) without the product array.  Non-finite entries raise
-    DegenerateResultError.
+    Op^w(a * weight) without the product array.  Either may be a read-only
+    broadcast view (stride 0 along the axes it does not vary on): only one
+    chunk at a time is written out at the full row width.  Non-finite
+    entries raise DegenerateResultError.
     """
     g = a.grid
     d, n = g.dim, g.n_grid

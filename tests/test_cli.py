@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 import microloc
 from microloc import cli
+from microloc.metric import conformal_field
+from microloc.partition import build_partition
 
 
 def _run(tmp_path, experiment, cfg, name="cfg.json", out="out"):
@@ -49,29 +51,27 @@ def test_partition_verify_runs_green(tmp_path):
 
 def test_partition_verify_fails_when_no_sample_meets_the_support(tmp_path,
                                                                capsys):
-    # T_x = 0.1 I in both.  Declared exactly, |xi| is drawn in [80, 160),
-    # which puts |T_x xi| in band 3's annulus, but band 3's radial cutoff
-    # rho(|xi| / 8) vanishes beyond |xi| = 32: this metric leaves band 3
-    # no support.  Declared in [0.01, 1], |xi| would lie in [80, 16], an
+    # T_x = 0.1 I, declared in [0.01, 1]: |xi| would lie in [80, 16], an
     # empty range, so every sample clips to its top, |xi| = 15.98, where
     # |T_x xi| = 1.6 misses band 3.  Sigma = 0 on all 1,600 pairs and
-    # nothing is checked.
-    for i, lambda_max in enumerate((0.01, 1.0)):
-        cfg = _base("partition-verify", dim=1,
-                    metric={"kind": "conformal", "expr": "0.01",
-                            "lambda_min": 0.01, "lambda_max": lambda_max},
-                    bands={"k_min": 3, "k_max": 3},
-                    samples={"n_x": 8, "n_xi": 200})
-        code, outdir = _run(tmp_path, "partition-verify", cfg, out=f"out{i}")
-        assert code == 1
-        report = json.loads((outdir / "partition_verify.json").read_text())
-        assert math.isnan(report["pou_max_deviation"])
-        assert report["overlap"]["histogram"] == {"0": 1600}
-        # no sample meets a support, so the overlap and derivative checks
-        # hold vacuously and must fail
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert not checks["overlap_bound"]
-        assert not checks["derivative_uniformity"]
+    # nothing is checked.  (Declared exactly, the metric leaves band 3 no
+    # support at all, which validation refuses: see the "metric leaves a
+    # band empty" case of test_malformed_config_exits_2.)
+    cfg = _base("partition-verify", dim=1,
+                metric={"kind": "conformal", "expr": "0.01",
+                        "lambda_min": 0.01, "lambda_max": 1.0},
+                bands={"k_min": 3, "k_max": 3},
+                samples={"n_x": 8, "n_xi": 200})
+    code, outdir = _run(tmp_path, "partition-verify", cfg)
+    assert code == 1
+    report = json.loads((outdir / "partition_verify.json").read_text())
+    assert math.isnan(report["pou_max_deviation"])
+    assert report["overlap"]["histogram"] == {"0": 1600}
+    # no sample meets a support, so the overlap and derivative checks
+    # hold vacuously and must fail
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not checks["overlap_bound"]
+    assert not checks["derivative_uniformity"]
 
 
 def test_partition_verify_samples_inside_the_built_annuli(tmp_path):
@@ -346,6 +346,13 @@ def _without(cfg, key):
     (_radon_block(k_range=[0, 3]), "radon-block k_range outside bands"),
     (_cotlar(bands={"k_min": -10 ** 400, "k_max": -10 ** 400}),
      "k_max below floats"),
+    # T_x = 0.1 I: band 3's radial cutoff rho(|xi| / 8) vanishes beyond
+    # |xi| = 32, but |T_x xi| reaches its annulus only from |xi| = 70
+    (_base("partition-verify", dim=1,
+           metric={"kind": "conformal", "expr": "0.01",
+                   "lambda_min": 0.01, "lambda_max": 0.01},
+           bands={"k_min": 3, "k_max": 3}, samples={"n_x": 8, "n_xi": 200}),
+     "metric leaves a band empty"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -488,6 +495,22 @@ def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
     code, _ = _run(tmp_path, "radon-invert", cfg)
     assert code == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+    # one angle's line samples take up to 128 bytes each: one angle of
+    # 600,000 offsets at n_grid 256 would need 55 GB, and of 700,000
+    # offsets at n_grid 32 in radon-block 9 GB
+    few = _radon_invert(n_angles=1, n_offsets=600_000)
+    few["grid"]["n_grid"] = 256
+    grid32 = {"dim": 2, "half_width": np.pi / 2, "n_grid": 32}
+    for experiment, cfg in (
+            ("radon-invert", few),
+            ("radon-block", _radon_block(grid=grid32, radon={
+                "n_angles": 1, "n_offsets": 700_000}))):
+        errors = cli.validate_config(cfg, experiment)
+        assert any("8 GB" in e for e in errors), errors
+    # radon-block forms no dense R: 800 angles of 1,000 offsets at n_grid
+    # 32 peak at 645 MB RSS
+    assert cli.validate_config(_radon_block(grid=grid32, radon={
+        "n_angles": 800, "n_offsets": 1000}), "radon-block") == []
 
 
 @pytest.mark.parametrize("cfg", [
@@ -553,6 +576,22 @@ def test_moyal_order_out_of_range_rejected(tmp_path):
                 orders_n=[7], h_list=[0.25])
     code, _ = _run(tmp_path, "moyal-order", cfg)
     assert code == 2
+
+
+@given(log_lo=st.floats(-4.0, 4.0), span=st.floats(0.0, 4.0),
+       k=st.integers(-2, 6))
+def test_a_missed_band_has_no_support(log_lo, span, k):
+    # a miss at band k is a miss at every larger k, so validation checks
+    # k_max alone; and a band the check calls missed holds no chi > 0
+    lo, hi = 10.0 ** log_lo, 10.0 ** (log_lo + span)
+    if cli._band_missed(k, lo, hi):
+        assert cli._band_missed(k + 1, lo, hi)
+    if cli._band_missed(k, lo, lo):
+        metric = conformal_field(lambda x: lo, 1, lambda_min=lo,
+                                 lambda_max=lo)
+        part = build_partition(metric, k, k)
+        xi = np.geomspace(2.0 ** (k - 3), 2.0 ** (k + 3), 2000)[:, None]
+        assert not part.sigma_pairs(np.zeros((1, 1)), xi).any()
 
 
 def test_dim2_ceiling(tmp_path):

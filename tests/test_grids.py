@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from microloc.grids import (GridSpec, GridSymbol, sample_on,
                             spectral_derivative, symbol_derivative)
@@ -47,6 +49,37 @@ def test_sample_on_broadcast():
     assert sym.values.dtype == np.float64
     assert sample_on(g, lambda x1, x2, xi1, xi2: np.exp(1j * x1) + 0.0 * xi2
                      ).values.dtype == np.complex128
+
+
+@given(dim=st.sampled_from([1, 2]), used=st.integers(0, 15),
+       complex_rule=st.booleans())
+def test_sample_on_stores_the_shape_the_rule_varies_on(dim, used,
+                                                       complex_rule):
+    # the rule reads the axes whose bit is set in `used`; the samples are a
+    # read-only view with stride 0 exactly on the others, equal bit for bit
+    # to the rule evaluated on the full lattice
+    g = GridSpec(dim=dim, half_width=np.pi, n_grid=4)
+    axes = [i for i in range(2 * dim) if used >> i & 1]
+    coef = 1.0 + 0.5j if complex_rule else 1.0
+
+    def rule(*args):
+        out = 0.25
+        for i in axes:
+            out = out + (i + 1.0) * args[i] * args[i] * coef
+        return out
+
+    sym = sample_on(g, rule)
+    vals = sym.values
+    assert vals.shape == (8,) * (2 * dim)
+    assert [s == 0 for s in vals.strides] == [i not in axes
+                                              for i in range(2 * dim)]
+    assert not vals.flags.writeable
+    assert vals.dtype == (np.complex128 if complex_rule and axes
+                          else np.float64)
+    full = np.meshgrid(*[g.x_axis_doubled()] * dim,
+                       *[g.xi_axis_refined()] * dim, indexing="ij")
+    want = np.broadcast_to(rule(*full), vals.shape)
+    assert np.array_equal(vals, want)
 
 
 def test_symbol_shape_validation():

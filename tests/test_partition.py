@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from microloc import partition
-from microloc.grids import GridSpec, sample_on
+from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import _fd_derivative, conformal_field, identity_field
 from microloc.parametrix import EllipticSymbol, build_parametrix
 from microloc.partition import (DyadicNet, EmptyNetError, Partition,
@@ -17,6 +17,7 @@ from microloc.partition import (DyadicNet, EmptyNetError, Partition,
                                 packing_bound, phi_profile, pou_deviation,
                                 radial_band_count, representative_patch, rho,
                                 validate_net, verify_localizer_derivatives)
+from microloc.quantize import weyl_quantize
 
 
 def test_bump_profiles():
@@ -219,6 +220,59 @@ def test_grid_symbols_match_pointwise_on_a_conformal_metric(dim, n_grid):
                     lam[r], normalized(part.chi_pairs(j, k, x, xi_pts)[0],
                                        sigma))
         assert band[rows].max() > 0.0
+
+
+def _conformal_x1_2d():
+    # 2 + sin(x1): constant along x2
+    return conformal_field(lambda x: 2.0 + np.sin(x[0]), 2,
+                           lambda_min=1.0, lambda_max=3.0)
+
+
+def _materialized(part, k, term, grid):
+    """(band-k sum of term) / Sigma written out at the full grid shape by
+    the gather of the distinct-T_x rows, out[inv]."""
+    xi_pts, t_uniq, inv, sigma = part._grid_sample(grid)
+    num = part._band_eval(t_uniq, xi_pts, [k], term)
+    out = np.zeros_like(num)
+    mask = num > 0.0
+    out[mask] = num[mask] / sigma[mask]
+    return out[inv].reshape((2 * grid.n_grid,) * (2 * grid.dim))
+
+
+@pytest.mark.parametrize("dim,metric,constant_axes", [
+    (1, identity_field(1), (0,)),
+    (1, _conformal_1d(), ()),
+    (2, identity_field(2), (0, 1)),
+    (2, _conformal_x1_2d(), (1,)),
+    (2, _conformal_2d(), ()),
+], ids=["1D identity", "1D 2+sin(x1)", "2D identity", "2D 2+sin(x1)",
+        "2D every axis"])
+def test_localizers_store_the_shape_the_metric_varies_on(dim, metric,
+                                                         constant_axes):
+    # a localizer depends on x only through T_x: its values are a read-only
+    # view with stride 0 exactly on the spatial axes the metric ignores,
+    # bitwise equal to the materialized gather, and Weyl assembly of a
+    # broadcast symbol and weight is bitwise that of their copies
+    part = build_partition(metric, 1, 3, low_freq_cap=True)
+    grid = GridSpec(dim=dim, half_width=np.pi, n_grid=16 if dim == 1 else 8)
+    a = sample_on(grid, lambda *z: 1.0 + 0.5j * z[dim]
+                  + sum(xi * xi for xi in z[dim:]))
+    want_zero = [i in constant_axes for i in range(dim)] + [False] * dim
+    for k in part.bands:
+        syms = [(band_sum_symbol(part, k, grid), part._chi_band_sum)]
+        for j in {0, representative_patch(part, k), part.nets[k].size - 1}:
+            syms.append((localizer_symbol(part, j, k, grid),
+                         part._chi_term(j, k)))
+        for sym, term in syms:
+            vals = sym.values
+            assert [s == 0 for s in vals.strides] == want_zero
+            assert not vals.flags.writeable
+            assert np.array_equal(vals,
+                                  _materialized(part, k, term, grid))
+        lam = syms[-1][0].values
+        copy = GridSymbol(grid=grid, values=np.array(a.values))
+        assert np.array_equal(weyl_quantize(a, weight=lam),
+                              weyl_quantize(copy, weight=np.array(lam)))
 
 
 @pytest.mark.parametrize("chunk", [7 ** 2, 7 ** 2 * 1000, partition._CHUNK])

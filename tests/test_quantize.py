@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from microloc import cli
 from microloc.grids import GridSpec, GridSymbol, sample_on
-from microloc.metric import identity_field
+from microloc.metric import conformal_field, identity_field
 from microloc.partition import build_partition, representative_patch
 from microloc.quantize import (DegenerateResultError, assemble_block,
                                band_bound_experiment, bracket_weights,
@@ -125,6 +125,29 @@ def test_weyl_quantize_traced_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * out_bytes
+
+
+def test_band_bound_memory_guard():
+    # 2D n_grid=16 under the conformal metric 2 + sin(x1): the band
+    # localizers vary along x1 only and the symbol along xi only.  Written
+    # out at (2 n_grid)^4 they trace 22 MiB; kept at the shape they vary
+    # on, about 6 MiB
+    g = GridSpec(dim=2, half_width=np.pi, n_grid=16)
+    metric = conformal_field(lambda x: 2.0 + np.sin(x[0]), 2,
+                             lambda_min=1.0, lambda_max=3.0)
+    part = build_partition(metric, 1, 3)
+    chi = make_cutoff(g, 0.5 * np.pi, 0.9 * np.pi)
+    tracemalloc.start()
+    try:
+        a = sample_on(g, lambda x1, x2, xi1, xi2:
+                      np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2))
+        rows = band_bound_experiment(a, part, chi, 0.0, range(1, 4),
+                                     "semiclassical", 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3
+    assert peak <= 12 * 2 ** 20
 
 
 def test_quantize_one_is_identity():

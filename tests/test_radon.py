@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from microloc import radon
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import identity_field
 from microloc.partition import band_sum_symbol, build_partition
@@ -228,3 +231,34 @@ def test_radon_block_gram_norms_match_dense_svd():
         assert row["norm"] == pytest.approx(want, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):  # band 3 is not built
         radon_block_experiment(a, part, chi, [1, 3], cfg, 1.0)
+
+
+def test_radon_block_memory_guard(monkeypatch):
+    # the radon-block-2d benchmark geometry: sampling the symbol and the
+    # whole experiment trace 21.9 MiB when the symbol and band sums are
+    # written out at (2 n_grid)^4 and G is formed from a dense R, about
+    # 6 MiB when they keep the shape they vary on and G is summed from the
+    # sparse operator
+    g = GridSpec(dim=2, half_width=np.pi / 2, n_grid=16)
+    part = build_partition(identity_field(2), 0, 4)
+    chi = make_cutoff(g, 1.0, 1.3)
+    cfg = RadonConfig(grid=g, n_angles=60, n_offsets=65)
+
+    def refuse(_):
+        raise AssertionError("radon_block_experiment formed the dense R")
+
+    monkeypatch.setattr(radon, "radon_matrix", refuse)
+    _operator.cache_clear()
+    tracemalloc.start()
+    try:
+        a = sample_on(g, lambda x1, x2, xi1, xi2:
+                      np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2))
+        rows, _ = radon_block_experiment(a, part, chi, [1, 2, 3], cfg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
+    # the norms of G = R^T R formed densely, to 1e-12 relative
+    want = [3.0407197866953486, 5.247251454522236, 5.901766569456147]
+    assert [r["norm"] for r in rows] == pytest.approx(want, rel=1e-12,
+                                                      abs=0.0)
