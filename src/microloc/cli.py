@@ -511,14 +511,18 @@ def _run_cotlar(cfg, outdir):
     part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
-    blocks = {}
-    for k in part.bands:
-        for j in range(part.nets[k].size):
-            blk = assemble_block(a, part, j, k, chi)
-            if np.abs(blk).max() > 1e-14:
-                blocks[(j, k)] = blk
-    report = recombine_sum(blocks, cut(weyl_quantize(a), chi), grid,
-                           s=float(cfg.get("s", 0.0)),
+    ref = cut(weyl_quantize(a), chi)
+    # a block counts unless it is negligible next to the reference
+    floor = 1e-14 * np.abs(ref).max()
+
+    def blocks():
+        for k in part.bands:
+            for j in range(part.nets[k].size):
+                blk = assemble_block(a, part, j, k, chi)
+                if np.abs(blk).max() > floor:
+                    yield (j, k), blk
+
+    report = recombine_sum(blocks(), ref, grid, s=float(cfg.get("s", 0.0)),
                            active_bands=cfg.get("active_bands"))
     cert = report["certificate"]
     write_json(os.path.join(outdir, "cotlar.json"), {
@@ -527,10 +531,10 @@ def _run_cotlar(cfg, outdir):
         "pair_matrix_file": "pair_matrix.csv",
         "relative_discrepancy": report["relative_discrepancy"],
         "tails": report["tails"],
-        "blocks": len(blocks),
+        "blocks": len(cert.indices),
     })
     write_csv(os.path.join(outdir, "pair_matrix.csv"),
-              [f"b{i}" for i in range(len(blocks))],
+              [f"b{i}" for i in range(len(cert.indices))],
               [list(map(float, row)) for row in cert.star_pair_matrix])
     checks = [("cotlar_inequality", cert.ok),
               ("tail_vanishes", report["tails"][-1]["norm"] <= 1e-10)]

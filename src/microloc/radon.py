@@ -386,15 +386,15 @@ def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
     return rows, slope
 
 
-def radon_recombine(blocks: dict, reference: np.ndarray, cfg: RadonConfig,
+def radon_recombine(blocks, reference: np.ndarray, cfg: RadonConfig,
                     active_bands=None) -> dict:
-    """Cotlar certificate and discrepancy for sinogram-valued blocks.
+    """Cotlar certificate, discrepancy and tails for sinogram-valued blocks.
 
-    ``blocks`` maps each index (j, k) to a dense (sinogram x image) block;
-    blocks and reference are already composed with their cutoffs.
-    Quadrature weights are applied here so pair norms are
-    adjoint-consistent.
+    ``blocks`` is a stream of ``((j, k), dense (sinogram x image) block)``
+    pairs, read once; blocks and reference are already composed with their
+    cutoffs.  Quadrature weights are applied here, one block at a time, so
+    pair norms are adjoint-consistent.
     """
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
-    return _recombination({idx: scale * m for idx, m in blocks.items()},
+    return _recombination(((idx, scale * m) for idx, m in blocks),
                           scale * reference, active_bands)

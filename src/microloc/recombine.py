@@ -1,4 +1,4 @@
-"""Cotlar-Stein bookkeeping for families of microlocalized blocks.
+"""Cotlar-Stein bookkeeping for streams of microlocalized blocks.
 
 Pair norms ||T_i* T_j||^{1/2} and ||T_i T_j*||^{1/2} are bounded from
 above through low-rank factors.  Each block is factored once by a thin
@@ -15,11 +15,25 @@ an SVD, since t_i can sit at 1e-13 of sigma_1, below what a Gram
 eigenvalue resolves (about 1e-8 relative).  The diagonal is
 sigma_1(T_i) exactly.  The certificate is sqrt(A B) with A, B the
 row-sup sums, and the achieved norm of the full sum is checked against
-it.  A block family is one dict ``{(j, k): matrix}``, in the order its
-pair-matrix rows are reported.  ``recombine_sum`` conjugates every block
-and the reference to plain L2 by the Sobolev weights <D>^s and <D>^{-s},
-applied by FFT (``fourier_weighted``), so all pair norms are plain
-spectral norms.
+it.
+
+A block family is a stream of ``((j, k), matrix)`` pairs, read once, in
+the order its pair-matrix rows are reported: a dict's ``.items()``, or a
+generator that assembles each block when it is asked for.  Each block is
+factored as it arrives, added to the sums below and dropped, so of the
+family only these are kept:
+
+- the factors F_i and G_i, zero-padded to the widest rank in one stack per
+  side, with sigma_1(T_i) and t_i;
+- the running sum of the blocks, for the achieved norm and the
+  discrepancy from the reference;
+- one level sum sum_{k >= K} T_{j,k} for each band K present, for the
+  tail norms.
+
+A family costs O(levels n^{2d}) plus its factors, not O(blocks n^{2d}).
+``recombine_sum`` conjugates every block and the reference to plain L2
+by the Sobolev weights <D>^s and <D>^{-s}, applied by FFT
+(``fourier_weighted``), so all pair norms are plain spectral norms.
 """
 
 from __future__ import annotations
@@ -70,48 +84,107 @@ def _truncated_factors(b: np.ndarray):
     return u[:, :r] * s[:r], vh[:r].conj().T * s[:r], top, tail
 
 
-def _core_norms(factors) -> np.ndarray:
+class _FactorStack:
+    """Factors (m, r_i) of one side, zero-padded to the widest r_i in one
+    array that doubles its length when full."""
+
+    def __init__(self):
+        self.ranks = []
+        self._data = None
+
+    def append(self, f: np.ndarray) -> None:
+        p, (m, r) = len(self.ranks), f.shape
+        old = self._data if self._data is not None \
+            else np.zeros((0, m, 0), f.dtype)
+        dtype = np.result_type(old, f)
+        if p == len(old) or r > old.shape[2] or dtype != old.dtype:
+            length = len(old) if p < len(old) else max(2 * p, 1)
+            self._data = np.zeros((length, m, max(old.shape[2], r)), dtype)
+            self._data[:p, :, :old.shape[2]] = old[:p]
+        self._data[p, :, :r] = f
+        self.ranks.append(r)
+
+    def padded(self) -> np.ndarray:
+        return self._data[:len(self.ranks)]
+
+
+def _plus(acc, b: np.ndarray):
+    """acc + b, written into acc when acc is an array of the sum's dtype.
+
+    Overflow is left to the norms' finiteness checks, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(acc, np.ndarray) and acc.dtype == np.result_type(acc, b):
+            return np.add(acc, b, out=acc)
+        return acc + b
+
+
+class _Family:
+    """One pass over a stream of ``((j, k), plain-L2 block)`` pairs.
+
+    Keeps each block's factors, sigma_1 and tail, the running sum
+    ``total`` and, per band K present, ``levels[K]``, the sum of the blocks
+    with k >= K.  A band first seen below bands already present starts
+    from the smallest level above it, so the level sums hold whatever the
+    order of the stream; a stream in (k, j) order is summed in that order.
+    Blocks may be non-square, and all share one shape.
+    """
+
+    def __init__(self, blocks):
+        self.indices, self.top, self.tail = [], [], []
+        self.f, self.g = _FactorStack(), _FactorStack()
+        self.total, self.levels = 0.0, {}
+        for (j, k), b in blocks:
+            f, g, top, tail = _truncated_factors(b)
+            self.f.append(f)
+            self.g.append(g)
+            self.indices.append((j, k))
+            self.top.append(top)
+            self.tail.append(tail)
+            self.total = _plus(self.total, b)
+            if k not in self.levels:
+                above = [level for level in self.levels if level > k]
+                self.levels[k] = self.levels[min(above)].copy() \
+                    if above else 0.0
+            for level in self.levels:
+                if level <= k:
+                    self.levels[level] = _plus(self.levels[level], b)
+
+
+def _core_norms(stack: _FactorStack) -> np.ndarray:
     """||F_i* F_j|| for i != j, from the r_i x r_j cores F_i* F_j.
 
-    Row i takes one stacked spectral_norm of its cores with the zero-padded
+    Row i takes one stacked spectral_norm of its cores with the padded
     factors of blocks j > i; padding leaves each core's norm unchanged.  The
     diagonal is left 0.  Cores that overflow raise DegenerateResultError.
     """
-    p = len(factors)
-    rmax = max(f.shape[1] for f in factors)
-    pad = np.zeros((p, factors[0].shape[0], rmax),
-                   dtype=np.result_type(*factors))
-    for i, f in enumerate(factors):
-        pad[i, :, :f.shape[1]] = f
-    norms = np.zeros((p, p))
-    for i, f in enumerate(factors):
-        if f.shape[1]:
+    pad = stack.padded()
+    norms = np.zeros((len(pad), len(pad)))
+    for i, r in enumerate(stack.ranks):
+        if r:
             with np.errstate(over="ignore", invalid="ignore"):
-                cores = f.conj().T @ pad[i + 1:]
+                cores = pad[i, :, :r].conj().T @ pad[i + 1:]
             if not np.all(np.isfinite(cores)):
                 raise DegenerateResultError("Cotlar pair cores overflow")
             norms[i, i + 1:] = spectral_norm(cores)
     return norms + norms.T
 
 
-def _cotlar_certificate(blocks: dict) -> CotlarCertificate:
+def _cotlar_certificate(fam: _Family) -> CotlarCertificate:
     """Factored pair-norm bounds, row sums A and B, and sqrt(AB).
 
-    ``blocks`` maps each index (j, k) to a plain-L2 block; blocks may be
-    non-square, and all share one shape.  An empty family, or numbers that
-    overflow the pair bounds, raise DegenerateResultError.
+    An empty family, or numbers that overflow the pair bounds, raise
+    DegenerateResultError.
     """
-    if not blocks:
+    if not fam.indices:
         raise DegenerateResultError("empty block family")
-    mats = list(blocks.values())
-    f, g, top, tail = zip(*map(_truncated_factors, mats))
-    top, tail = np.array(top), np.array(tail)
+    top, tail = np.array(fam.top), np.array(fam.tail)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.outer(tail, top) + np.outer(top, tail) + np.outer(tail, tail)
     if not np.all(np.isfinite(e)):
         raise DegenerateResultError("Cotlar tail terms overflow")
-    star = np.sqrt(_core_norms(f) + e)
-    adj = np.sqrt(_core_norms(g) + e)
+    star = np.sqrt(_core_norms(fam.f) + e)
+    adj = np.sqrt(_core_norms(fam.g) + e)
     np.fill_diagonal(star, top)
     np.fill_diagonal(adj, top)
     a_bound = float(star.sum(axis=1).max())
@@ -119,52 +192,49 @@ def _cotlar_certificate(blocks: dict) -> CotlarCertificate:
     return CotlarCertificate(
         a_bound=a_bound, b_bound=b_bound,
         bound=float(np.sqrt(a_bound * b_bound)),
-        achieved=spectral_norm(sum(mats)),
+        achieved=spectral_norm(fam.total),
         star_pair_matrix=star, adj_pair_matrix=adj,
-        indices=list(blocks))
+        indices=fam.indices)
 
 
-def _recombination(blocks: dict, reference: np.ndarray,
-                   active_bands) -> dict:
-    """Cotlar certificate of plain-L2 blocks ``{(j, k): matrix}`` and the
-    discrepancy of their sum from the reference.
+def _recombination(blocks, reference: np.ndarray, active_bands) -> dict:
+    """Cotlar certificate of a stream of plain-L2 blocks, the discrepancy
+    of their sum from the reference, and the tail norms.
 
     ``active_bands`` lists the bands the reference symbol can excite; a
-    band with no block raises CoverageGapError.
+    band with no block raises CoverageGapError.  The tails are
+    ||sum_{k >= K} T|| for each band K present and for K one past the top.
     """
+    fam = _Family(blocks)
     if active_bands is not None:
-        missing = set(active_bands) - {k for (_, k) in blocks}
+        missing = set(active_bands) - set(fam.levels)
         if missing:
             raise CoverageGapError(missing)
     ref_norm = spectral_norm(reference)
-    disc = spectral_norm(sum(blocks.values()) - reference)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = spectral_norm(fam.total - reference)
+    cert = _cotlar_certificate(fam)
+    ks = sorted(fam.levels)
     return {
-        "certificate": _cotlar_certificate(blocks),
+        "certificate": cert,
         "reference_norm": ref_norm,
         "discrepancy": disc,
         "relative_discrepancy": disc / ref_norm if ref_norm > 0 else 0.0,
+        "tails": [{"K": level, "norm": spectral_norm(fam.levels[level])}
+                  for level in ks] + [{"K": ks[-1] + 1, "norm": 0.0}],
     }
 
 
-def recombine_sum(blocks: dict, reference: np.ndarray, grid: GridSpec,
+def recombine_sum(blocks, reference: np.ndarray, grid: GridSpec,
                   s: float = 0.0, active_bands=None) -> dict:
     """Compare the block sum with the directly quantized reference.
 
-    ``blocks`` maps each index (j, k) to a block on ``grid``; blocks and
-    reference are measured as <D>^s T <D>^{-s}.  The report carries the
-    relative discrepancy and the Cotlar certificate (see
-    ``_recombination``, which also checks ``active_bands``), and the tail
-    norms ||sum_{k >= K} T|| for each truncation level K.
+    ``blocks`` is a stream of ``((j, k), block on grid)`` pairs, read once;
+    blocks and reference are measured as <D>^s T <D>^{-s}.  The report
+    carries the relative discrepancy, the Cotlar certificate and the tail
+    norms (see ``_recombination``, which also checks ``active_bands``).
     """
     w_out, w_in = (bracket_weights(grid, t) if t else None for t in (s, -s))
-    weighted = {idx: fourier_weighted(m, grid, w_out, w_in)
-                for idx, m in blocks.items()}
-    ref = fourier_weighted(reference, grid, w_out, w_in)
-    report = _recombination(weighted, ref, active_bands)
-
-    order = sorted(weighted, key=lambda jk: (jk[1], jk[0]))
-    ks = sorted({k for (_, k) in weighted})
-    report["tails"] = [{"K": level, "norm": spectral_norm(sum(
-        (weighted[jk] for jk in order if jk[1] >= level), np.zeros_like(ref)))}
-        for level in ks + [max(ks) + 1]]
-    return report
+    return _recombination(
+        ((idx, fourier_weighted(m, grid, w_out, w_in)) for idx, m in blocks),
+        fourier_weighted(reference, grid, w_out, w_in), active_bands)

@@ -232,7 +232,8 @@ def test_criterion_07_recombination_cotlar():
             blk = assemble_block(a, part, j, k, ones)
             if np.abs(blk).max() > 1e-14:
                 blocks[(j, k)] = blk
-    rep = recombine_sum(blocks, weyl_quantize(a), g, active_bands=[2, 3])
+    rep = recombine_sum(blocks.items(), weyl_quantize(a), g,
+                        active_bands=[2, 3])
     tails = {t["K"]: t["norm"] for t in rep["tails"]}
     tail_hi = min(v for kk, v in tails.items() if kk >= 4)
     ok = rep["relative_discrepancy"] <= 1e-10 \
@@ -359,7 +360,8 @@ def test_criterion_09_radon_suite():
                                  * chi_r.ravel()[None, :])
     ref = rmat @ (chi_r.ravel()[:, None] * weyl_quantize(ar)
                   * chi_r.ravel()[None, :])
-    rec_rep = radon_recombine(blocks, ref, cfg_r, active_bands=[1, 2])
+    rec_rep = radon_recombine(blocks.items(), ref, cfg_r,
+                              active_bands=[1, 2])
 
     ok = disc_rel <= 0.02 and adj <= 1e-6 and abs(expo + 1.0) <= 0.25 \
         and fbp_rel <= 0.05 and 0.0 <= slope <= 1.0 \

@@ -132,6 +132,27 @@ def test_cotlar_runs(tmp_path):
     assert (outdir / "pair_matrix.csv").exists()
 
 
+def test_cotlar_block_drop_is_relative_to_the_reference(tmp_path):
+    # the certificate does not depend on scale, and neither does which
+    # blocks count: at 1e-16 times the symbol every block peaks below
+    # 1e-14, and all 56 are still kept
+    symbol = "(1 + 0.3*cos(x1)) * exp(-((abs(xi1)-12)/8)^2)"
+    cfg = _base("cotlar", grid={"dim": 1, "half_width": np.pi, "n_grid": 64},
+                metric={"kind": "identity"}, bands={"k_min": 1, "k_max": 3},
+                symbol=symbol, active_bands=[1, 2, 3])
+    reports = []
+    for scale, out in (("1", "unit"), ("1e-16", "tiny")):
+        code, outdir = _run(tmp_path, "cotlar",
+                            {**cfg, "symbol": f"{scale} * ({symbol})"},
+                            name=f"{out}.json", out=out)
+        assert code == 0
+        reports.append(json.loads((outdir / "cotlar.json").read_text()))
+    unit, tiny = reports
+    assert unit["blocks"] == tiny["blocks"] == 56
+    for key in ("A", "B", "achieved"):
+        assert tiny[key] == pytest.approx(1e-16 * unit[key], rel=1e-9)
+
+
 def test_parametrix_runs(tmp_path):
     cfg = _base("parametrix",
                 grid={"dim": 1, "half_width": np.pi, "n_grid": 64},

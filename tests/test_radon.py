@@ -190,7 +190,7 @@ def test_radon_recombine_pair_norms_match_dense():
         lam = band_sum_symbol(part, k, g)
         op = weyl_quantize(a, weight=lam.values)
         blocks[(0, k)] = rmat @ (chi[:, None] * op * chi[None, :])
-    rep = radon_recombine(blocks, sum(blocks.values()), cfg)
+    rep = radon_recombine(blocks.items(), sum(blocks.values()), cfg)
     cert = rep["certificate"]
 
     scale = np.sqrt(cfg.ds * cfg.dtheta / g.l2_weight())

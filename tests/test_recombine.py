@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from microloc.grids import GridSpec
 from microloc.quantize import (DegenerateResultError, bracket_weights,
                                fourier_multiplier, spectral_norm)
 from microloc.recombine import (CotlarCertificate, CoverageGapError,
-                                _cotlar_certificate, recombine_sum)
+                                _cotlar_certificate, _Family, recombine_sum)
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=16)
 
@@ -20,12 +22,12 @@ def _multiplier(mask):
 
 
 def _family(mats):
-    return {(j, 0): m for j, m in enumerate(mats)}
+    return _Family(((j, 0), m) for j, m in enumerate(mats))
 
 
 def test_family_validation():
     with pytest.raises(DegenerateResultError):
-        _cotlar_certificate({})
+        _cotlar_certificate(_family([]))
 
 
 def test_overflowing_pair_bounds_are_refused():
@@ -40,7 +42,7 @@ def test_overflowing_pair_bounds_are_refused():
 def test_single_block_certificate_is_tight():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((16, 16))
-    cert = _cotlar_certificate({(0, 0): m})
+    cert = _cotlar_certificate(_family([m]))
     norm = float(np.linalg.norm(m, 2))
     assert cert.achieved == pytest.approx(norm, rel=1e-12)
     assert cert.bound == pytest.approx(norm, rel=1e-10)
@@ -53,7 +55,7 @@ def test_orthogonal_multipliers_certificate():
     xi = G.xi_axis()
     lo = _multiplier((np.abs(xi) < 4) * 2.0)
     hi = _multiplier((np.abs(xi) >= 4) * 3.0)
-    cert = _cotlar_certificate({(0, 1): lo, (0, 2): hi})
+    cert = _cotlar_certificate(_Family([((0, 1), lo), ((0, 2), hi)]))
     assert cert.star_pair_matrix[0, 1] < 1e-6
     assert cert.bound == pytest.approx(3.0, rel=1e-6)
     assert cert.achieved == pytest.approx(3.0, rel=1e-10)
@@ -73,7 +75,7 @@ def test_recombine_sum_and_tails():
     xi = G.xi_axis()
     masks = [np.abs(xi) < 4, np.abs(xi) >= 4]
     blocks = {(0, 1): _multiplier(masks[0]), (0, 2): _multiplier(masks[1])}
-    rep = recombine_sum(blocks, np.eye(16), G, active_bands=[1, 2])
+    rep = recombine_sum(blocks.items(), np.eye(16), G, active_bands=[1, 2])
     assert rep["relative_discrepancy"] < 1e-12
     assert rep["certificate"].ok
     tails = {t["K"]: t["norm"] for t in rep["tails"]}
@@ -88,11 +90,11 @@ def test_weighted_recombination_matches_dense_multipliers():
     mats = [rng.standard_normal((16, 16)) for _ in range(3)]
     ref = sum(mats) + 1e-3 * rng.standard_normal((16, 16))
     indices = [(0, 1), (1, 1), (0, 2)]
-    rep = recombine_sum(dict(zip(indices, mats)), ref, G, s=1.0)
+    rep = recombine_sum(zip(indices, mats), ref, G, s=1.0)
     w_out = fourier_multiplier(bracket_weights(G, 1.0), G)
     w_in = fourier_multiplier(bracket_weights(G, -1.0), G)
     dense = [w_out @ m @ w_in for m in mats]
-    want = _cotlar_certificate(dict(zip(indices, dense)))
+    want = _cotlar_certificate(_Family(zip(indices, dense)))
     got = rep["certificate"]
     for g, w in ((got.star_pair_matrix, want.star_pair_matrix),
                  (got.adj_pair_matrix, want.adj_pair_matrix)):
@@ -109,7 +111,7 @@ def test_weighted_recombination_matches_dense_multipliers():
 def test_recombine_coverage_gap():
     blocks = {(0, 1): _multiplier(np.abs(G.xi_axis()) < 4)}
     with pytest.raises(CoverageGapError) as err:
-        recombine_sum(blocks, np.eye(16), G, active_bands=[1, 2])
+        recombine_sum(blocks.items(), np.eye(16), G, active_bands=[1, 2])
     assert err.value.missing == [2]
 
 
@@ -181,3 +183,131 @@ def test_discarded_tail_keeps_the_bound(family):
     with mock.patch.object(recombine, "_RANK_TOL", 1e-3):
         cert = _cotlar_certificate(_family(blocks))
     assert_never_below_dense(cert, blocks)
+
+
+def dense_recombination(blocks: dict, reference):
+    """The recombination of a dict of dense blocks as it was computed before
+    families were streamed: all blocks held, padded factors copied once,
+    each tail summed in (k, j) order from zeros shaped like the reference."""
+    mats = list(blocks.values())
+    f, g, top, tail = zip(*map(recombine._truncated_factors, mats))
+    top, tail = np.array(top), np.array(tail)
+    e = np.outer(tail, top) + np.outer(top, tail) + np.outer(tail, tail)
+
+    def core_norms(factors):
+        p = len(factors)
+        rmax = max(x.shape[1] for x in factors)
+        pad = np.zeros((p, factors[0].shape[0], rmax),
+                       dtype=np.result_type(*factors))
+        for i, x in enumerate(factors):
+            pad[i, :, :x.shape[1]] = x
+        norms = np.zeros((p, p))
+        for i, x in enumerate(factors):
+            if x.shape[1]:
+                norms[i, i + 1:] = spectral_norm(x.conj().T @ pad[i + 1:])
+        return norms + norms.T
+
+    star, adj = np.sqrt(core_norms(f) + e), np.sqrt(core_norms(g) + e)
+    np.fill_diagonal(star, top)
+    np.fill_diagonal(adj, top)
+    order = sorted(blocks, key=lambda jk: (jk[1], jk[0]))
+    ks = sorted({k for (_, k) in blocks})
+    return {
+        "star": star, "adj": adj,
+        "A": float(star.sum(axis=1).max()), "B": float(adj.sum(axis=1).max()),
+        "achieved": spectral_norm(sum(mats)),
+        "discrepancy": spectral_norm(sum(mats) - reference),
+        "tails": [spectral_norm(sum(
+            (blocks[jk] for jk in order if jk[1] >= level),
+            np.zeros_like(reference))) for level in ks + [max(ks) + 1]],
+    }
+
+
+def _band_family(seed, bands=(1, 2, 3), per_band=4, n=16):
+    """Complex rank-2 blocks plus noise, in band order: bands ascending,
+    j ascending within a band."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return {(j, k): gauss(n, 2) @ gauss(2, n) + 1e-13 * gauss(n, n)
+            for k in bands for j in range(per_band)}
+
+
+def _streamed(blocks: dict, reference):
+    rep = recombine_sum((item for item in blocks.items()), reference, G)
+    cert = rep["certificate"]
+    return {"star": cert.star_pair_matrix, "adj": cert.adj_pair_matrix,
+            "A": cert.a_bound, "B": cert.b_bound, "achieved": cert.achieved,
+            "discrepancy": rep["discrepancy"],
+            "tails": [t["norm"] for t in rep["tails"]]}
+
+
+def test_band_ordered_stream_matches_dense_bitwise():
+    blocks = _band_family(7)
+    ref = sum(blocks.values()) + 1e-3 * np.eye(16)
+    got, want = _streamed(blocks, ref), dense_recombination(blocks, ref)
+    assert got["tails"][-1] == 0.0
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
+
+
+def test_shuffled_stream_matches_dense():
+    # bands arrive out of order, so lower levels are seeded from the
+    # smallest level above them
+    blocks = _band_family(8)
+    order = np.random.default_rng(9).permutation(len(blocks))
+    items = list(blocks.items())
+    shuffled = dict(items[i] for i in order)
+    assert [k for (_, k) in shuffled][:3] != sorted(
+        [k for (_, k) in shuffled][:3])
+    ref = sum(blocks.values()) + 1e-3 * np.eye(16)
+    got, want = _streamed(shuffled, ref), dense_recombination(shuffled, ref)
+    for name, value in want.items():
+        assert np.allclose(got[name], value, rtol=1e-12, atol=0.0), name
+
+
+def test_streamed_family_holds_few_blocks():
+    # 64 rank-1 blocks of 512 KiB: a stream keeps their factors, the
+    # running sum and two level sums, never the family; its peak, at a
+    # block's SVD, is about 6.6 blocks
+    n, count = 256, 64
+    grid = GridSpec(dim=1, half_width=np.pi, n_grid=n)
+    rng = np.random.default_rng(4)
+    ref = np.zeros((n, n))
+
+    def blocks():
+        for i in range(count):
+            yield (i, 1 + i % 2), \
+                rng.standard_normal((n, 1)) @ rng.standard_normal((1, n))
+
+    tracemalloc.start()
+    try:
+        rep = recombine_sum(blocks(), ref, grid, active_bands=[1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep["certificate"].indices) == count
+    assert peak < 8 * ref.nbytes
+
+
+def test_stream_errors():
+    ref = np.eye(16)
+    with pytest.raises(DegenerateResultError, match="empty"):
+        recombine_sum((b for b in []), ref, G)
+    blocks = ((jk, m) for jk, m in _band_family(1, bands=(1, 3)).items())
+    with pytest.raises(CoverageGapError) as err:
+        recombine_sum(blocks, ref, G, active_bands=[1, 2, 3])
+    assert err.value.missing == [2]
+
+
+def test_overflowing_block_sum_is_refused_without_warning():
+    # each block is finite, their running sum is not
+    b = np.zeros((16, 16))
+    b[0, 0] = 1.5e308
+    family = (((j, 1), b.copy()) for j in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateResultError):
+            recombine_sum(family, np.eye(16), G)
