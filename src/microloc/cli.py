@@ -27,11 +27,11 @@ _COMMON_KEYS = {"schema_version", "experiment", "seed"}
 _SCHEMAS = {
     "partition-verify": {"dim", "metric", "bands", "low_freq_cap",
                          "samples"},
-    "band-bound": {"grid", "metric", "bands", "symbol", "m2", "s",
-                   "k_range", "mode", "cutoff"},
+    "band-bound": {"grid", "metric", "bands", "symbol", "m2", "k_range",
+                   "cutoff"},
     "moyal-order": {"grid", "symbol_a", "symbol_b", "orders_n", "h_list",
                     "cutoff"},
-    "cotlar": {"grid", "metric", "bands", "symbol", "s", "cutoff",
+    "cotlar": {"grid", "metric", "bands", "symbol", "cutoff",
                "active_bands"},
     "parametrix": {"grid", "metric", "bands", "low_freq_cap", "symbol",
                    "m2", "c0", "big_r", "order", "cutoff", "tests"},
@@ -40,9 +40,19 @@ _SCHEMAS = {
     "radon-invert": {"grid", "radon", "phantom"},
 }
 
+# the keys each object-valued entry takes
+_OBJECT_KEYS = {
+    "grid": {"dim", "half_width", "n_grid"},
+    "metric": {"kind", "expr", "lambda_min", "lambda_max"},
+    "bands": {"k_min", "k_max"},
+    "cutoff": {"r_one", "r_zero"},
+    "samples": {"n_x", "n_xi"},
+    "tests": {"sigma", "xi0_list"},
+    "radon": {"n_angles", "n_offsets"},
+}
+
 # string-valued options and the values their runners accept
 _CHOICES = {
-    "band-bound": {"mode": ("semiclassical", "conservative")},
     "radon-invert": {"phantom": ("disc", "gaussian", "two-bumps")},
 }
 
@@ -210,8 +220,6 @@ def _test_function_errors(tests, grid) -> list[str]:
     sigma = tests.get("sigma", 0.2)
     if not (_is_number(sigma) and sigma > 0):
         errors.append("tests.sigma must be a positive number")
-    if "x0" in tests and not is_point(tests["x0"]):
-        errors.append("tests.x0 must be a list of grid.dim numbers")
     xi0s = tests.get("xi0_list")
     if "xi0_list" in tests and not (isinstance(xi0s, list) and xi0s
                                     and all(map(is_point, xi0s))):
@@ -232,7 +240,10 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                       f"match requested {experiment!r}")
     schema = _SCHEMAS[experiment]
     allowed = _COMMON_KEYS | schema
-    unknown = sorted(set(cfg) - allowed)
+    unknown = sorted(set(cfg) - allowed) + sorted(
+        f"{key}.{sub}" for key in schema & _OBJECT_KEYS.keys()
+        if isinstance(cfg.get(key), dict)
+        for sub in set(cfg[key]) - _OBJECT_KEYS[key])
     if unknown:
         errors.append(f"unknown keys: {unknown}")
     if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
@@ -289,8 +300,6 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         errors += _test_function_errors(cfg.get("tests", {}), grid)
         errors += [f"{key} must be a number" for key in ("c0", "big_r")
                    if key in cfg and not _is_number(cfg[key])]
-    if "s" in cfg and not _is_number(cfg["s"]):
-        errors.append("s must be a number")
     active = cfg.get("active_bands")
     if active is not None and not (isinstance(active, list)
                                    and all(map(_is_int, active))):
@@ -454,17 +463,14 @@ def _run_band_bound(cfg, outdir):
     a = _build_symbol(cfg["symbol"], grid)
     chi = _build_cutoff(cfg, grid)
     k_lo, k_hi = cfg["k_range"]
-    rows = band_bound_experiment(a, part, chi, float(cfg.get("s", 0.0)),
-                                 range(int(k_lo), int(k_hi) + 1),
-                                 cfg.get("mode", "semiclassical"),
+    rows = band_bound_experiment(a, part, chi, range(int(k_lo), int(k_hi) + 1),
                                  float(cfg["m2"]))
     slope = fit_log2_slope([r["k"] for r in rows],
                            [r["norm"] for r in rows]) \
         if len(rows) >= 2 else float("nan")
     write_csv(os.path.join(outdir, "band_bound.csv"),
-              ["k", "j", "norm", "renorm_ratio", "mode"],
-              [[r["k"], r["j"], r["norm"], r["renorm_ratio"], r["mode"]]
-               for r in rows])
+              ["k", "j", "norm", "renorm_ratio"],
+              [[r["k"], r["j"], r["norm"], r["renorm_ratio"]] for r in rows])
     report = {"rows": rows, "slope": slope}
     write_json(os.path.join(outdir, "band_bound.json"), report)
     checks = [("norms_finite", all(np.isfinite(r["norm"]) for r in rows))]
@@ -522,8 +528,7 @@ def _run_cotlar(cfg, outdir):
                 if np.abs(blk).max() > floor:
                     yield (j, k), blk
 
-    report = recombine_sum(blocks(), ref, grid, s=float(cfg.get("s", 0.0)),
-                           active_bands=cfg.get("active_bands"))
+    report = recombine_sum(blocks(), ref, active_bands=cfg.get("active_bands"))
     cert = report["certificate"]
     write_json(os.path.join(outdir, "cotlar.json"), {
         "A": cert.a_bound, "B": cert.b_bound, "bound": cert.bound,
@@ -560,8 +565,7 @@ def _run_parametrix(cfg, outdir):
         raise ValidationFailure([str(exc)]) from exc
     t = cfg.get("tests", {})
     sigma = float(t.get("sigma", 0.2))
-    tests = [gaussian_wavepacket(grid, t.get("x0", [0.0] * grid.dim),
-                                 xi0, sigma)
+    tests = [gaussian_wavepacket(grid, [0.0] * grid.dim, xi0, sigma)
              for xi0 in t.get("xi0_list", [[8.0] + [0.0] * (grid.dim - 1)])]
     report = parametrix_residual(px, tests)
     write_json(os.path.join(outdir, "parametrix.json"), report)
@@ -606,20 +610,18 @@ def _run_radon_invert(cfg, outdir):
     ph = cfg.get("phantom", "gaussian")
     img = phantom(ph, grid)
     sino = radon_forward(img, rcfg)
-    recon = fbp_invert(sino)
+    recon = fbp_invert(sino, rcfg)
     rel = float(np.linalg.norm(recon - img) / np.linalg.norm(img))
 
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     f = rng.standard_normal(img.shape)
-    g = rng.standard_normal(sino.values.shape)
-    from .radon import Sinogram
-    lhs = (radon_forward(f, rcfg).values * g).sum() * rcfg.ds * rcfg.dtheta
-    rhs = (f * radon_adjoint(Sinogram(values=g, config=rcfg))).sum() \
-        * grid.l2_weight()
+    g = rng.standard_normal(sino.shape)
+    lhs = (radon_forward(f, rcfg) * g).sum() * rcfg.ds * rcfg.dtheta
+    rhs = (f * radon_adjoint(g, rcfg)).sum() * grid.l2_weight()
     defect = abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
     save_array(os.path.join(outdir, "phantom.bin"), img, grid.half_width)
-    save_array(os.path.join(outdir, "sinogram.bin"), sino.values, rcfg.s_max)
+    save_array(os.path.join(outdir, "sinogram.bin"), sino, rcfg.s_max)
     save_array(os.path.join(outdir, "reconstruction.bin"), recon,
                grid.half_width)
     report = {"phantom": ph, "rel_l2_error": rel,
@@ -652,10 +654,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
 
+    # ValueError covers undecodable bytes and malformed JSON;
+    # RecursionError, nesting too deep for the decoder
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(json.dumps({"errors": [f"cannot read config: {exc}"]}))
         return 2
 
@@ -669,7 +673,11 @@ def main(argv=None) -> int:
     from .partition import EmptyNetError
     from .quantize import DegenerateResultError
     from .recombine import CoverageGapError
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(json.dumps({"errors": [f"cannot create --out: {exc}"]}))
+        return 2
     try:
         checks = _RUNNERS[args.experiment](cfg, args.out)
     except ValidationFailure as exc:

@@ -131,7 +131,7 @@ def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> np.ndarray:
     return c[idx]
 
 
-def bracket_weights(grid: GridSpec, s: float, xi_scale: float = 1.0) -> np.ndarray:
+def bracket_weights(grid: GridSpec, s: float, xi_scale: float) -> np.ndarray:
     """<xi_scale * xi_p>^s on the frequency lattice; inf where it overflows."""
     mesh = grid.xi_mesh()
     q = sum(np.square(xi_scale * ax) for ax in mesh)
@@ -221,20 +221,14 @@ def fit_log2_slope(ks, vals) -> float:
 
 
 def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
-                          s: float, k_range, mode: str,
-                          m2: float) -> list[dict]:
+                          k_range, m2: float) -> list[dict]:
     """Per-band block norms against the 2^{k m2} scale.
 
-    Semiclassical mode measures the block in semiclassically weighted
-    Sobolev norms (weights <2^{-k} xi>, O(1) on the band), which realizes
-    the 2^{k m2} band factor.  Conservative mode reports the certified
-    bound 2^{3k} times the same measured norm (N_xi = 3), the loss an
-    estimate through finitely many xi-derivatives of the symbol cannot
-    avoid; it is never below the semiclassical value.  Every k of k_range
-    must be a built band.
+    Each block T is measured as ||<2^{-k} D>^{-m2} T||, in the
+    semiclassically weighted Sobolev norm whose weights <2^{-k} xi>^{-m2}
+    (none when m2 = 0) are O(1) on the band, which realizes the 2^{k m2}
+    band factor.  Every k of k_range must be a built band.
     """
-    if mode not in ("conservative", "semiclassical"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not set(k_range) <= set(part.nets):
         raise ValueError(f"k_range reaches past bands "
                          f"{part.k_min}..{part.k_max}")
@@ -242,13 +236,8 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
     for k in k_range:
         j = representative_patch(part, k)
         block = assemble_block(a, part, j, k, chi)
-        w_out, w_in = (bracket_weights(a.grid, t, 2.0 ** -k) if t else None
-                       for t in (s - m2, -s))
-        measured = spectral_norm(
-            fourier_weighted(block, a.grid, w_out, w_in))
-        value = measured if mode == "semiclassical" \
-            else measured * 2.0 ** (3 * k)
-        rows.append({"k": k, "j": j, "norm": value,
-                     "renorm_ratio": value / 2.0 ** (k * m2),
-                     "mode": mode})
+        w = bracket_weights(a.grid, -m2, 2.0 ** -k) if m2 else None
+        norm = spectral_norm(fourier_weighted(block, a.grid, w))
+        rows.append({"k": k, "j": j, "norm": norm,
+                     "renorm_ratio": norm / 2.0 ** (k * m2)})
     return rows

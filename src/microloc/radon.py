@@ -28,7 +28,7 @@ import numpy as np
 from .grids import GridSpec, GridSymbol
 from .partition import Partition, band_sum_symbol
 from .quantize import _top_eigenvalue, cut, fit_log2_slope, weyl_quantize
-from .recombine import _recombination
+from .recombine import recombine_sum
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -67,18 +67,6 @@ class RadonConfig:
 
     def angles(self) -> np.ndarray:
         return self.dtheta * np.arange(self.n_angles)
-
-
-@dataclass
-class Sinogram:
-    values: np.ndarray
-    config: RadonConfig
-
-    def __post_init__(self):
-        want = (self.config.n_offsets, self.config.n_angles)
-        if self.values.shape != want:
-            raise ValueError(f"sinogram shape {self.values.shape}, "
-                             f"expected {want}")
 
 
 def _angle_geometry(cfg: RadonConfig, theta: float):
@@ -179,15 +167,21 @@ def _csr(cfg: RadonConfig) -> sparse.csr_array:
                             shape=(cfg.n_angles * cfg.n_offsets, n * n))
 
 
-def radon_forward(image: np.ndarray, cfg: RadonConfig) -> Sinogram:
-    """Line integrals of a grid image; bilinear sampling at half-pixel steps."""
+def radon_forward(image: np.ndarray, cfg: RadonConfig) -> np.ndarray:
+    """Line integrals of a grid image, bilinear sampling at half-pixel steps:
+    the sinogram, shape (n_offsets, n_angles)."""
     g = cfg.grid
     n = g.n_grid
     if image.shape != (n, n):
         raise ValueError(f"image shape {image.shape}, expected {(n, n)}")
     vals = _csr(cfg) @ np.asarray(image, dtype=float).ravel()
-    return Sinogram(values=vals.reshape(cfg.n_angles, cfg.n_offsets).T,
-                    config=cfg)
+    return vals.reshape(cfg.n_angles, cfg.n_offsets).T
+
+
+def _check_sinogram(g: np.ndarray, cfg: RadonConfig) -> None:
+    want = (cfg.n_offsets, cfg.n_angles)
+    if g.shape != want:
+        raise ValueError(f"sinogram shape {g.shape}, expected {want}")
 
 
 def _support_touches_boundary(image: np.ndarray, cfg: RadonConfig) -> bool:
@@ -200,15 +194,15 @@ def _support_touches_boundary(image: np.ndarray, cfg: RadonConfig) -> bool:
                                                       1e-300))))
 
 
-def radon_adjoint(g: Sinogram) -> np.ndarray:
+def radon_adjoint(g: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     """Exact discrete adjoint under the quadrature inner products."""
-    cfg = g.config
+    _check_sinogram(g, cfg)
     n = cfg.grid.n_grid
     scale = cfg.ds * cfg.dtheta / cfg.grid.l2_weight()
-    return scale * (_csr(cfg).T @ g.values.T.ravel()).reshape(n, n)
+    return scale * (_csr(cfg).T @ g.T.ravel()).reshape(n, n)
 
 
-def ramp_filter(g: Sinogram) -> Sinogram:
+def ramp_filter(g: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     """Per-angle 1D ramp filter in the offset variable.
 
     Uses the band-limited discrete ramp (Ram-Lak) kernel applied by
@@ -216,7 +210,7 @@ def ramp_filter(g: Sinogram) -> Sinogram:
     the circular FFT, it keeps the correct DC weight and avoids wrap
     artifacts.
     """
-    cfg = g.config
+    _check_sinogram(g, cfg)
     n = cfg.n_offsets
     npad = 1 << int(np.ceil(np.log2(2 * n)))
     lag = np.fft.fftfreq(npad, d=1.0 / npad).astype(np.int64)
@@ -226,23 +220,23 @@ def ramp_filter(g: Sinogram) -> Sinogram:
     kern[odd] = -1.0 / (np.pi * lag[odd] * cfg.ds) ** 2
     filt = np.fft.fft(kern)[:, None]
     padded = np.zeros((npad, cfg.n_angles))
-    padded[:n] = g.values
+    padded[:n] = g
     vals = np.fft.ifft(filt * np.fft.fft(padded, axis=0), axis=0).real[:n]
     vals *= 2.0 * np.pi * cfg.ds
-    return Sinogram(values=vals, config=cfg)
+    return vals
 
 
 @functools.cache
 def fbp_constant(cfg: RadonConfig) -> float:
     """Inversion constant fitted once per geometry on a calibration Gaussian."""
     truth = phantom("gaussian", cfg.grid)
-    recon = radon_adjoint(ramp_filter(radon_forward(truth, cfg)))
+    recon = radon_adjoint(ramp_filter(radon_forward(truth, cfg), cfg), cfg)
     return float((recon * recon).sum() / (recon * truth).sum())
 
 
-def fbp_invert(g: Sinogram) -> np.ndarray:
+def fbp_invert(g: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     """Filtered backprojection: ramp filter, backproject, fixed constant."""
-    return radon_adjoint(ramp_filter(g)) / fbp_constant(g.config)
+    return radon_adjoint(ramp_filter(g, cfg), cfg) / fbp_constant(cfg)
 
 
 def radon_matrix(cfg: RadonConfig) -> np.ndarray:
@@ -331,7 +325,7 @@ def normal_operator_exponent(cfg: RadonConfig) -> dict:
     sigma = 0.06 * g.half_width
     mesh = g.x_mesh()
     f = np.exp(-sum(np.square(ax) for ax in mesh) / (2.0 * sigma ** 2))
-    nf = radon_adjoint(radon_forward(f, cfg))
+    nf = radon_adjoint(radon_forward(f, cfg), cfg)
     fh = np.fft.fftshift(np.fft.fftn(f))
     nh = np.fft.fftshift(np.fft.fftn(nf))
     xi = np.meshgrid(g.xi_axis(), g.xi_axis(), indexing="ij")
@@ -396,5 +390,5 @@ def radon_recombine(blocks, reference: np.ndarray, cfg: RadonConfig,
     pair norms are adjoint-consistent.
     """
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
-    return _recombination(((idx, scale * m) for idx, m in blocks),
-                          scale * reference, active_bands)
+    return recombine_sum(((idx, scale * m) for idx, m in blocks),
+                         scale * reference, active_bands)

@@ -31,9 +31,7 @@ family only these are kept:
   tail norms.
 
 A family costs O(levels n^{2d}) plus its factors, not O(blocks n^{2d}).
-``recombine_sum`` conjugates every block and the reference to plain L2
-by the Sobolev weights <D>^s and <D>^{-s}, applied by FFT
-(``fourier_weighted``), so all pair norms are plain spectral norms.
+All norms are plain L2 spectral norms.
 """
 
 from __future__ import annotations
@@ -42,9 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec
-from .quantize import (DegenerateResultError, bracket_weights,
-                       fourier_weighted, spectral_norm)
+from .quantize import DegenerateResultError, spectral_norm
 
 
 class CoverageGapError(ValueError):
@@ -120,7 +116,7 @@ def _plus(acc, b: np.ndarray):
 
 
 class _Family:
-    """One pass over a stream of ``((j, k), plain-L2 block)`` pairs.
+    """One pass over a stream of ``((j, k), block)`` pairs.
 
     Keeps each block's factors, sigma_1 and tail, the running sum
     ``total`` and, per band K present, ``levels[K]``, the sum of the blocks
@@ -197,10 +193,11 @@ def _cotlar_certificate(fam: _Family) -> CotlarCertificate:
         indices=fam.indices)
 
 
-def _recombination(blocks, reference: np.ndarray, active_bands) -> dict:
-    """Cotlar certificate of a stream of plain-L2 blocks, the discrepancy
-    of their sum from the reference, and the tail norms.
+def recombine_sum(blocks, reference: np.ndarray, active_bands=None) -> dict:
+    """Cotlar certificate of a stream of blocks, the discrepancy of their
+    sum from the directly quantized reference, and the tail norms.
 
+    ``blocks`` is a stream of ``((j, k), block)`` pairs, read once.
     ``active_bands`` lists the bands the reference symbol can excite; a
     band with no block raises CoverageGapError.  The tails are
     ||sum_{k >= K} T|| for each band K present and for K one past the top.
@@ -223,18 +220,3 @@ def _recombination(blocks, reference: np.ndarray, active_bands) -> dict:
         "tails": [{"K": level, "norm": spectral_norm(fam.levels[level])}
                   for level in ks] + [{"K": ks[-1] + 1, "norm": 0.0}],
     }
-
-
-def recombine_sum(blocks, reference: np.ndarray, grid: GridSpec,
-                  s: float = 0.0, active_bands=None) -> dict:
-    """Compare the block sum with the directly quantized reference.
-
-    ``blocks`` is a stream of ``((j, k), block on grid)`` pairs, read once;
-    blocks and reference are measured as <D>^s T <D>^{-s}.  The report
-    carries the relative discrepancy, the Cotlar certificate and the tail
-    norms (see ``_recombination``, which also checks ``active_bands``).
-    """
-    w_out, w_in = (bracket_weights(grid, t) if t else None for t in (s, -s))
-    return _recombination(
-        ((idx, fourier_weighted(m, grid, w_out, w_in)) for idx, m in blocks),
-        fourier_weighted(reference, grid, w_out, w_in), active_bands)

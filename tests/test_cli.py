@@ -93,8 +93,7 @@ def test_band_bound_runs_and_is_deterministic(tmp_path):
                                     "n_grid": 128},
                 metric={"kind": "identity"},
                 bands={"k_min": 2, "k_max": 4}, symbol="ang(xi1)",
-                m2=1, s=0.0, k_range=[2, 4],
-                mode="semiclassical",
+                m2=1, k_range=[2, 4],
                 cutoff={"r_one": 2.4, "r_zero": 3.0})
     code1, out1 = _run(tmp_path, "band-bound", cfg, out="out1")
     code2, out2 = _run(tmp_path, "band-bound", cfg, out="out2")
@@ -160,7 +159,7 @@ def test_parametrix_runs(tmp_path):
                 bands={"k_min": 1, "k_max": 5}, low_freq_cap=True,
                 symbol="1+xi1^2", m2=2, c0=0.4, big_r=1.0,
                 order=1, cutoff={"r_one": 2.6, "r_zero": 3.1},
-                tests={"sigma": 0.55, "x0": [0.0], "xi0_list": [[14.0]]})
+                tests={"sigma": 0.55, "xi0_list": [[14.0]]})
     code, outdir = _run(tmp_path, "parametrix", cfg)
     assert code == 0
     report = json.loads((outdir / "parametrix.json").read_text())
@@ -374,11 +373,69 @@ def _without(cfg, key):
                    "lambda_min": 0.01, "lambda_max": 0.01},
            bands={"k_min": 3, "k_max": 3}, samples={"n_x": 8, "n_xi": 200}),
      "metric leaves a band empty"),
+    # band-bound measures at one Sobolev order, and every wavepacket is
+    # centred at the origin: s and tests.x0 are unknown keys
+    (_band_bound(s=0.0), "band-bound Sobolev order"),
+    (_parametrix(tests={"x0": [0.0], "xi0_list": [[8.0]], "sigma": 0.7}),
+     "wavepacket centre"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
     assert code == 2, desc
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
+
+
+@pytest.mark.parametrize("cfg,key", [
+    (_band_bound(s=0.0), "s"),
+    (_band_bound(mode="semiclassical"), "mode"),
+    (_cotlar(s=0.0), "s"),
+    (_parametrix(tests={"x0": [0.0], "xi0_list": [[8.0]]}), "tests.x0"),
+    (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
+           samples={"x_half_width": 1.0}), "samples.x_half_width"),
+    (_cotlar(grid={"dim": 1, "half_width": np.pi, "n_grid": 32,
+                   "lattice_step": 0.125}), "grid.lattice_step"),
+], ids=["band-bound s", "band-bound mode", "cotlar s", "parametrix tests.x0",
+        "partition-verify samples.x_half_width", "cotlar grid.lattice_step"])
+def test_removed_keys_are_unknown(cfg, key):
+    # keys no runner reads any more, at the top level or inside an object,
+    # are refused rather than silently ignored
+    assert cli.validate_config(cfg, cfg["experiment"]) == [
+        f"unknown keys: {[key]}"]
+
+
+def _non_utf8_config(tmp):
+    (tmp / "cfg.json").write_bytes(b"\xff\xfe"
+                                   + json.dumps(_cotlar()).encode())
+    return tmp / "out"
+
+
+def _deeply_nested_config(tmp):
+    (tmp / "cfg.json").write_text("[" * 200000)
+    return tmp / "out"
+
+
+def _out_is_a_file(tmp):
+    (tmp / "out").write_text("")
+    return tmp / "out"
+
+
+def _out_under_a_file(tmp):
+    (tmp / "afile").write_text("")
+    return tmp / "afile" / "sub"
+
+
+@pytest.mark.parametrize("setup", [_non_utf8_config, _deeply_nested_config,
+                                   _out_is_a_file, _out_under_a_file],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_unreadable_config_or_output_exits_2(tmp_path, capsys, setup):
+    (tmp_path / "cfg.json").write_text(json.dumps(_cotlar()))
+    out = setup(tmp_path)
+    code = cli.main(["cotlar", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out.splitlines()[-1])["errors"]
+    assert "Traceback" not in captured.out + captured.err
 
 
 def _cfg_reads(func) -> set:
@@ -446,16 +503,14 @@ _FUZZ_BASES = [
           bands={"k_min": 2, "k_max": 3}, low_freq_cap=False, seed=0,
           samples={"n_x": 2, "n_xi": 8}),
     _band_bound(grid=_G1, bands={"k_min": 0, "k_max": 1}, k_range=[0, 1],
-                s=0.0, mode="semiclassical",
                 cutoff={"r_one": 2.4, "r_zero": 3.0}),
     _moyal(grid=_G1, cutoff={"r_one": 2.4, "r_zero": 3.0}),
-    _cotlar(grid=_G1, bands={"k_min": 1, "k_max": 1}, s=0.0,
-            active_bands=[1], cutoff={"r_one": 2.4, "r_zero": 3.0},
+    _cotlar(grid=_G1, bands={"k_min": 1, "k_max": 1}, active_bands=[1],
+            cutoff={"r_one": 2.4, "r_zero": 3.0},
             metric={"kind": "conformal", "expr": "2+sin(x1)",
                     "lambda_min": 1, "lambda_max": 3}),
     _parametrix(grid=_G1, bands={"k_min": 0, "k_max": 1}, c0=0.5,
-                big_r=0.0, tests={"x0": [0.0], "xi0_list": [[1.5]],
-                                  "sigma": 0.7}),
+                big_r=0.0, tests={"xi0_list": [[1.5]], "sigma": 0.7}),
     _radon_block(cutoff={"r_one": 0.7, "r_zero": 1.0}),
     _base("radon-invert", grid={"dim": 2, "half_width": np.pi, "n_grid": 8},
           radon={"n_angles": 8, "n_offsets": 9}, phantom="disc", seed=0),

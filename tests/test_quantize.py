@@ -141,13 +141,35 @@ def test_band_bound_memory_guard():
     try:
         a = sample_on(g, lambda x1, x2, xi1, xi2:
                       np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2))
-        rows = band_bound_experiment(a, part, chi, 0.0, range(1, 4),
-                                     "semiclassical", 1.0)
+        rows = band_bound_experiment(a, part, chi, range(1, 4), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(rows) == 3
     assert peak <= 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("dim,m2", [(1, 1.0), (2, 2.0)],
+                         ids=["1D conformal", "2D identity"])
+def test_band_bound_weights_the_output_by_the_band_scale(dim, m2):
+    # each band's norm is ||<2^-k D>^{-m2} T_{j,k}||, checked against the
+    # weight as a dense multiplier
+    g = GridSpec(dim=dim, half_width=np.pi, n_grid=64 if dim == 1 else 16)
+    metric = conformal_field(lambda x: 2.0 + np.sin(x[0]), 1,
+                             lambda_min=1.0, lambda_max=3.0) \
+        if dim == 1 else identity_field(2)
+    part = build_partition(metric, 1, 3)
+    chi = make_cutoff(g, 0.5 * np.pi, 0.9 * np.pi)
+    a = sample_on(g, lambda *v: (1.0 + 0.3 * np.cos(v[0]))
+                  * (1.0 + sum(xi ** 2 for xi in v[dim:])) ** (m2 / 2.0))
+    rows = band_bound_experiment(a, part, chi, range(1, 4), m2)
+    assert [r["k"] for r in rows] == [1, 2, 3]
+    for r in rows:
+        k = r["k"]
+        w = fourier_multiplier(bracket_weights(g, -m2, 2.0 ** -k), g)
+        want = spectral_norm(w @ assemble_block(a, part, r["j"], k, chi))
+        assert r["norm"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert r["renorm_ratio"] == r["norm"] / 2.0 ** (k * m2)
 
 
 def test_quantize_one_is_identity():
@@ -246,10 +268,10 @@ def test_spectral_norm_refuses_more_than_4096_rows():
 def test_sobolev_weights_cancel():
     # <D>^{-1} <D>^{1} = Id, so <D> weighted on the right by <D>^{-1} has
     # norm 1
-    op = fourier_multiplier(bracket_weights(G1, 1.0), G1)
-    weighted = fourier_weighted(op, G1, w_in=bracket_weights(G1, -1.0))
+    op = fourier_multiplier(bracket_weights(G1, 1.0, 1.0), G1)
+    weighted = fourier_weighted(op, G1, w_in=bracket_weights(G1, -1.0, 1.0))
     assert spectral_norm(weighted) == pytest.approx(1.0, rel=1e-10)
-    w = bracket_weights(G1, 2.0)
+    w = bracket_weights(G1, 2.0, 1.0)
     assert w.max() == pytest.approx((1.0 + G1.xi_max ** 2), rel=1e-12)
 
 
@@ -326,10 +348,7 @@ def test_band_bound_refuses_a_k_range_outside_bands(tmp_path, capsys):
     sym = sample_on(G1, lambda x, xi: (1.0 + xi ** 2) ** 0.5 + 0.0 * x)
     chi = make_cutoff(G1, 2.0, 2.8)
     with pytest.raises(ValueError):
-        band_bound_experiment(sym, part, chi, 0.0, range(2, 5),
-                              "semiclassical", 1.0)
-    with pytest.raises(ValueError):
-        band_bound_experiment(sym, part, chi, 0.0, [2], "exact", 1.0)
+        band_bound_experiment(sym, part, chi, range(2, 5), 1.0)
     # the CLI refuses it before building anything
     cfg = {"schema_version": 1, "experiment": "band-bound",
            "grid": {"dim": 1, "half_width": np.pi, "n_grid": 32},

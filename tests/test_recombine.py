@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from microloc import recombine
 from microloc.grids import GridSpec
-from microloc.quantize import (DegenerateResultError, bracket_weights,
-                               fourier_multiplier, spectral_norm)
+from microloc.quantize import (DegenerateResultError, fourier_multiplier,
+                               spectral_norm)
 from microloc.recombine import (CotlarCertificate, CoverageGapError,
                                 _cotlar_certificate, _Family, recombine_sum)
 
@@ -75,7 +75,7 @@ def test_recombine_sum_and_tails():
     xi = G.xi_axis()
     masks = [np.abs(xi) < 4, np.abs(xi) >= 4]
     blocks = {(0, 1): _multiplier(masks[0]), (0, 2): _multiplier(masks[1])}
-    rep = recombine_sum(blocks.items(), np.eye(16), G, active_bands=[1, 2])
+    rep = recombine_sum(blocks.items(), np.eye(16), active_bands=[1, 2])
     assert rep["relative_discrepancy"] < 1e-12
     assert rep["certificate"].ok
     tails = {t["K"]: t["norm"] for t in rep["tails"]}
@@ -83,35 +83,10 @@ def test_recombine_sum_and_tails():
     assert tails[2] == pytest.approx(1.0, rel=1e-10)
 
 
-def test_weighted_recombination_matches_dense_multipliers():
-    # recombine_sum at s = 1 measures <D> T <D>^{-1}; its certificate and
-    # discrepancy equal those of blocks weighted by dense multipliers
-    rng = np.random.default_rng(11)
-    mats = [rng.standard_normal((16, 16)) for _ in range(3)]
-    ref = sum(mats) + 1e-3 * rng.standard_normal((16, 16))
-    indices = [(0, 1), (1, 1), (0, 2)]
-    rep = recombine_sum(zip(indices, mats), ref, G, s=1.0)
-    w_out = fourier_multiplier(bracket_weights(G, 1.0), G)
-    w_in = fourier_multiplier(bracket_weights(G, -1.0), G)
-    dense = [w_out @ m @ w_in for m in mats]
-    want = _cotlar_certificate(_Family(zip(indices, dense)))
-    got = rep["certificate"]
-    for g, w in ((got.star_pair_matrix, want.star_pair_matrix),
-                 (got.adj_pair_matrix, want.adj_pair_matrix)):
-        assert np.abs(g - w).max() <= 1e-12 * w.max()
-    for name in ("a_bound", "b_bound", "bound", "achieved"):
-        assert getattr(got, name) == pytest.approx(getattr(want, name),
-                                                   rel=1e-12)
-    disc = spectral_norm(sum(dense) - w_out @ ref @ w_in)
-    assert rep["discrepancy"] == pytest.approx(disc, rel=1e-9)
-    # the weights are not unitary, so the weighted norms differ from L2
-    assert got.achieved != pytest.approx(spectral_norm(sum(mats)), rel=1e-3)
-
-
 def test_recombine_coverage_gap():
     blocks = {(0, 1): _multiplier(np.abs(G.xi_axis()) < 4)}
     with pytest.raises(CoverageGapError) as err:
-        recombine_sum(blocks.items(), np.eye(16), G, active_bands=[1, 2])
+        recombine_sum(blocks.items(), np.eye(16), active_bands=[1, 2])
     assert err.value.missing == [2]
 
 
@@ -236,7 +211,7 @@ def _band_family(seed, bands=(1, 2, 3), per_band=4, n=16):
 
 
 def _streamed(blocks: dict, reference):
-    rep = recombine_sum((item for item in blocks.items()), reference, G)
+    rep = recombine_sum((item for item in blocks.items()), reference)
     cert = rep["certificate"]
     return {"star": cert.star_pair_matrix, "adj": cert.adj_pair_matrix,
             "A": cert.a_bound, "B": cert.b_bound, "achieved": cert.achieved,
@@ -273,7 +248,6 @@ def test_streamed_family_holds_few_blocks():
     # running sum and two level sums, never the family; its peak, at a
     # block's SVD, is about 6.6 blocks
     n, count = 256, 64
-    grid = GridSpec(dim=1, half_width=np.pi, n_grid=n)
     rng = np.random.default_rng(4)
     ref = np.zeros((n, n))
 
@@ -284,7 +258,7 @@ def test_streamed_family_holds_few_blocks():
 
     tracemalloc.start()
     try:
-        rep = recombine_sum(blocks(), ref, grid, active_bands=[1, 2])
+        rep = recombine_sum(blocks(), ref, active_bands=[1, 2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,10 +269,10 @@ def test_streamed_family_holds_few_blocks():
 def test_stream_errors():
     ref = np.eye(16)
     with pytest.raises(DegenerateResultError, match="empty"):
-        recombine_sum((b for b in []), ref, G)
+        recombine_sum((b for b in []), ref)
     blocks = ((jk, m) for jk, m in _band_family(1, bands=(1, 3)).items())
     with pytest.raises(CoverageGapError) as err:
-        recombine_sum(blocks, ref, G, active_bands=[1, 2, 3])
+        recombine_sum(blocks, ref, active_bands=[1, 2, 3])
     assert err.value.missing == [2]
 
 
@@ -310,4 +284,4 @@ def test_overflowing_block_sum_is_refused_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateResultError):
-            recombine_sum(family, np.eye(16), G)
+            recombine_sum(family, np.eye(16))
