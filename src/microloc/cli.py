@@ -9,6 +9,7 @@ means every invariant check in the run passed, 1 names a failing check,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -63,11 +64,20 @@ class ValidationFailure(Exception):
         super().__init__("; ".join(self.errors))
 
 
+class ReportWriteError(Exception):
+    """A report file could not be written; its temporary file is gone."""
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ReportWriteError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str, obj) -> None:
@@ -105,18 +115,14 @@ def _is_pair(v, test) -> bool:
 
 def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
                  block: bool) -> float:
-    """Bytes of a Radon run.  The cached sparse operator holds about
-    1.7 n_grid n_angles n_offsets entries of 12 bytes, and building it holds
-    at most two copies while its buffers grow (n_grid 256, 360 angles, 256
-    offsets: 39.7 M entries, 476 MB, 0.65 GB peak), besides the temporaries
-    of one angle's (2 sqrt(2) n_grid + 1) n_offsets line samples, 70 to 124
-    bytes a sample (n_grid 8 to 256, 1 to 180 angles).  radon-block adds
-    its Gram matrix G, summed from the operator in dense blocks of 1,024
-    rows of 8 n_grid^2 bytes, and per band four complex arrays at most G's
-    size (C, GC, C^H, C^H G C): 72 n_grid^4 + 8192 n_grid^2 bytes.  At
-    n_grid 32, 180 angles and 129 offsets a radon-block run traces 80 MiB
-    at its peak, 75 MiB of it in 2D Weyl assembly, and 12 MiB in the Gram
-    sum, where the dense R it replaced traced 192 MiB."""
+    """Bytes of a Radon run, an upper bound.  The cached sparse operator
+    holds about 1.7 n_grid n_angles n_offsets entries of 12 bytes; its
+    build, two copies (n_grid 256, 360 angles, 256 offsets: 476 MB, 0.65
+    GB peak) and one angle's (2 sqrt(2) n_grid + 1) n_offsets line samples
+    of 70 to 124 bytes.  radon-block, priced so though it builds no
+    operator, adds its Gram matrix G, filled in blocks of 1,024 rays of
+    8 n_grid^2 bytes, and per band four complex arrays of G's size at most
+    (C, GC, C^H, C^H G C): 72 n_grid^4 + 8192 n_grid^2 bytes."""
     samples = (2 ** 1.5 * n_grid + 1) * n_offsets
     return 2 * 12 * 1.7 * n_grid * n_angles * n_offsets + 128 * samples \
         + (72 * n_grid ** 4 + 8192 * n_grid ** 2 if block else 0)
@@ -687,11 +693,11 @@ def main(argv=None) -> int:
         print(json.dumps({"errors": [f"invalid expression: {exc}"]}))
         return 2
     # a config the checks above admit can still describe an empty net, an
-    # uncovered active band, a metric that is not positive definite, or
-    # numbers that overflow or leave every measured norm zero
+    # uncovered active band, a non-positive-definite metric, or numbers
+    # that overflow or zero every norm; and a report may be unwritable
     except (EmptyNetError, CoverageGapError, InvalidFieldError,
             NotPositiveDefiniteError, DegenerateResultError,
-            OverflowError) as exc:
+            OverflowError, ReportWriteError) as exc:
         print(json.dumps({"errors": [f"{type(exc).__name__}: {exc}"]}))
         return 2
     failed = [name for name, ok in checks if not ok]

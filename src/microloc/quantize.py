@@ -14,14 +14,15 @@ masked symbol is, along each spatial axis,
     a(x_j, p) + (-1)^(p-n) a(x_{j+n mod 2n}, p),
 
 and no x-transform is computed.  Folded row x + n is (-1)^(p-n) times
-row x, so only the rows x < n of each spatial axis are transformed, and
-rows x >= n are read from them shifted by n in xi.  The operator is then
-an inverse FFT over xi plus an index gather at (m + m', m - m'), taken a
-few rows of the first spatial axis at a time.  An optional real weight
-(a localizer) is multiplied into each chunk, so assembly holds the
-symbol, the weight, the output and one chunk.  This keeps Op(1) = Id,
-multipliers, and frequency locality exact; without the parity pairing,
-odd harmonics leak across the whole frequency lattice with 1/d tails.
+row x, so only rows x < n of each spatial axis (row 0 where no factor
+varies) are transformed, and rows x >= n are read from them shifted by n
+in xi.  The operator is then an inverse FFT over xi plus an index gather
+at (m + m', m - m'), a few rows of the first spatial axis at a time.  An
+optional real weight (a localizer) is multiplied into each chunk, so
+assembly holds the symbol, the weight, the output and one chunk.  This
+keeps Op(1) = Id, multipliers, and frequency locality exact; without the
+parity pairing, odd harmonics leak across the whole frequency lattice
+with 1/d tails.
 ``spectral_norm`` and the Radon block norms are roots of Hermitian top
 eigenvalues: of a Gram matrix, and of C^H G C.
 """
@@ -50,9 +51,9 @@ def weyl_quantize(a: GridSymbol,
     ``weight`` (a real array shaped like ``a.values``, such as a localizer's
     samples) is multiplied into each chunk of symbol rows, so the result is
     Op^w(a * weight) without the product array.  Either may be a read-only
-    broadcast view (stride 0 along the axes it does not vary on): only one
-    chunk at a time is written out at the full row width.  Non-finite
-    entries raise DegenerateResultError.
+    broadcast view (stride 0 along the axes it does not vary on); a chunk
+    at a time is written out, at length 1 on spatial axes where both have
+    stride 0.  Non-finite entries raise DegenerateResultError.
     """
     g = a.grid
     d, n = g.dim, g.n_grid
@@ -63,9 +64,14 @@ def weyl_quantize(a: GridSymbol,
     xi_axes = tuple(range(d, 2 * d))
     # (-1)^(p - n) on the refined xi index p, for the half-period fold
     sign = 1.0 - 2.0 * ((np.arange(2 * n) - n) % 2)
+    # a spatial axis where both factors have stride 0 is kept at length 1
+    flat = [vals.strides[ax] == 0
+            and (weight is None or weight.strides[ax] == 0) for ax in range(d)]
+    one = tuple(slice(0, 1) if f else slice(None) for f in flat)
+    vals, weight = vals[one], None if weight is None else weight[one]
     # about one output's worth of symbol rows per chunk (each read with its
     # partner n rows on): n/2 rows of a 1D symbol, a few rows of a 2D one
-    rows = max(1, n ** (2 * d) // (2 * n) ** (2 * d - 1))
+    rows = n if flat[0] else max(1, n ** (2 * d) // (2 * n) ** (2 * d - 1))
 
     # After the fold, spatial row x + n is (-1)^(p - n) times row x, so its
     # xi transform is row x's shifted by n: only rows x < n are transformed.
@@ -86,15 +92,16 @@ def weyl_quantize(a: GridSymbol,
                    dtype=np.result_type(vals.dtype, np.complex128))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        top, bottom = vals[lo:hi], vals[lo + n:hi + n]
-        if weight is not None:
-            top = top * weight[lo:hi]
-            bottom = bottom * weight[lo + n:hi + n]
+        pair = [slice(0, 1)] * 2 if flat[0] else [slice(lo, hi),
+                                                   slice(lo + n, hi + n)]
+        top, bottom = (vals[s] if weight is None else vals[s] * weight[s]
+                       for s in pair)
         c = top + bottom * _along(sign, d, 2 * d)
         for ax in range(1, d):
-            lower, upper = np.split(c, 2, axis=ax)
+            lower, upper = (c, c) if flat[ax] else np.split(c, 2, axis=ax)
             c = lower + upper * _along(sign, d + ax, 2 * d)
         b = np.fft.ifftn(np.fft.ifftshift(c, axes=xi_axes), axes=xi_axes)
+        b = np.broadcast_to(b, (hi - lo,) + (n,) * (d - 1) + b.shape[d:])
         # x = m0 + m0' runs over the chunk's rows and the same rows + n;
         # row x holds the pairs m0 = first .. first + count - 1
         x = np.concatenate([np.arange(lo, hi),

@@ -2,16 +2,15 @@
 
 Lines x . omega = s, omega on the half circle, are sampled at half-pixel
 steps with bilinear interpolation (an interpolating projector of the
-Joseph 1982 family).  Each geometry is built once, in numpy, into the
-CSR arrays of a sparse matrix R; the latest geometry's arrays are cached.
-``radon-block`` sums its Gram matrix R^T R from them in dense row
-blocks, and ``radon_matrix`` fills a dense R, both without scipy.  The
-forward map ``R @ f`` and the adjoint under the quadrature inner products
-(dA on images, ds dtheta on sinograms), the quadrature scale times
-``R.T @ g``, wrap the same arrays in a ``scipy.sparse`` matrix at call
-time; the adjoint is an exact transpose by construction.  Filtered
-backprojection applies the ramp |sigma| per angle and divides by a
-constant fitted once per geometry.
+Joseph 1982 family), one angle at a time.  ``radon-block`` sums R^T R from
+them in dense blocks of rays.  Otherwise a geometry is built once into the
+CSR arrays of a sparse R (the latest is cached): ``radon_matrix`` fills a
+dense R from them, and the forward map ``R @ f`` and the adjoint under the
+quadrature inner products (dA on images, ds dtheta on sinograms), the
+quadrature scale times ``R.T @ g``, wrap them in a ``scipy.sparse``
+matrix, an exact transpose by construction.  Filtered backprojection
+applies the ramp |sigma| per angle and divides by a constant fitted once
+per geometry.
 """
 
 from __future__ import annotations
@@ -92,6 +91,21 @@ def _angle_geometry(cfg: RadonConfig, theta: float):
             f1[inside] - a[inside], f2[inside] - b[inside])
 
 
+def _corners(cfg: RadonConfig, theta: float):
+    """One angle's samples merged per line and cell: ``(rows, pix, w)``,
+    ascending offsets and (4, samples) corners (pixel or -1) and weights."""
+    n = cfg.grid.n_grid
+    rows, a, b, wx, wy = _angle_geometry(cfg, theta)
+    cell = (rows.astype(np.int64) * (n + 1) + a + 1) * (n + 1) + b + 1
+    run = np.flatnonzero(np.diff(cell, prepend=-1))
+    w = np.add.reduceat(np.stack(((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy),
+                                  (1.0 - wx) * wy, wx * wy)), run, axis=1)
+    rows, a, b = rows[run], a[run], b[run]
+    i, j = np.stack((a, a + 1, a, a + 1)), np.stack((b, b, b + 1, b + 1))
+    inside = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    return rows, np.where(inside, i * n + j, -1), w
+
+
 @functools.lru_cache(maxsize=1)
 def _operator(cfg: RadonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward map as CSR arrays ``(data, indices, indptr)``, built in
@@ -100,31 +114,19 @@ def _operator(cfg: RadonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Row ``angle * n_offsets + offset`` holds ``dt`` times the bilinear
     weights of that line's samples, summed per pixel, at column
     ``i * n_grid + j`` for pixel ``(i, j)``; its columns increase.  Per
-    angle, consecutive samples of a line in the same cell share their four
-    corners and are merged first; the corner entries are then keyed by
-    ``offset * n_grid^2 + column`` (int64: the product can pass 2^31),
-    sorted, summed per key with ``np.add.reduceat`` and counted per row
-    with ``np.bincount``, straight into growing entry buffers.  Only the
-    most recent geometry is kept, so a large operator is freed once a
-    caller moves on to another geometry.
+    angle, the entries of ``_corners`` are keyed by ``offset * n_grid^2 +
+    column`` (int64: the product can pass 2^31), sorted, summed per key
+    with ``np.add.reduceat`` and counted per row with ``np.bincount``,
+    straight into growing entry buffers.  Only the most recent geometry is
+    kept, so a large operator is freed once a caller moves on to another.
     """
-    n = cfg.grid.n_grid
-    n2 = n * n
+    n2 = cfg.grid.n_grid ** 2
     data, indices, nnz = np.empty(0), np.empty(0, dtype=np.int32), 0
     row_nnz = [np.zeros(1, dtype=np.int64)]
     for theta in cfg.angles():
-        rows, a, b, wx, wy = _angle_geometry(cfg, theta)
-        cell = (rows.astype(np.int64) * (n + 1) + a + 1) * (n + 1) + b + 1
-        run = np.flatnonzero(np.diff(cell, prepend=-1))
-        w = np.add.reduceat(np.stack(((1.0 - wx) * (1.0 - wy),
-                                      wx * (1.0 - wy),
-                                      (1.0 - wx) * wy, wx * wy)),
-                            run, axis=1).ravel()
-        rows, a, b = rows[run], a[run], b[run]
-        i = np.concatenate((a, a + 1, a, a + 1))
-        j = np.concatenate((b, b, b + 1, b + 1))
-        keep = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-        key = (np.tile(rows, 4).astype(np.int64) * n2 + i * n + j)[keep]
+        rows, pix, w = _corners(cfg, theta)
+        keep = pix >= 0
+        key = (rows.astype(np.int64) * n2 + pix)[keep]
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
@@ -251,31 +253,35 @@ def radon_matrix(cfg: RadonConfig) -> np.ndarray:
     return dense
 
 
-# Rows of R per dense block of the Gram sum: a block holds at most 8 MiB
-# at n_grid 32.  At n_grid 32, 180 angles, 129 offsets and 553 columns on
-# a 2-core x86-64 machine, the sum took 0.30 s in blocks of 129 rows,
-# 0.13 s and 12 MiB traced in blocks of 1,024, 0.13 s and 22 MiB in
-# blocks of 2,048; the dense R^T R took 0.55 s.
+# Rays per dense block of the Gram sum (8 MiB at n_grid 32): at n_grid 32,
+# 180 angles, 129 offsets and 553 columns, 0.14 s on 2-core x86-64.
 _GRAM_ROWS = 1024
 
 
 def _gram(cfg: RadonConfig, cols: np.ndarray) -> np.ndarray:
     """R^T R restricted to the given pixel columns, summed as B^T B over
-    dense blocks B of _GRAM_ROWS rows of the CSR arrays, so that the dense
-    R is never formed."""
-    data, indices, indptr = _operator(cfg)
-    where = np.full(cfg.grid.n_grid ** 2, -1)
+    dense blocks B of _GRAM_ROWS rays, each filled by ``np.add.at`` from
+    the samples of the angles it spans; neither R nor its CSR is formed."""
+    where = np.full(cfg.grid.n_grid ** 2 + 1, -1)  # where[-1]: off the image
     where[cols] = np.arange(cols.size)
-    gram = np.zeros((cols.size, cols.size))
-    for lo in range(0, cfg.n_angles * cfg.n_offsets, _GRAM_ROWS):
-        ptr = indptr[lo:lo + _GRAM_ROWS + 1]
-        col = where[indices[ptr[0]:ptr[-1]]]
-        row = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-        keep = col >= 0
-        block = np.zeros((ptr.size - 1, cols.size))
-        block[row[keep], col[keep]] = data[ptr[0]:ptr[-1]][keep]
-        gram += block.T @ block
-    return gram
+    gram, lo = np.zeros((cols.size, cols.size)), 0
+    block = np.zeros(_GRAM_ROWS * cols.size)
+    for angle, theta in enumerate(cfg.angles()):
+        rows, pix, w = _corners(cfg, theta)
+        rays, end = angle * cfg.n_offsets + rows, (angle + 1) * cfg.n_offsets
+        while lo < end:
+            hi = min(lo + _GRAM_ROWS, cfg.n_angles * cfg.n_offsets)
+            s = slice(*np.searchsorted(rays, [lo, hi]))
+            col = where[pix[:, s]]
+            np.add.at(block, ((rays[s] - lo) * cols.size + col)[col >= 0],
+                      w[:, s][col >= 0])
+            if hi > end:  # the next angle continues this block
+                break
+            b = block[:(hi - lo) * cols.size].reshape(hi - lo, -1)
+            gram += b.T @ b
+            b[:] = 0.0
+            lo = hi
+    return gram * cfg.dt ** 2
 
 
 def phantom(name: str, grid: GridSpec) -> np.ndarray:

@@ -438,6 +438,21 @@ def test_unreadable_config_or_output_exits_2(tmp_path, capsys, setup):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_an_unwritable_report_exits_2(tmp_path, capsys):
+    # a directory stands where band_bound.csv goes, so replacing it fails:
+    # the run exits 2 with an errors line and leaves no temporary file
+    (tmp_path / "cfg.json").write_text(json.dumps(_band_bound()))
+    (tmp_path / "out" / "band_bound.csv").mkdir(parents=True)
+    code = cli.main(["band-bound", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = json.loads(captured.out.splitlines()[-1])["errors"]
+    assert len(errors) == 1 and "band_bound.csv" in errors[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["band_bound.csv"]
+
+
 def _cfg_reads(func) -> set:
     """Keys a function reads straight from ``cfg``: ``cfg["k"]`` or
     ``cfg.get("k", ...)``."""

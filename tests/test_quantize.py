@@ -94,6 +94,39 @@ def test_weyl_quantize_weight_matches_product(dim, n, complex_values):
         weyl_quantize(a, weight=w[:-1])
 
 
+def _broadcast(rng, grid, flat, complex_values):
+    """Random samples with stride 0 on the flagged spatial axes."""
+    n, d = grid.n_grid, grid.dim
+    shape = [1 if i < d and flat[i] else 2 * n for i in range(2 * d)]
+    v = rng.standard_normal(shape)
+    if complex_values:
+        v = v + 1j * rng.standard_normal(shape)
+    return np.broadcast_to(v, (2 * n,) * (2 * d))
+
+
+@pytest.mark.parametrize("dim,flat", [(1, (False,)), (1, (True,)),
+                                      (2, (False, False)), (2, (True, False)),
+                                      (2, (False, True)), (2, (True, True))],
+                         ids=["1D", "1D flat x1", "2D", "2D flat x1",
+                              "2D flat x2", "2D flat x1 x2"])
+@given(log_n=st.integers(2, 4), complex_values=st.booleans(),
+       weight_flat=st.none() | st.tuples(st.booleans(), st.booleans()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weyl_quantize_of_broadcast_samples_is_that_of_copies(
+        dim, flat, log_n, complex_values, weight_flat, seed):
+    # a spatial axis along which symbol and weight both have stride 0 is
+    # transformed as one row; the matrix is bitwise that of the copies
+    rng = np.random.default_rng(seed)
+    g = GridSpec(dim=dim, half_width=2.5, n_grid=2 ** log_n)
+    a = GridSymbol(grid=g, values=_broadcast(rng, g, flat, complex_values))
+    w = None if weight_flat is None else \
+        _broadcast(rng, g, weight_flat[:dim], False)
+    copy = GridSymbol(grid=g, values=np.array(a.values))
+    assert np.array_equal(weyl_quantize(a, weight=w),
+                          weyl_quantize(copy, weight=None if w is None
+                                        else np.array(w)))
+
+
 @pytest.mark.parametrize("where", ["symbol", "weight"])
 def test_weyl_quantize_refuses_non_finite_samples(where):
     # NaN, not inf: an inf sample makes the inverse FFT warn

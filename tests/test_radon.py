@@ -237,22 +237,51 @@ def test_radon_block_gram_norms_match_dense_svd():
         radon_block_experiment(a, part, chi, [1, 3], cfg, 1.0)
 
 
+@pytest.mark.parametrize("n_angles,n_offsets", [(1, 2500), (3, 700)],
+                         ids=["one angle over three blocks",
+                              "blocks straddling angles"])
+def test_gram_matches_the_dense_operator(monkeypatch, n_angles, n_offsets):
+    # G = R^T R on a subset of pixel columns, filled from the line samples
+    # in blocks of _GRAM_ROWS rays, against the dense R; the CSR operator
+    # is not built
+    g = GridSpec(dim=2, half_width=1.0, n_grid=8)
+    cfg = RadonConfig(grid=g, n_angles=n_angles, n_offsets=n_offsets)
+    # a block boundary falls inside an angle
+    assert any(b % n_offsets for b in range(radon._GRAM_ROWS,
+                                            n_angles * n_offsets,
+                                            radon._GRAM_ROWS))
+    cols = np.flatnonzero(np.random.default_rng(0).random(64) < 0.5)
+    m = radon_matrix(cfg)[:, cols]
+    want = m.T @ m
+
+    def refuse(_):
+        raise AssertionError("_gram built the CSR operator")
+
+    monkeypatch.setattr(radon, "_operator", refuse)
+    got = radon._gram(cfg, cols)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_radon_block_memory_guard(monkeypatch):
     # the radon-block-2d benchmark geometry: sampling the symbol and the
     # whole experiment trace 21.9 MiB when the symbol and band sums are
-    # written out at (2 n_grid)^4 and G is formed from a dense R, about
-    # 6 MiB when they keep the shape they vary on and G is summed from the
-    # sparse operator
+    # written out at (2 n_grid)^4 and G is formed from a dense R, 5.9 MiB
+    # when G is summed from the CSR operator and every symbol row is
+    # transformed, about 3.7 MiB when Weyl assembly transforms one row of
+    # the x-independent symbol and G is filled from the line samples.  The
+    # CSR operator's buffers are memory maps, which tracemalloc does not
+    # see, so building it is refused outright
     g = GridSpec(dim=2, half_width=np.pi / 2, n_grid=16)
     part = build_partition(identity_field(2), 0, 4)
     chi = make_cutoff(g, 1.0, 1.3)
     cfg = RadonConfig(grid=g, n_angles=60, n_offsets=65)
 
     def refuse(_):
-        raise AssertionError("radon_block_experiment formed the dense R")
+        raise AssertionError("radon_block_experiment formed R or its CSR "
+                             "arrays")
 
     monkeypatch.setattr(radon, "radon_matrix", refuse)
-    _operator.cache_clear()
+    monkeypatch.setattr(radon, "_operator", refuse)
     tracemalloc.start()
     try:
         a = sample_on(g, lambda x1, x2, xi1, xi2:
@@ -261,7 +290,7 @@ def test_radon_block_memory_guard(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2 ** 20
+    assert peak <= 5 * 2 ** 20
     # the norms of G = R^T R formed densely, to 1e-12 relative
     want = [3.0407197866953486, 5.247251454522236, 5.901766569456147]
     assert [r["norm"] for r in rows] == pytest.approx(want, rel=1e-12,
