@@ -68,11 +68,11 @@ class ReportWriteError(Exception):
     """A report file could not be written; its temporary file is gone."""
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: str | bytes) -> None:
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "w" if isinstance(data, str) else "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -92,6 +92,25 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             cells.append(f"{c:.12e}" if isinstance(c, float) else str(c))
         lines.append(",".join(cells))
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def save_array(path: str, arr, extent: float) -> None:
+    """Flat binary float64 with a JSON sidecar header ``path + ".json"``,
+    each written atomically."""
+    import numpy as np
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    _atomic_write(path, arr.tobytes())
+    write_json(path + ".json", {"shape": list(arr.shape), "extent": extent,
+                                "dtype": "float64", "order": "row-major"})
+
+
+def load_array(path: str):
+    """An array written by ``save_array`` and its header."""
+    import numpy as np
+    with open(path + ".json") as fh:
+        header = json.load(fh)
+    arr = np.fromfile(path, dtype=np.float64).reshape(header["shape"])
+    return arr, header
 
 
 def _is_int(v) -> bool:
@@ -115,17 +134,19 @@ def _is_pair(v, test) -> bool:
 
 def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
                  block: bool) -> float:
-    """Bytes of a Radon run, an upper bound.  The cached sparse operator
-    holds about 1.7 n_grid n_angles n_offsets entries of 12 bytes; its
-    build, two copies (n_grid 256, 360 angles, 256 offsets: 476 MB, 0.65
-    GB peak) and one angle's (2 sqrt(2) n_grid + 1) n_offsets line samples
-    of 70 to 124 bytes.  radon-block, priced so though it builds no
-    operator, adds its Gram matrix G, filled in blocks of 1,024 rays of
-    8 n_grid^2 bytes, and per band four complex arrays of G's size at most
-    (C, GC, C^H, C^H G C): 72 n_grid^4 + 8192 n_grid^2 bytes."""
-    samples = (2 ** 1.5 * n_grid + 1) * n_offsets
-    return 2 * 12 * 1.7 * n_grid * n_angles * n_offsets + 128 * samples \
-        + (72 * n_grid ** 4 + 8192 * n_grid ** 2 if block else 0)
+    """Bytes of a Radon run, an upper bound.  Both experiments hold one
+    angle's (2 sqrt(2) n_grid + 1) n_offsets line samples of 70 to 124
+    bytes.  radon-invert builds and caches the sparse operator, about
+    1.7 n_grid n_angles n_offsets entries of 12 bytes, and its build holds
+    two copies (n_grid 256, 360 angles, 256 offsets: 476 MB, 0.65 GB
+    peak).  radon-block builds no operator: it holds its angles, its Gram
+    matrix G, filled in blocks of 1,024 rays of 8 n_grid^2 bytes, and per
+    band four complex arrays of G's size at most (C, GC, C^H, C^H G C):
+    8 n_angles + 72 n_grid^4 + 8192 n_grid^2 bytes."""
+    samples = 128 * (2 ** 1.5 * n_grid + 1) * n_offsets
+    if block:
+        return samples + 8 * n_angles + 72 * n_grid ** 4 + 8192 * n_grid ** 2
+    return samples + 2 * 12 * 1.7 * n_grid * n_angles * n_offsets
 
 
 def _radon_errors(radon, grid, experiment) -> list[str]:
@@ -514,6 +535,12 @@ def _run_moyal_order(cfg, outdir):
     return checks
 
 
+# cotlar writes pair_matrix.csv, blocks^2 numbers of about 19 bytes, only
+# below this many blocks (19 MB at 1,000); cotlar.json records the pair
+# matrices' row sums either way
+_PAIR_CSV_MAX_BLOCKS = 1000
+
+
 def _run_cotlar(cfg, outdir):
     import numpy as np
 
@@ -536,17 +563,22 @@ def _run_cotlar(cfg, outdir):
 
     report = recombine_sum(blocks(), ref, active_bands=cfg.get("active_bands"))
     cert = report["certificate"]
+    count = len(cert.indices)
+    written = count < _PAIR_CSV_MAX_BLOCKS
     write_json(os.path.join(outdir, "cotlar.json"), {
         "A": cert.a_bound, "B": cert.b_bound, "bound": cert.bound,
         "achieved": cert.achieved,
-        "pair_matrix_file": "pair_matrix.csv",
+        "pair_matrix_file": "pair_matrix.csv" if written else None,
+        "star_row_sums": cert.star_pair_matrix.sum(axis=1).tolist(),
+        "adj_row_sums": cert.adj_pair_matrix.sum(axis=1).tolist(),
         "relative_discrepancy": report["relative_discrepancy"],
         "tails": report["tails"],
-        "blocks": len(cert.indices),
+        "blocks": count,
     })
-    write_csv(os.path.join(outdir, "pair_matrix.csv"),
-              [f"b{i}" for i in range(len(cert.indices))],
-              [list(map(float, row)) for row in cert.star_pair_matrix])
+    if written:
+        write_csv(os.path.join(outdir, "pair_matrix.csv"),
+                  [f"b{i}" for i in range(count)],
+                  [list(map(float, row)) for row in cert.star_pair_matrix])
     checks = [("cotlar_inequality", cert.ok),
               ("tail_vanishes", report["tails"][-1]["norm"] <= 1e-10)]
     return checks
@@ -608,7 +640,7 @@ def _run_radon_invert(cfg, outdir):
     import numpy as np
 
     from .radon import (RadonConfig, _support_touches_boundary, fbp_invert,
-                        phantom, radon_adjoint, radon_forward, save_array)
+                        phantom, radon_adjoint, radon_forward)
     grid = _build_grid(cfg)
     r = cfg["radon"]
     rcfg = RadonConfig(grid=grid, n_angles=int(r["n_angles"]),

@@ -16,9 +16,7 @@ per geometry.
 from __future__ import annotations
 
 import functools
-import json
 import mmap
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -302,27 +300,6 @@ def phantom(name: str, grid: GridSpec) -> np.ndarray:
                  for i, ax in enumerate(mesh))
         return np.exp(-q1 / (2 * sigma ** 2)) + 0.7 * np.exp(-q2 / (2 * sigma ** 2))
     raise ValueError(f"unknown phantom {name!r}")
-
-
-def save_array(path: str, arr: np.ndarray, extent: float) -> None:
-    """Flat binary float64 with a JSON sidecar header."""
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    tmp = path + ".tmp"
-    arr.tofile(tmp)
-    os.replace(tmp, path)
-    header = {"shape": list(arr.shape), "extent": extent,
-              "dtype": "float64", "order": "row-major"}
-    htmp = path + ".json.tmp"
-    with open(htmp, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-    os.replace(htmp, path + ".json")
-
-
-def load_array(path: str) -> tuple[np.ndarray, dict]:
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    arr = np.fromfile(path, dtype=np.float64).reshape(header["shape"])
-    return arr, header
 
 
 def normal_operator_exponent(cfg: RadonConfig) -> dict:

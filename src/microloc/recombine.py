@@ -1,21 +1,24 @@
 """Cotlar-Stein bookkeeping for streams of microlocalized blocks.
 
 Pair norms ||T_i* T_j||^{1/2} and ||T_i T_j*||^{1/2} are bounded from
-above through low-rank factors.  Each block is factored once by a thin
-SVD, T_i = U_i S_i V_i*, and truncated to the r_i singular values above
-a fixed fraction of its largest one, F_i = U_i S_i and G_i = V_i S_i.
-With t_i the largest discarded singular value,
+above through low-rank factors.  Each block is factored once from an
+adaptive range finder (Halko, Martinsson and Tropp, SIAM Review 2011,
+Alg. 4.2): an orthonormal Q grows until ||T_i - Q Q* T_i||_F is a fixed
+fraction of ||T_i||_F, and the thin SVD of the small C = Q* T_i = U S V*,
+truncated to the r_i singular values above that fraction of its largest
+one, gives F_i = Q U S and G_i = V S.  With t_i the Frobenius norm of
+T_i - (Q U) S V*, the measured residual and the dropped singular values
+together, t_i >= ||T_i - (Q U) S V*||, whatever the probe, and
 
     ||T_i* T_j|| <= ||F_i* F_j|| + e_ij,   ||T_i T_j*|| <= ||G_i* G_j|| + e_ij,
     e_ij = t_i ||T_j|| + ||T_i|| t_j + t_i t_j,
 
 so every pair norm comes from an r_i x r_j core plus a tail term, and the
-certificate can fail falsely but never pass falsely; so the factors take
-an SVD, since t_i can sit at 1e-13 of sigma_1, below what a Gram
-eigenvalue resolves (about 1e-8 relative).  The diagonal is
-sigma_1(T_i) exactly.  The certificate is sqrt(A B) with A, B the
-row-sup sums, and the achieved norm of the full sum is checked against
-it.
+certificate can fail falsely but never pass falsely.  A factor costs
+O(m n r) rather than a full SVD's O(m n min(m, n)).  The diagonal is
+sigma_1(C) + t_i >= sigma_1(T_i).  The certificate is sqrt(A B) with A, B
+the row-sup sums, and the achieved norm of the full sum is checked
+against it.
 
 A block family is a stream of ``((j, k), matrix)`` pairs, read once, in
 the order its pair-matrix rows are reported: a dict's ``.items()``, or a
@@ -24,7 +27,7 @@ factored as it arrives, added to the sums below and dropped, so of the
 family only these are kept:
 
 - the factors F_i and G_i, zero-padded to the widest rank in one stack per
-  side, with sigma_1(T_i) and t_i;
+  side, with the diagonal entry sigma_1(C) + t_i and t_i;
 - the running sum of the blocks, for the achieved norm and the
   discrepancy from the reference;
 - one level sum sum_{k >= K} T_{j,k} for each band K present, for the
@@ -66,18 +69,58 @@ class CotlarCertificate:
         return self.achieved <= self.bound * (1.0 + 1e-8)
 
 
-# Singular values at or below this fraction of a block's largest one are
-# dropped from its factors and accounted for by the tail term e_ij.
+# The range finder stops once ||B - QQ*B||_F is at most this fraction of
+# ||B||_F, and singular values of Q*B at or below this fraction of its
+# largest one are dropped; both are accounted for by the tail term e_ij.
 _RANK_TOL = 1e-13
+
+# Columns the range finder adds to Q per step.
+_STEP = 8
+
+
+def _probe(n: int, start: int, width: int) -> np.ndarray:
+    """Columns start .. start + width of one fixed n-row probe matrix:
+    entry (i, c) is output c n + i + 1 of splitmix64 from seed 0, mapped
+    to [-1, 1).  Any probe keeps the bound, since t is measured after the
+    fact; a generic one lets Q stop at the block's numerical rank."""
+    z = np.arange(start * n, (start + width) * n, dtype=np.uint64) \
+        + np.uint64(1)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(width, n).T
 
 
 def _truncated_factors(b: np.ndarray):
-    """F = U S and G = V S cut to rank r, with sigma_1 and sigma_{r+1}."""
-    u, s, vh = np.linalg.svd(b, full_matrices=False)
-    top = float(s[0])
-    r = int(np.count_nonzero(s > _RANK_TOL * top))
-    tail = float(s[r]) if r < s.size else 0.0
-    return u[:, :r] * s[:r], vh[:r].conj().T * s[:r], top, tail
+    """F = Q U S and G = V S of rank r from the thin SVD U S V* of Q*B,
+    with sigma_1(Q*B) + t and t, where t >= ||B - Q U S V*||.
+
+    B is scaled to a largest entry of 1 first, so that no finite block
+    overflows, and Q = qr([Q, B Omega]) grows _STEP columns at a time,
+    by Householder QR of the whole concatenation so that it stays
+    orthonormal when a step finds fewer new directions than its width.
+    """
+    scale = float(np.abs(b).max()) or 1.0
+    b = b / scale
+    width, floor = min(b.shape), _RANK_TOL * np.linalg.norm(b)
+    q = np.zeros((b.shape[0], 0), b.dtype)
+    while True:
+        step = min(_STEP, width - q.shape[1])
+        q = np.linalg.qr(np.hstack((q, b @ _probe(b.shape[1], q.shape[1],
+                                                  step))))[0]
+        c = q.conj().T @ b
+        resid = q @ c
+        rest = float(np.linalg.norm(np.subtract(b, resid, out=resid)))
+        if rest <= floor or q.shape[1] == width:
+            break
+    u, s, vh = np.linalg.svd(c, full_matrices=False)
+    r = int(np.count_nonzero(s > _RANK_TOL * s[0]))
+    tail = float(np.hypot(rest, np.linalg.norm(s[r:])))
+    with np.errstate(over="ignore"):
+        return (scale * (q @ (u[:, :r] * s[:r])),
+                scale * (vh[:r].conj().T * s[:r]),
+                scale * (float(s[0]) + tail), scale * tail)
 
 
 class _FactorStack:
@@ -118,7 +161,7 @@ def _plus(acc, b: np.ndarray):
 class _Family:
     """One pass over a stream of ``((j, k), block)`` pairs.
 
-    Keeps each block's factors, sigma_1 and tail, the running sum
+    Keeps each block's factors, diagonal entry and tail, the running sum
     ``total`` and, per band K present, ``levels[K]``, the sum of the blocks
     with k >= K.  A band first seen below bands already present starts
     from the smallest level above it, so the level sums hold whatever the

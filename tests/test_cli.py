@@ -129,6 +129,27 @@ def test_cotlar_runs(tmp_path):
     report = json.loads((outdir / "cotlar.json").read_text())
     assert report["achieved"] <= report["bound"] * (1 + 1e-8)
     assert (outdir / "pair_matrix.csv").exists()
+    assert report["pair_matrix_file"] == "pair_matrix.csv"
+    assert max(report["star_row_sums"]) == report["A"]
+    assert max(report["adj_row_sums"]) == report["B"]
+
+
+def test_cotlar_pair_matrix_csv_is_capped(tmp_path, monkeypatch):
+    # at the block count cap pair_matrix.csv is not written; cotlar.json
+    # still records the pair matrices' row sums
+    cfg = _cotlar()
+    code, outdir = _run(tmp_path, "cotlar", cfg, out="all")
+    assert code == 0
+    full = json.loads((outdir / "cotlar.json").read_text())
+    monkeypatch.setattr(cli, "_PAIR_CSV_MAX_BLOCKS", full["blocks"])
+    code, outdir = _run(tmp_path, "cotlar", cfg, out="capped")
+    assert code == 0
+    report = json.loads((outdir / "cotlar.json").read_text())
+    assert not (outdir / "pair_matrix.csv").exists()
+    assert report["pair_matrix_file"] is None
+    assert len(report["star_row_sums"]) == report["blocks"] == full["blocks"]
+    assert report["star_row_sums"] == full["star_row_sums"]
+    assert report["adj_row_sums"] == full["adj_row_sums"]
 
 
 def test_cotlar_block_drop_is_relative_to_the_reference(tmp_path):
@@ -453,6 +474,21 @@ def test_an_unwritable_report_exits_2(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["band_bound.csv"]
 
 
+def test_an_unwritable_array_exits_2(tmp_path, capsys):
+    # the same for radon-invert's flat binary arrays: a directory stands
+    # where phantom.bin goes
+    (tmp_path / "cfg.json").write_text(json.dumps(_radon_invert()))
+    (tmp_path / "out" / "phantom.bin").mkdir(parents=True)
+    code = cli.main(["radon-invert", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = json.loads(captured.out.splitlines()[-1])["errors"]
+    assert len(errors) == 1 and "phantom.bin" in errors[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["phantom.bin"]
+
+
 def _cfg_reads(func) -> set:
     """Keys a function reads straight from ``cfg``: ``cfg["k"]`` or
     ``cfg.get("k", ...)``."""
@@ -588,20 +624,28 @@ def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
     # one angle's line samples take up to 128 bytes each: one angle of
     # 600,000 offsets at n_grid 256 would need 55 GB, and of 700,000
-    # offsets at n_grid 32 in radon-block 9 GB
+    # offsets at n_grid 32 in radon-block 9 GB; 3,000 x 3,000 rays at
+    # n_grid 32 make radon-invert's operator 11.8 GB; radon-block holds
+    # 8 bytes an angle
     few = _radon_invert(n_angles=1, n_offsets=600_000)
     few["grid"]["n_grid"] = 256
     grid32 = {"dim": 2, "half_width": np.pi / 2, "n_grid": 32}
     for experiment, cfg in (
             ("radon-invert", few),
             ("radon-block", _radon_block(grid=grid32, radon={
-                "n_angles": 1, "n_offsets": 700_000}))):
+                "n_angles": 1, "n_offsets": 700_000})),
+            ("radon-invert", _radon_invert(n_angles=3000, n_offsets=3000)),
+            ("radon-block", _radon_block(grid=grid32, radon={
+                "n_angles": 2 ** 30, "n_offsets": 9}))):
         errors = cli.validate_config(cfg, experiment)
         assert any("8 GB" in e for e in errors), errors
-    # radon-block forms no dense R: 800 angles of 1,000 offsets at n_grid
-    # 32 peak at 645 MB RSS
-    assert cli.validate_config(_radon_block(grid=grid32, radon={
-        "n_angles": 800, "n_offsets": 1000}), "radon-block") == []
+    # radon-block forms neither the dense R nor the sparse operator: 800
+    # angles of 1,000 offsets at n_grid 32 peak at 645 MB RSS, and 3,000 x
+    # 3,000 is priced at 0.12 GB
+    for radon in ({"n_angles": 800, "n_offsets": 1000},
+                  {"n_angles": 3000, "n_offsets": 3000}):
+        assert cli.validate_config(_radon_block(grid=grid32, radon=radon),
+                                   "radon-block") == []
 
 
 @pytest.mark.parametrize("cfg", [
@@ -627,7 +671,7 @@ def test_non_radon_experiments_load_no_scipy(tmp_path):
     # only a Radon matrix-vector product (radon-invert) imports scipy.sparse;
     # parametrix, cotlar and radon-block runs, and importing microloc.radon,
     # load no scipy module, and the runs load no numpy.ma (about 11 ms of
-    # import)
+    # import) and no numpy.random (about 6 ms and 5 MB)
     runs = []
     for name, cfg in (("parametrix", _parametrix()), ("cotlar", _cotlar()),
                       ("radon-block", _radon_block())):
@@ -643,20 +687,21 @@ def test_non_radon_experiments_load_no_scipy(tmp_path):
         "codes = [cli.main([name, '--config', path, '--out', out])\n"
         "         for name, path, out in json.loads(sys.argv[1])]\n"
         "after_runs = scipy_modules()\n"
-        "masked = 'numpy.ma' in sys.modules\n"
+        "extras = [m for m in ('numpy.ma', 'numpy.random')\n"
+        "          if m in sys.modules]\n"
         "import microloc.radon\n"
-        "print(json.dumps([codes, after_runs, masked, scipy_modules()]))\n")
+        "print(json.dumps([codes, after_runs, extras, scipy_modules()]))\n")
     src = str(Path(microloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env,
                           timeout=300, check=True)
-    codes, after_runs, masked, after_import = json.loads(
+    codes, after_runs, extras, after_import = json.loads(
         proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0]
     assert after_runs == []
-    assert not masked
+    assert extras == []
     assert after_import == []
 
 

@@ -6,16 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from microloc import radon
+from microloc.cli import load_array, save_array
 from microloc.grids import GridSpec, sample_on
 from microloc.metric import identity_field
 from microloc.partition import band_sum_symbol, build_partition
 from microloc.quantize import make_cutoff, spectral_norm, weyl_quantize
 from microloc.radon import (RadonConfig, _angle_geometry, _operator,
-                            _support_touches_boundary, fbp_invert,
-                            load_array, phantom, radon_adjoint,
-                            radon_block_experiment, radon_forward,
-                            radon_matrix, radon_recombine, ramp_filter,
-                            save_array)
+                            _support_touches_boundary, fbp_invert, phantom,
+                            radon_adjoint, radon_block_experiment,
+                            radon_forward, radon_matrix, radon_recombine,
+                            ramp_filter)
 
 G = GridSpec(dim=2, half_width=np.pi, n_grid=64)
 CFG = RadonConfig(grid=G, n_angles=90, n_offsets=129)

@@ -246,7 +246,8 @@ def test_shuffled_stream_matches_dense():
 def test_streamed_family_holds_few_blocks():
     # 64 rank-1 blocks of 512 KiB: a stream keeps their factors, the
     # running sum and two level sums, never the family; its peak, at a
-    # block's SVD, is about 6.6 blocks
+    # block's range finder (its scaled copy and residual), is about 6.6
+    # blocks
     n, count = 256, 64
     rng = np.random.default_rng(4)
     ref = np.zeros((n, n))
@@ -285,3 +286,71 @@ def test_overflowing_block_sum_is_refused_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateResultError):
             recombine_sum(family, np.eye(16))
+
+
+@st.composite
+def wide_rank_blocks(draw):
+    """A block of rank above one range-finder step, plus noise, and a
+    truncation threshold."""
+    m, n = draw(st.integers(10, 24)), draw(st.integers(10, 24))
+    rank = draw(st.integers(recombine._STEP + 1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cplx = draw(st.booleans())
+
+    def gauss(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if cplx else g
+
+    noise = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-3]))
+    tol = draw(st.sampled_from([1e-13, 1e-3]))
+    return gauss(m, rank) @ gauss(rank, n) + noise * gauss(m, n), tol
+
+
+@given(wide_rank_blocks())
+def test_range_finder_bounds_blocks_wider_than_a_step(block):
+    # Q grows over more than one step; the diagonal entry bounds sigma_1
+    # and t bounds the spectral norm of what the factors leave out
+    b, tol = block
+    with mock.patch.object(recombine, "_RANK_TOL", tol):
+        f, g, top, tail = recombine._truncated_factors(b)
+    s = np.linalg.svd(b, compute_uv=False)
+    kept = np.linalg.norm(g, axis=0)  # G = V S: column norms are S
+    rest = np.linalg.norm(b - (f / kept) @ g.conj().T, 2)
+    slack = 1e-12 * s[0]  # rounding of sigma_1(B) and of the residual
+    assert top >= s[0] - slack
+    assert tail >= rest - slack
+    if tol == 1e-13:
+        assert f.shape[1] > recombine._STEP
+
+
+def test_low_rank_block_takes_one_step():
+    # a 64 x 64 block of rank 3 is captured by the first 8 probe columns
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((64, 3)) @ rng.standard_normal((3, 64))
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        f, _, top, tail = recombine._truncated_factors(b)
+    assert qr.call_count == 1
+    assert f.shape[1] == 3
+    assert tail < 1e-13 * top
+
+
+def test_zero_tail_mutant_falls_below_dense():
+    # with t forced to 0, the factors of noisy blocks truncated at 1e-3
+    # give pair norms below the dense ones; with t the bound holds
+    rng = np.random.default_rng(6)
+    blocks = [rng.standard_normal((12, 2)) @ rng.standard_normal((2, 12))
+              + 1e-2 * rng.standard_normal((12, 12)) for _ in range(4)]
+    factors = recombine._truncated_factors
+
+    def untailed(b):
+        f, g, top, tail = factors(b)
+        return f, g, top - tail, 0.0
+
+    with mock.patch.object(recombine, "_RANK_TOL", 1e-3):
+        assert_never_below_dense(_cotlar_certificate(_family(blocks)),
+                                 blocks)
+        with mock.patch.object(recombine, "_truncated_factors", untailed):
+            cert = _cotlar_certificate(_family(blocks))
+    star, adj = dense_pair_matrices(blocks)
+    assert np.any(cert.star_pair_matrix < star * (1.0 - 1e-6)) \
+        or np.any(cert.adj_pair_matrix < adj * (1.0 - 1e-6))
