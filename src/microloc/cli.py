@@ -14,9 +14,6 @@ import json
 import os
 import sys
 
-EXPERIMENTS = ("partition-verify", "band-bound", "moyal-order", "cotlar",
-               "parametrix", "radon-block", "radon-invert")
-
 SCHEMA_VERSION = 1
 
 # Runs must fit in 8 GB; validation refuses sizes whose largest arrays
@@ -51,12 +48,6 @@ _OBJECT_KEYS = {
     "tests": {"sigma", "xi0_list"},
     "radon": {"n_angles", "n_offsets"},
 }
-
-# string-valued options and the values their runners accept
-_CHOICES = {
-    "radon-invert": {"phantom": ("disc", "gaussian", "two-bumps")},
-}
-
 
 class ValidationFailure(Exception):
     def __init__(self, errors):
@@ -194,6 +185,25 @@ def _band_missed(k: int, lambda_min: float, lambda_max: float) -> bool:
             or (2 * t + 1) / lambda_min ** 0.5 <= t / 4)
 
 
+def _cotlar_errors(k_min: int, k_max: int, dim: int, n_grid: int) -> list[str]:
+    """Errors for a cotlar run whose work exceeds a ceiling.  The blocks
+    are at most sum_k (2^(k+3) + 1)^dim over the bands, the nets' packing
+    bound (bands below -3 have empty nets and are refused when built);
+    each is assembled from n_grid^(2 dim) entries, and each pair's cores
+    cost about n_grid^dim.  The ceilings are about twice the work of the
+    2D n_grid 32, bands 1..3 run (3,094 blocks, 338 s on 2 cores), whose
+    bound of 5,603 blocks gives 5.9e9 and 3.2e10."""
+    blocks = sum((2 ** (k + 3) + 1) ** dim
+                 for k in range(max(k_min, -3), k_max + 1))
+    return [f"bands and grid.n_grid allow up to {blocks} cotlar blocks: "
+            f"{work:.1e} {name} exceed the ceiling of {ceiling:.1e}"
+            for name, work, ceiling in (
+                ("assembled block entries", blocks * n_grid ** (2 * dim),
+                 1.2e10),
+                ("pair-core entries", blocks ** 2 * n_grid ** dim, 6.4e10))
+            if work > ceiling]
+
+
 def _cutoff_errors(cutoff, grid) -> list[str]:
     """Errors in a ``cutoff`` object; absent radii take their defaults."""
     if not (isinstance(cutoff, dict)
@@ -275,9 +285,9 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
         errors.append(f"unknown keys: {unknown}")
     if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         errors.append("seed must be an int >= 0")
-    for key, choices in _CHOICES.get(experiment, {}).items():
-        if key in cfg and cfg[key] not in choices:
-            errors.append(f"{key} must be one of {list(choices)}")
+    phantoms = ["disc", "gaussian", "two-bumps"]
+    if "phantom" in schema and cfg.get("phantom", "gaussian") not in phantoms:
+        errors.append(f"phantom must be one of {phantoms}")
 
     grid = cfg.get("grid")
     if "grid" in schema:
@@ -376,6 +386,10 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
                 bands["k_min"] <= k_range[0] <= k_range[1] <= bands["k_max"]):
             errors.append("k_range must lie within [bands.k_min, "
                           "bands.k_max]")
+        elif (experiment == "cotlar" and _is_int(dim) and dim in (1, 2)
+              and _is_pow2(grid.get("n_grid")) and grid["n_grid"] <= 512):
+            errors += _cotlar_errors(bands["k_min"], bands["k_max"], dim,
+                                     grid["n_grid"])
     if "radon" in schema:
         errors += _radon_errors(cfg.get("radon"), grid, experiment)
     if "cutoff" in cfg:
@@ -687,7 +701,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="microloc",
         description="microlocal toolkit experiment harness")
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=tuple(_RUNNERS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)

@@ -41,43 +41,39 @@ _BINOPS = {
 _UNARYOPS = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 
 
-def _check(node: ast.AST, names: set[str]) -> None:
+def _compile(node: ast.AST, names: list[str]) -> Callable:
+    """The closure ``args -> value`` of a node, ``args`` holding the values
+    of ``names`` in order; anything outside the grammar raises
+    ExpressionError here, before any evaluation."""
     if isinstance(node, ast.Expression):
-        _check(node.body, names)
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _check(node.left, names)
-        _check(node.right, names)
-    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
-        _check(node.operand, names)
-    elif isinstance(node, ast.Call):
+        return _compile(node.body, names)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, names), _compile(node.right, names)
+        return lambda args: op(left(args), right(args))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
+        op, operand = _UNARYOPS[type(node.op)], _compile(node.operand, names)
+        return lambda args: op(operand(args))
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError(f"unknown function in expression: {ast.dump(node.func)}")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError("functions take exactly one positional argument")
-        _check(node.args[0], names)
-    elif isinstance(node, ast.Name):
-        if node.id not in names and node.id not in _CONSTANTS:
-            raise ExpressionError(f"unknown name: {node.id!r}")
-    elif isinstance(node, ast.Constant):
+        fn, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], names)
+        return lambda args: fn(arg(args))
+    if isinstance(node, ast.Name):
+        if node.id in names:
+            i = names.index(node.id)
+            return lambda args: args[i]
+        if node.id in _CONSTANTS:
+            value = _CONSTANTS[node.id]
+            return lambda args: value
+        raise ExpressionError(f"unknown name: {node.id!r}")
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric constant: {node.value!r}")
-    else:
-        raise ExpressionError(f"disallowed syntax: {type(node).__name__}")
-
-
-def _eval(node: ast.AST, env: dict[str, object]):
-    if isinstance(node, ast.Expression):
-        return _eval(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, env), _eval(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        return _UNARYOPS[type(node.op)](_eval(node.operand, env))
-    if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](_eval(node.args[0], env))
-    if isinstance(node, ast.Name):
-        return env.get(node.id, _CONSTANTS.get(node.id))
-    if isinstance(node, ast.Constant):
-        return node.value
+        value = node.value
+        return lambda args: value
     raise ExpressionError(f"disallowed syntax: {type(node).__name__}")
 
 
@@ -86,25 +82,18 @@ def parse_expression(text: str, dim: int, with_xi: bool = True) -> Callable:
 
     The returned callable broadcasts over numpy array arguments.
     """
-    names = {f"x{i + 1}" for i in range(dim)}
+    names = [f"x{i + 1}" for i in range(dim)]
     if with_xi:
-        names |= {f"xi{i + 1}" for i in range(dim)}
+        names += [f"xi{i + 1}" for i in range(dim)]
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
-    _check(tree, names)
-
-    arg_names = [f"x{i + 1}" for i in range(dim)]
-    if with_xi:
-        arg_names += [f"xi{i + 1}" for i in range(dim)]
+    run = _compile(tree, names)
 
     def f(*args):
-        if len(args) != len(arg_names):
-            raise TypeError(f"expected {len(arg_names)} arguments, got {len(args)}")
-        env = dict(zip(arg_names, args))
-        return _eval(tree, env)
+        if len(args) != len(names):
+            raise TypeError(f"expected {len(names)} arguments, got {len(args)}")
+        return run(args)
 
-    f.__name__ = "expr"
-    f.expression = text
     return f

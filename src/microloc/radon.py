@@ -2,15 +2,16 @@
 
 Lines x . omega = s, omega on the half circle, are sampled at half-pixel
 steps with bilinear interpolation (an interpolating projector of the
-Joseph 1982 family), one angle at a time.  ``radon-block`` sums R^T R from
-them in dense blocks of rays.  Otherwise a geometry is built once into the
-CSR arrays of a sparse R (the latest is cached): ``radon_matrix`` fills a
-dense R from them, and the forward map ``R @ f`` and the adjoint under the
-quadrature inner products (dA on images, ds dtheta on sinograms), the
-quadrature scale times ``R.T @ g``, wrap them in a ``scipy.sparse``
-matrix, an exact transpose by construction.  Filtered backprojection
-applies the ramp |sigma| per angle and divides by a constant fitted once
-per geometry.
+Joseph 1982 family), one angle at a time.  R has one row layout, ray
+``angle * n_offsets + offset``, and two builders.  ``radon-block`` sums
+R^T R from the samples in dense blocks of rays.  Otherwise a geometry is
+built once into a ``scipy.sparse`` CSR matrix (the latest is cached):
+the forward map is ``R @ f``, the adjoint under the quadrature inner
+products (dA on images, ds dtheta on sinograms) is the quadrature scale
+times ``R.T @ g``, an exact transpose by construction, and
+``radon_recombine`` applies R to image-space blocks.  Filtered
+backprojection applies the ramp |sigma| per angle and divides by a
+constant fitted once per geometry.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ def _corners(cfg: RadonConfig, theta: float):
 
 
 @functools.lru_cache(maxsize=1)
-def _operator(cfg: RadonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward map as CSR arrays ``(data, indices, indptr)``, built in
-    numpy once per geometry.
+def _operator(cfg: RadonConfig) -> sparse.csr_array:
+    """The forward map as a scipy CSR matrix, built in numpy once per
+    geometry; scipy.sparse is imported here, so only a Radon product loads
+    scipy.
 
     Row ``angle * n_offsets + offset`` holds ``dt`` times the bilinear
     weights of that line's samples, summed per pixel, at column
@@ -115,9 +117,12 @@ def _operator(cfg: RadonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     angle, the entries of ``_corners`` are keyed by ``offset * n_grid^2 +
     column`` (int64: the product can pass 2^31), sorted, summed per key
     with ``np.add.reduceat`` and counted per row with ``np.bincount``,
-    straight into growing entry buffers.  Only the most recent geometry is
-    kept, so a large operator is freed once a caller moves on to another.
+    straight into growing entry buffers, which the matrix wraps without a
+    copy.  Only the most recent geometry is kept, so a large operator is
+    freed once a caller moves on to another.
     """
+    from scipy import sparse
+
     n2 = cfg.grid.n_grid ** 2
     data, indices, nnz = np.empty(0), np.empty(0, dtype=np.int32), 0
     row_nnz = [np.zeros(1, dtype=np.int64)]
@@ -139,7 +144,8 @@ def _operator(cfg: RadonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if nnz >= 2 ** 31:
         raise ValueError(f"{nnz} entries overflow 32-bit CSR indices")
     indptr = np.cumsum(np.concatenate(row_nnz)).astype(np.int32)
-    return data[:nnz], indices[:nnz], indptr
+    return sparse.csr_array((data[:nnz], indices[:nnz], indptr),
+                            shape=(cfg.n_angles * cfg.n_offsets, n2))
 
 
 def _grow(buf: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -156,17 +162,6 @@ def _grow(buf: np.ndarray, used: int, size: int) -> np.ndarray:
     return out
 
 
-def _csr(cfg: RadonConfig) -> sparse.csr_array:
-    """The cached operator's arrays wrapped, without a copy, as a scipy CSR
-    matrix for the forward and adjoint products.  scipy.sparse is imported
-    here, so only a matrix-vector product loads scipy."""
-    from scipy import sparse
-
-    n = cfg.grid.n_grid
-    return sparse.csr_array(_operator(cfg),
-                            shape=(cfg.n_angles * cfg.n_offsets, n * n))
-
-
 def radon_forward(image: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     """Line integrals of a grid image, bilinear sampling at half-pixel steps:
     the sinogram, shape (n_offsets, n_angles)."""
@@ -174,7 +169,7 @@ def radon_forward(image: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     n = g.n_grid
     if image.shape != (n, n):
         raise ValueError(f"image shape {image.shape}, expected {(n, n)}")
-    vals = _csr(cfg) @ np.asarray(image, dtype=float).ravel()
+    vals = _operator(cfg) @ np.asarray(image, dtype=float).ravel()
     return vals.reshape(cfg.n_angles, cfg.n_offsets).T
 
 
@@ -199,7 +194,7 @@ def radon_adjoint(g: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     _check_sinogram(g, cfg)
     n = cfg.grid.n_grid
     scale = cfg.ds * cfg.dtheta / cfg.grid.l2_weight()
-    return scale * (_csr(cfg).T @ g.T.ravel()).reshape(n, n)
+    return scale * (_operator(cfg).T @ g.T.ravel()).reshape(n, n)
 
 
 def ramp_filter(g: np.ndarray, cfg: RadonConfig) -> np.ndarray:
@@ -237,18 +232,6 @@ def fbp_constant(cfg: RadonConfig) -> float:
 def fbp_invert(g: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     """Filtered backprojection: ramp filter, backproject, fixed constant."""
     return radon_adjoint(ramp_filter(g, cfg), cfg) / fbp_constant(cfg)
-
-
-def radon_matrix(cfg: RadonConfig) -> np.ndarray:
-    """Dense forward matrix, shape (n_offsets * n_angles, n_grid^2); row
-    ``offset * n_angles + angle`` matches flattened (n_offsets, n_angles)
-    sinograms.  Filled straight from the CSR arrays."""
-    data, indices, indptr = _operator(cfg)
-    rays = np.arange(cfg.n_angles * cfg.n_offsets)
-    dest = rays % cfg.n_offsets * cfg.n_angles + rays // cfg.n_offsets
-    dense = np.zeros((rays.size, cfg.grid.n_grid ** 2))
-    dense[np.repeat(dest, np.diff(indptr)), indices] = data
-    return dense
 
 
 # Rays per dense block of the Gram sum (8 MiB at n_grid 32): at n_grid 32,
@@ -365,13 +348,15 @@ def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
 
 def radon_recombine(blocks, reference: np.ndarray, cfg: RadonConfig,
                     active_bands=None) -> dict:
-    """Cotlar certificate, discrepancy and tails for sinogram-valued blocks.
+    """Cotlar certificate, discrepancy and tails for the blocks R T.
 
-    ``blocks`` is a stream of ``((j, k), dense (sinogram x image) block)``
-    pairs, read once; blocks and reference are already composed with their
-    cutoffs.  Quadrature weights are applied here, one block at a time, so
-    pair norms are adjoint-consistent.
+    ``blocks`` is a stream of ``((j, k), dense image-space block T)``
+    pairs, read once; blocks and reference are already composed with
+    their cutoffs.  The cached R and the quadrature scale are applied
+    here, one block at a time, so pair norms are adjoint-consistent
+    L2(dA) -> L2(ds dtheta) norms.
     """
+    r = _operator(cfg)
     scale = np.sqrt(cfg.ds * cfg.dtheta / cfg.grid.l2_weight())
-    return recombine_sum(((idx, scale * m) for idx, m in blocks),
-                         scale * reference, active_bands)
+    return recombine_sum(((idx, scale * (r @ m)) for idx, m in blocks),
+                         scale * (r @ reference), active_bands)

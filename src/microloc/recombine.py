@@ -28,10 +28,9 @@ family only these are kept:
 
 - the factors F_i and G_i, zero-padded to the widest rank in one stack per
   side, with the diagonal entry sigma_1(C) + t_i and t_i;
-- the running sum of the blocks, for the achieved norm and the
-  discrepancy from the reference;
 - one level sum sum_{k >= K} T_{j,k} for each band K present, for the
-  tail norms.
+  tail norms; the lowest is the sum of the family, for the achieved norm
+  and the discrepancy from the reference.
 
 A family costs O(levels n^{2d}) plus its factors, not O(blocks n^{2d}).
 All norms are plain L2 spectral norms.
@@ -161,18 +160,18 @@ def _plus(acc, b: np.ndarray):
 class _Family:
     """One pass over a stream of ``((j, k), block)`` pairs.
 
-    Keeps each block's factors, diagonal entry and tail, the running sum
-    ``total`` and, per band K present, ``levels[K]``, the sum of the blocks
-    with k >= K.  A band first seen below bands already present starts
-    from the smallest level above it, so the level sums hold whatever the
-    order of the stream; a stream in (k, j) order is summed in that order.
-    Blocks may be non-square, and all share one shape.
+    Keeps each block's factors, diagonal entry and tail and, per band K
+    present, ``levels[K]``, the sum of the blocks with k >= K.  A band
+    first seen below bands already present starts from the smallest level
+    above it, so the level sums hold whatever the order of the stream; a
+    stream in (k, j) order is summed in that order.  Blocks may be
+    non-square, and all share one shape.
     """
 
     def __init__(self, blocks):
         self.indices, self.top, self.tail = [], [], []
         self.f, self.g = _FactorStack(), _FactorStack()
-        self.total, self.levels = 0.0, {}
+        self.levels = {}
         for (j, k), b in blocks:
             f, g, top, tail = _truncated_factors(b)
             self.f.append(f)
@@ -180,7 +179,6 @@ class _Family:
             self.indices.append((j, k))
             self.top.append(top)
             self.tail.append(tail)
-            self.total = _plus(self.total, b)
             if k not in self.levels:
                 above = [level for level in self.levels if level > k]
                 self.levels[k] = self.levels[min(above)].copy() \
@@ -212,6 +210,7 @@ def _core_norms(stack: _FactorStack) -> np.ndarray:
 def _cotlar_certificate(fam: _Family) -> CotlarCertificate:
     """Factored pair-norm bounds, row sums A and B, and sqrt(AB).
 
+    The achieved norm is that of the lowest level, the sum of the family.
     An empty family, or numbers that overflow the pair bounds, raise
     DegenerateResultError.
     """
@@ -231,7 +230,7 @@ def _cotlar_certificate(fam: _Family) -> CotlarCertificate:
     return CotlarCertificate(
         a_bound=a_bound, b_bound=b_bound,
         bound=float(np.sqrt(a_bound * b_bound)),
-        achieved=spectral_norm(fam.total),
+        achieved=spectral_norm(fam.levels[min(fam.levels)]),
         star_pair_matrix=star, adj_pair_matrix=adj,
         indices=fam.indices)
 
@@ -251,10 +250,10 @@ def recombine_sum(blocks, reference: np.ndarray, active_bands=None) -> dict:
         if missing:
             raise CoverageGapError(missing)
     ref_norm = spectral_norm(reference)
-    with np.errstate(over="ignore", invalid="ignore"):
-        disc = spectral_norm(fam.total - reference)
     cert = _cotlar_certificate(fam)
     ks = sorted(fam.levels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = spectral_norm(fam.levels[ks[0]] - reference)
     return {
         "certificate": cert,
         "reference_norm": ref_norm,

@@ -26,7 +26,7 @@ from microloc.quantize import (assemble_block, band_bound_experiment,
 from microloc.radon import (RadonConfig, band_sum_symbol, fbp_invert,
                             normal_operator_exponent, phantom, radon_adjoint,
                             radon_block_experiment, radon_forward,
-                            radon_matrix, radon_recombine)
+                            radon_recombine)
 from microloc.recombine import recombine_sum
 
 
@@ -339,15 +339,12 @@ def test_criterion_09_radon_suite():
                    (1.0 + 0.2 * np.cos(x1))
                    * win(np.sqrt(xi1 ** 2 + xi2 ** 2)) + 0.0 * x2)
     chi_r = make_cutoff(gr, 2.0, 2.6)
-    rmat = radon_matrix(cfg_r)
     blocks = {}
     for k in (1, 2):
         lam = band_sum_symbol(part_r, k, gr)
         op = weyl_quantize(ar, weight=lam.values)
-        blocks[(0, k)] = rmat @ (chi_r.ravel()[:, None] * op
-                                 * chi_r.ravel()[None, :])
-    ref = rmat @ (chi_r.ravel()[:, None] * weyl_quantize(ar)
-                  * chi_r.ravel()[None, :])
+        blocks[(0, k)] = chi_r.ravel()[:, None] * op * chi_r.ravel()[None, :]
+    ref = chi_r.ravel()[:, None] * weyl_quantize(ar) * chi_r.ravel()[None, :]
     rec_rep = radon_recombine(blocks.items(), ref, cfg_r,
                               active_bands=[1, 2])
 

@@ -399,6 +399,10 @@ def _without(cfg, key):
     (_band_bound(s=0.0), "band-bound Sobolev order"),
     (_parametrix(tests={"x0": [0.0], "xi0_list": [[8.0]], "sigma": 0.7}),
      "wavepacket centre"),
+    # 2D n_grid 32 with bands 1..4: up to 22,244 blocks, 2.3e10 assembled
+    # entries and 5.1e11 pair-core entries, refused before any block
+    (_cotlar(grid={"dim": 2, "half_width": np.pi, "n_grid": 32},
+             bands={"k_min": 1, "k_max": 4}), "cotlar work above a ceiling"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -661,7 +665,10 @@ def test_net_lattice_beyond_8gb_rejected_before_running(tmp_path, capsys,
     errors = cli.validate_config(cfg, cfg["experiment"])
     assert any("8 GB" in e for e in errors), errors
     ok = {**cfg, "bands": {"k_min": 2, "k_max": 8}}
-    assert cli.validate_config(ok, cfg["experiment"]) == []
+    # 2D cotlar at k_max 8 passes the lattice check, but would hold up to
+    # 5.6 million blocks, which the work ceilings refuse
+    errors = cli.validate_config(ok, cfg["experiment"])
+    assert [e for e in errors if "cotlar blocks" not in e] == [], errors
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
     assert code == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["errors"]
@@ -736,6 +743,29 @@ def test_dim2_ceiling(tmp_path):
                 bands={"k_min": 0, "k_max": 1}, symbol="exp(-xi1^2-xi2^2)")
     code, _ = _run(tmp_path, "cotlar", cfg)
     assert code == 2
+
+
+def _cotlar_2d(n_grid, k_max):
+    return _cotlar(grid={"dim": 2, "half_width": np.pi, "n_grid": n_grid},
+                   bands={"k_min": 1, "k_max": k_max},
+                   symbol="(1 + 0.3*cos(x1) + 0.2*sin(x2)) "
+                          "* exp(-((sqrt(xi1^2 + xi2^2) - 6)/4)^2)",
+                   cutoff={"r_one": 2.0, "r_zero": 2.6})
+
+
+def test_cotlar_work_ceilings():
+    # the measured 3,094-block run (2D n_grid 32, bands 1..3: 338 s, block
+    # bound 5,603) is admitted without being run; bands 1..4 exceed both
+    # ceilings, and at n_grid 16 bands 1..5 exceed the pair-core one only
+    assert cli.validate_config(_cotlar_2d(32, 3), "cotlar") == []
+    assert cli.validate_config(_cotlar_2d(32, 4), "cotlar") == [
+        "bands and grid.n_grid allow up to 22244 cotlar blocks: 2.3e+10 "
+        "assembled block entries exceed the ceiling of 1.2e+10",
+        "bands and grid.n_grid allow up to 22244 cotlar blocks: 5.1e+11 "
+        "pair-core entries exceed the ceiling of 6.4e+10"]
+    assert cli.validate_config(_cotlar_2d(16, 5), "cotlar") == [
+        "bands and grid.n_grid allow up to 88293 cotlar blocks: 2.0e+12 "
+        "pair-core entries exceed the ceiling of 6.4e+10"]
 
 
 def test_missing_config_file(tmp_path):

@@ -244,10 +244,9 @@ def test_shuffled_stream_matches_dense():
 
 
 def test_streamed_family_holds_few_blocks():
-    # 64 rank-1 blocks of 512 KiB: a stream keeps their factors, the
-    # running sum and two level sums, never the family; its peak, at a
-    # block's range finder (its scaled copy and residual), is about 6.6
-    # blocks
+    # 64 rank-1 blocks of 512 KiB: a stream keeps their factors and two
+    # level sums, never the family; its peak, at a block's range finder
+    # (its scaled copy and residual), is about 5.8 blocks
     n, count = 256, 64
     rng = np.random.default_rng(4)
     ref = np.zeros((n, n))
@@ -278,7 +277,7 @@ def test_stream_errors():
 
 
 def test_overflowing_block_sum_is_refused_without_warning():
-    # each block is finite, their running sum is not
+    # each block is finite, their sum is not
     b = np.zeros((16, 16))
     b[0, 0] = 1.5e308
     family = (((j, 1), b.copy()) for j in range(2))
