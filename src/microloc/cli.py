@@ -76,12 +76,9 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for c in row:
-            cells.append(f"{c:.12e}" if isinstance(c, float) else str(c))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [
+        ",".join(f"{c:.12e}" if isinstance(c, float) else str(c) for c in row)
+        for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -512,10 +509,9 @@ def _run_band_bound(cfg, outdir):
     write_csv(os.path.join(outdir, "band_bound.csv"),
               ["k", "j", "norm", "renorm_ratio"],
               [[r["k"], r["j"], r["norm"], r["renorm_ratio"]] for r in rows])
-    report = {"rows": rows, "slope": slope}
-    write_json(os.path.join(outdir, "band_bound.json"), report)
-    checks = [("norms_finite", all(np.isfinite(r["norm"]) for r in rows))]
-    return checks
+    write_json(os.path.join(outdir, "band_bound.json"),
+               {"rows": rows, "slope": slope})
+    return [("norms_finite", all(np.isfinite(r["norm"]) for r in rows))]
 
 
 def _run_moyal_order(cfg, outdir):
@@ -542,11 +538,8 @@ def _run_moyal_order(cfg, outdir):
             if keep.sum() >= 2 else float("inf")
     write_csv(os.path.join(outdir, "moyal_order.csv"),
               ["n", "h", "residual"], rows)
-    report = {"slopes": slopes}
-    write_json(os.path.join(outdir, "moyal_order.json"), report)
-    checks = [("residuals_finite",
-               all(np.isfinite(r[2]) for r in rows))]
-    return checks
+    write_json(os.path.join(outdir, "moyal_order.json"), {"slopes": slopes})
+    return [("residuals_finite", all(np.isfinite(r[2]) for r in rows))]
 
 
 # cotlar writes pair_matrix.csv, blocks^2 numbers of about 19 bytes, only
@@ -593,9 +586,8 @@ def _run_cotlar(cfg, outdir):
         write_csv(os.path.join(outdir, "pair_matrix.csv"),
                   [f"b{i}" for i in range(count)],
                   [list(map(float, row)) for row in cert.star_pair_matrix])
-    checks = [("cotlar_inequality", cert.ok),
-              ("tail_vanishes", report["tails"][-1]["norm"] <= 1e-10)]
-    return checks
+    return [("cotlar_inequality", cert.ok),
+            ("tail_vanishes", report["tails"][-1]["norm"] <= 1e-10)]
 
 
 def _run_parametrix(cfg, outdir):
@@ -621,10 +613,9 @@ def _run_parametrix(cfg, outdir):
              for xi0 in t.get("xi0_list", [[8.0] + [0.0] * (grid.dim - 1)])]
     report = parametrix_residual(px, tests)
     write_json(os.path.join(outdir, "parametrix.json"), report)
-    checks = [("no_rejected_tests", not report["rejected"]),
-              ("residuals_finite",
-               all(np.isfinite(r) for r in report["rel_errors"]))]
-    return checks
+    return [("no_rejected_tests", not report["rejected"]),
+            ("residuals_finite",
+             all(np.isfinite(r) for r in report["rel_errors"]))]
 
 
 def _run_radon_block(cfg, outdir):
@@ -646,8 +637,7 @@ def _run_radon_block(cfg, outdir):
               [[r_["k"], r_["norm"], r_["renorm_ratio"]] for r_ in rows])
     write_json(os.path.join(outdir, "radon_block.json"),
                {"rows": rows, "slope": slope})
-    checks = [("norms_finite", all(np.isfinite(r_["norm"]) for r_ in rows))]
-    return checks
+    return [("norms_finite", all(np.isfinite(r_["norm"]) for r_ in rows))]
 
 
 def _run_radon_invert(cfg, outdir):

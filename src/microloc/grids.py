@@ -147,27 +147,20 @@ def sample_on(grid: GridSpec, func: Callable[..., np.ndarray],
     out.  Non-finite samples (a pole such as 1/xi1 at xi1 = 0, or an
     overflow) raise DegenerateResultError before anything is quantized.
     """
-    d = grid.dim
-    xd = grid.x_axis_doubled()
-    xa = grid.xi_axis_refined()
-    x_args = []
-    for i in range(d):
+    d, size = grid.dim, 2 * grid.n_grid
+    args = []
+    for i, ax in enumerate([grid.x_axis_doubled()] * d
+                           + [grid.xi_axis_refined()] * d):
         shape = [1] * (2 * d)
-        shape[i] = 2 * grid.n_grid
-        x_args.append(xd.reshape(shape))
-    xi_args = []
-    for i in range(d):
-        shape = [1] * (2 * d)
-        shape[d + i] = 2 * grid.n_grid
-        xi_args.append(xa.reshape(shape))
+        shape[i] = size
+        args.append(ax.reshape(shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = func(*x_args, *xi_args)
+        vals = func(*args)
     if not np.all(np.isfinite(vals)):
         raise DegenerateResultError("non-finite symbol samples")
     # real rules stay float64: half the bytes of a complex sample
     vals = np.asarray(vals, dtype=np.result_type(vals, np.float64))
-    shape = (2 * grid.n_grid,) * (2 * d)
-    return GridSymbol(grid=grid, values=np.broadcast_to(vals, shape),
+    return GridSymbol(grid=grid, values=np.broadcast_to(vals, (size,) * 2 * d),
                       func=func, deriv=deriv)
 
 

@@ -1,17 +1,18 @@
 """Patchwise microlocal parametrix with truncated-Moyal corrections.
 
-Per patch the leading symbol is q0 = Lambda_{j,k} / p (with the
-ellipticity floor checked on the patch support).  The patch symbols share
-one spatial cutoff chi0 on each side, so the block sum collapses to
-Q = chi0 Op^w(sum_j q_{j,k}) chi0; the optional Neumann corrections are
-therefore applied to the aggregate, q <- q + (Lambda_sum - q # p)_N / p,
-each step damped (rejected unless it lowers the operator residual on
-covered frequencies).  Correcting per patch instead would break the
-cancellation between neighboring localizers (their derivatives telescope
-only in the sum) and amplify discretization noise.  Parametrix quality
-is measured by ||Q Op^w(p) u - u|| / ||u|| on microlocalized test
-functions, which must lie on the plateau where chi0 = 1 and at
-frequencies the built bands cover.  ``build_parametrix`` computes both
+Per patch the leading symbol is q0 = Lambda_{j,k} / p.  A patch is
+rejected when its support meets a zero of p or the ellipticity floor.
+The patch symbols share one spatial cutoff chi0 on each side, so the
+block sum collapses to Q = chi0 Op^w(q) chi0 with q = (sum of the accepted
+Lambda_{j,k}) / p, and each band's localizers come from one neighbor pass
+over the grid sample (Partition._localizer_entries), not one evaluation
+per patch.  The optional Neumann corrections are applied to the
+aggregate, q <- q + (Lambda_sum - q # p)_N / p, each step damped (rejected
+unless it lowers the operator residual on covered frequencies);
+correcting per patch would break the cancellation between neighboring
+localizers (their derivatives telescope only in the sum).  Quality is
+||Q Op^w(p) u - u|| / ||u|| on test functions on the plateau where
+chi0 = 1 and at covered frequencies; ``build_parametrix`` computes both
 masks once and keeps them on the ``Parametrix``.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .grids import GridSpec, GridSymbol
 from .moyal import moyal_truncated
-from .partition import Partition, localizer_symbol, rho
+from .partition import Partition, rho
 from .quantize import cut, fourier_weighted, spectral_norm, weyl_quantize
 
 
@@ -54,68 +55,52 @@ class Parametrix:
 
 def _below_floor(p: EllipticSymbol, part: Partition,
                  grid: GridSpec) -> np.ndarray:
-    """Lattice points where |p| < c0 (1 + |T_x xi|)^m2 / 2 and |T_x xi| >= big_r.
-
-    Shape (x points, xi points) of the doubled lattice.  The mask does not
-    depend on the patch, so it is computed once per grid.
-    """
+    """The grid sample's (distinct T_x, xi) table, set where at some x with
+    that T_x p = 0, or |p| < c0 (1 + |T_x xi|)^m2 / 2 and |T_x xi| >= big_r."""
     xi_pts, t_uniq, inv, _ = part._grid_sample(grid)
     fn = np.linalg.norm(xi_pts @ t_uniq.transpose(0, 2, 1), axis=-1)[inv]
-    floor = 0.5 * p.c0 * (1.0 + fn) ** p.m2
-    return (np.abs(p.symbol.values.reshape(fn.shape)) < floor) \
-        & (fn >= p.big_r)
+    vals = p.symbol.values.reshape(fn.shape)
+    bad = (np.abs(vals) < 0.5 * p.c0 * (1.0 + fn) ** p.m2) \
+        & (fn >= p.big_r) | (vals == 0.0)
+    out = np.zeros((len(t_uniq), len(xi_pts)), dtype=bool)
+    np.logical_or.at(out, inv, bad)
+    return out
 
 
-def bandwise_inverse(p: EllipticSymbol, lam: GridSymbol,
-                     below_floor: np.ndarray) -> GridSymbol:
-    """(p^{-1})_{j,k} = Lambda_{j,k} / p, zero off the patch support.
-
-    ``lam`` is the patch's sampled localizer and ``below_floor`` the
-    ellipticity-floor mask of ``_below_floor`` on the same grid; a patch
-    whose support meets the mask is rejected.
-    """
-    sup = np.abs(lam.values) > 0.0
-    bad = sup.reshape(below_floor.shape) & below_floor
-    if bad.any():
-        x_idx, xi_idx = np.argwhere(bad)[0]
-        raise PatchRejectedError(
-            "|p| below the ellipticity floor on the patch support at flat "
-            f"grid point (x={int(x_idx)}, xi={int(xi_idx)})")
-    vals = np.zeros(lam.values.shape,
-                    dtype=np.result_type(lam.values, p.symbol.values))
-    vals[sup] = lam.values[sup] / p.symbol.values[sup]
-    return GridSymbol(grid=lam.grid, values=vals)
+def _over_p(num: np.ndarray, p: EllipticSymbol) -> np.ndarray:
+    """num / p where num and p are nonzero, else 0; p = 0 meets no patch."""
+    out = np.zeros(num.shape, dtype=np.result_type(num, p.symbol.values))
+    nz = (np.abs(num) > 0.0) & (p.symbol.values != 0.0)
+    out[nz] = num[nz] / p.symbol.values[nz]
+    return out
 
 
 def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
                      chi0: np.ndarray) -> Parametrix:
-    """Assemble Q = sum chi0 Op^w(q^N_{j,k}) chi0 over accepted patches, on
-    the grid of p."""
+    """Q = chi0 Op^w(q) chi0 on the grid of p, q = (sum of the accepted
+    Lambda_{j,k}) / p with its damped Neumann corrections.  Per band, a
+    pass over the rows below the floor flags the patches it meets, then one
+    pass over the grid sample adds the others, in (k, j) order, into a
+    table of distinct T_x rows; a patch with no support is accepted."""
     if not 1 <= order <= 3:
         raise ValueError("correction order must lie in 1..3")
     grid = p.symbol.grid
-    excluded: list[tuple[int, int]] = []
-    covered = set()
-
-    below_floor = _below_floor(p, part, grid)
-    q_sum = lam_sum = None
+    excluded, covered = [], []
+    below = _below_floor(p, part, grid)
+    _, _, inv, sigma = part._grid_sample(grid)
+    lam = np.zeros(sigma.shape)
     for k in part.bands:
-        for j in range(part.nets[k].size):
-            lam = localizer_symbol(part, j, k, grid)
-            try:
-                q0 = bandwise_inverse(p, lam, below_floor)
-            except PatchRejectedError:
-                excluded.append((j, k))
-                continue
-            if q_sum is None:
-                # the localizer is a read-only view: sum into a copy
-                q_sum, lam_sum = q0.values, np.array(lam.values)
-            else:
-                q_sum += q0.values
-                lam_sum += lam.values
-            covered.add(k)
+        hit = np.zeros(part.nets[k].size, dtype=bool)
+        for _, j, _ in part._localizer_entries(grid, k, below):
+            hit[j] = True
+        for cells, j, vals in part._localizer_entries(grid, k):
+            np.add.at(lam.ravel(), cells[~hit[j]], vals[~hit[j]])
+        excluded += [(j, k) for j in np.flatnonzero(hit).tolist()]
+        if not hit.all():
+            covered.append(k)
     if not covered:
         raise PatchRejectedError("every patch was rejected; no parametrix")
+    lam_sum = lam[inv].reshape(p.symbol.values.shape)
 
     # the damping judges each candidate by the operator residual
     # ||(Q Op(p) - I) restricted to covered frequencies and the cutoff
@@ -125,7 +110,7 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
     kp = weyl_quantize(p.symbol)
     eye = np.eye(grid.npoints())
     plateau = chi0 >= 1.0 - 1e-9
-    xi_ok = covered_xi_mask(part, grid, sorted(covered))
+    xi_ok = covered_xi_mask(part, grid, covered)
 
     def assemble(sym: GridSymbol):
         """Q Op^w(p) for Q = chi0 Op^w(sym) chi0, and the operator
@@ -134,15 +119,12 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
         return comp, spectral_norm(fourier_weighted(
             (comp - eye) * plateau.ravel(), grid, w_in=xi_ok))
 
-    q = GridSymbol(grid=grid, values=q_sum)
+    q = GridSymbol(grid=grid, values=_over_p(lam_sum, p))
     comp, first = assemble(q)
     hist = [first]
     for _ in range(order - 1):
         res = lam_sum - moyal_truncated(q, p.symbol, order).values
-        corr = np.zeros_like(res)
-        nz = np.abs(res) > 0.0
-        corr[nz] = res[nz] / p.symbol.values[nz]
-        cand = GridSymbol(grid=grid, values=q.values + corr)
+        cand = GridSymbol(grid=grid, values=q.values + _over_p(res, p))
         cand_comp, cand_res = assemble(cand)
         if not cand_res < hist[-1] * (1.0 - 1e-12):
             # damping: keep the previous iterate unless the residual drops
@@ -151,7 +133,7 @@ def build_parametrix(p: EllipticSymbol, part: Partition, order: int,
         q, comp = cand, cand_comp
         hist.append(cand_res)
     return Parametrix(composition=comp, xi_ok=xi_ok, plateau=plateau,
-                      covered_bands=sorted(covered), excluded=excluded,
+                      covered_bands=covered, excluded=excluded,
                       residuals=hist)
 
 

@@ -16,10 +16,13 @@ few rows).  validate_net checks separation and covering by float
 distances over the explicit lattice of _annulus_lattice (48 bytes per
 point), independently of the raster.
 
-The partition is evaluated in two ways: on a quantization grid
-(localizer_symbol, band_sum_symbol), and on the product of a set of
-points x and a set of frequencies xi (chi_pairs, sigma_pairs,
-overlap_pairs), which with one row each gives a single point's value.
+The partition is evaluated on a quantization grid, one patch at a time
+(localizer_symbol, band_sum_symbol) or a whole band at once, as the
+(row, center, Lambda) entries of one neighbor pass over the grid's table
+(Partition._localizer_entries, which build_parametrix sums); and on the
+product of a set of points x and a set of frequencies xi (chi_pairs,
+sigma_pairs, overlap_pairs), which with one row each gives a single
+point's value.
 Evaluation is lazy: per-point sums prune to the few bands and centers
 whose supports can reach the point (at most 5 radial bands, at most 5^n
 centers per band), and only the distinct T_x and Sigma of a quantization
@@ -31,8 +34,8 @@ cell blocks hold at most _CHUNK entries, so an x-dependent metric costs
 one neighbor search per band and slice, not one per T_x.  The centers
 near a point come from a cell index: cells of side below 1/(2 sqrt 2)
 hold at most one center of a 1/2-separated net, so each band's index is
-one flat table, and a fixed block of cells around a point holds every
-center within distance 1.
+a flat table per coordinate plus the sorted occupied cells, and a fixed
+block of cells around a point holds every center within distance 1.
 """
 
 from __future__ import annotations
@@ -150,9 +153,11 @@ class _CellIndex:
         self.shape = cells.max(axis=0) + 1 + _REACH
         self.strides = np.r_[np.cumprod(self.shape[::-1])[::-1][1:], 1]
         flat = cells @ self.strides
-        # sorted neighbours, not np.unique, whose call path imports numpy.ma
-        s = np.sort(flat)
-        if np.any(s[1:] == s[:-1]):
+        # sorted, not np.unique, whose call path imports numpy.ma; center
+        # order[i] sits in cell occupied[i]
+        self.order = np.argsort(flat)
+        self.occupied = flat[self.order]
+        if np.any(self.occupied[1:] == self.occupied[:-1]):
             raise RuntimeError(_BROKEN)
         self.coords = []
         for i in range(dim):
@@ -166,16 +171,18 @@ class _CellIndex:
     def _cells(self, pts: np.ndarray) -> np.ndarray:
         return np.floor((pts - self.origin) / _CELL) + _REACH
 
-    def block(self, u: np.ndarray, reach: int) -> np.ndarray:
+    def block(self, u: np.ndarray, reach: int, cells: bool = False):
         """Squared distances (M, (2 reach + 1)^dim) from each row of u to the
-        centers of its block of cells, inf for an empty cell.  For a point
-        inside the box the middle column is its own cell."""
+        centers of its block of cells, inf for an empty cell, and with cells
+        the flat index of each of those cells.  For a point inside the box
+        the middle column is its own cell."""
         q = self._cells(u)
         np.maximum(q, _REACH, out=q)
         np.minimum(q, self.shape - 1 - _REACH, out=q)
-        flat = q.astype(np.intp) @ self.strides
-        return _sq_dist([c[flat[:, None] + self.offsets[reach]]
-                         for c in self.coords], u)
+        flat = (q.astype(np.intp) @ self.strides)[:, None] \
+            + self.offsets[reach]
+        d2 = _sq_dist([c[flat] for c in self.coords], u)
+        return (d2, flat) if cells else d2
 
 
 def _sq_dist(cols, u: np.ndarray) -> np.ndarray:
@@ -276,21 +283,13 @@ class Partition:
                                   return_inverse=True)
         return mats[first], inv
 
-    def _band_eval(self, t_uniq: np.ndarray, xi_arr: np.ndarray, bands,
-                   term, dtype=float) -> np.ndarray:
-        """Sum over k in bands of term(k, rho_k, u), per distinct T_x.
-
-        For each band, only the frequencies where rho(2^{-k}|xi|) > 0 are
-        evaluated; the rest get nothing from that band.  The distinct T_x
-        are stacked in slices: term receives the fiber coordinates
-        u = T_x xi of every T_x of a slice, one row per (T_x, frequency)
-        pair, T_x-major, with the rho value of each row, and returns one
-        value per row.  A slice holds one T_x, or as many as keep a
-        neighbor search's cell block (7^n entries per row) within _CHUNK
-        entries.  Returns shape (len(t_uniq), len(xi_arr)).
-        """
+    def _slices(self, t_uniq: np.ndarray, xi_arr: np.ndarray, bands):
+        """Per band, (k, T_x rows, active xi mask, rho, u) of each slice: xi
+        is active where rho(2^{-k}|xi|) > 0, and a slice stacks u = T_x xi
+        over its T_x and the active xi, T_x-major, with each row's rho value:
+        one T_x, or as many as keep a neighbor search's cell block (7^n
+        entries per row) within _CHUNK entries."""
         xi_norm = np.linalg.norm(xi_arr, axis=1)
-        out = np.zeros((len(t_uniq), len(xi_arr)), dtype=dtype)
         for k in bands:
             radial = rho(xi_norm / 2.0 ** k)
             act = radial > 0.0
@@ -302,9 +301,49 @@ class Partition:
             for lo in range(0, len(t_uniq), step):
                 t = t_uniq[lo:lo + step]
                 u = (xi_act @ t.transpose(0, 2, 1)).reshape(-1, self.dim)
-                vals = term(k, np.tile(radial, len(t)), u)
-                out[lo:lo + step, act] += vals.reshape(len(t), -1)
+                yield k, slice(lo, lo + step), act, np.tile(radial, len(t)), u
+
+    def _band_eval(self, t_uniq: np.ndarray, xi_arr: np.ndarray, bands,
+                   term, dtype=float) -> np.ndarray:
+        """Sum over k in bands of term(k, rho, u), one value per row of a
+        slice of _slices; shape (len(t_uniq), len(xi_arr))."""
+        out = np.zeros((len(t_uniq), len(xi_arr)), dtype=dtype)
+        for k, rows, act, radial, u in self._slices(t_uniq, xi_arr, bands):
+            out[rows, act] += term(k, radial, u).reshape(-1, act.sum())
         return out
+
+    def _index(self, k: int) -> _CellIndex:
+        """The cell index of band k, built on its first use."""
+        if k not in self._indexes:
+            self._indexes[k] = _CellIndex(self.nets[k].centers)
+        return self._indexes[k]
+
+    def _localizer_entries(self, grid: GridSpec, k: int, where=None):
+        """Band k's localizers on a grid, one neighbor query per slice: per
+        slice, the flat indices into _grid_sample's (distinct T_x, xi) table,
+        the centers j and the values Lambda_{j,k} > 0 of localizer_symbol,
+        bit for bit, by index, then j.  ``where`` restricts the query to the
+        true entries of a boolean table."""
+        xi_pts, t_uniq, _, sigma = self._grid_sample(grid)
+        for _, rows, act, radial, u in self._slices(t_uniq, xi_pts, [k]):
+            flat = (np.arange(len(t_uniq))[rows, None] * len(xi_pts)
+                    + np.flatnonzero(act)).ravel()
+            if where is not None:
+                keep = where.ravel()[flat]
+                flat, radial, u = flat[keep], radial[keep], u[keep]
+            if not len(flat):
+                continue
+            index = self._index(k)
+            d2, cells = index.block(u, _REACH, cells=True)
+            r, c = np.nonzero(d2 < 1.0)
+            num = radial[r] * phi_profile(np.sqrt(d2[r, c]))
+            with np.errstate(invalid="ignore"):  # 0 / 0 off every support
+                lam = num / sigma.ravel()[flat[r]]
+            on = lam > 0.0
+            r, c, lam = r[on], c[on], lam[on]
+            j = index.order[np.searchsorted(index.occupied, cells[r, c])]
+            order = np.lexsort((j, r))
+            yield flat[r[order]], j[order], lam[order]
 
     def _neighbor_distances(self, k: int, u: np.ndarray) -> np.ndarray:
         """Distances from each row of u to the band-k centers within 1.
@@ -317,9 +356,7 @@ class Partition:
         kq = min(net.size, 5 ** self.dim + 2)
         if kq == 0:
             return np.empty((len(u), 0))
-        if k not in self._indexes:
-            self._indexes[k] = _CellIndex(net.centers)
-        d2 = self._indexes[k].block(u, _REACH)
+        d2 = self._index(k).block(u, _REACH)
         d2.sort(axis=1)
         d2 = d2[:, :kq]
         d2[d2 >= 1.0] = np.inf
@@ -413,21 +450,14 @@ class Partition:
 
 def radial_band_count(xi_arr: np.ndarray) -> np.ndarray:
     """Number of integers k (all of Z) with rho(2^{-k}|xi|) > 0."""
-    xi_arr = np.atleast_2d(np.asarray(xi_arr, dtype=float))
-    xi_norm = np.linalg.norm(xi_arr, axis=1)
-    counts = np.zeros(len(xi_arr), dtype=np.int64)
+    xi_norm = np.linalg.norm(np.atleast_2d(np.asarray(xi_arr, dtype=float)),
+                             axis=1)
+    counts = np.zeros(len(xi_norm), dtype=np.int64)
     pos = xi_norm > 0.0
-    if pos.any():
-        lo = np.ceil(np.log2(xi_norm[pos]) - 2.0).astype(int)
-        hi = np.floor(np.log2(xi_norm[pos]) + 2.0).astype(int)
-        sub = np.zeros(pos.sum(), dtype=np.int64)
-        for off in range(5):
-            kk = lo + off
-            ok = kk <= hi
-            if not ok.any():
-                continue
-            sub[ok] += (rho(xi_norm[pos][ok] / 2.0 ** kk[ok]) > 0)
-        counts[pos] = sub
+    # rho vanishes outside (1/4, 4): only ceil(log2|xi| - 2) + 0..4 can count
+    lo = np.ceil(np.log2(xi_norm[pos]) - 2.0)
+    for off in range(5):
+        counts[pos] += rho(xi_norm[pos] / 2.0 ** (lo + off)) > 0.0
     return counts
 
 

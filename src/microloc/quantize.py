@@ -132,8 +132,8 @@ def fourier_multiplier(weights: np.ndarray, grid: GridSpec) -> np.ndarray:
     if not np.all(np.isfinite(weights)):
         raise DegenerateResultError("non-finite multiplier weights")
     c = np.fft.ifftn(np.fft.ifftshift(weights))
-    m = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
-    m = [ax.ravel() for ax in m]
+    m = [ax.ravel() for ax in np.meshgrid(*([np.arange(n)] * d),
+                                          indexing="ij")]
     idx = tuple((ax[:, None] - ax[None, :]) % n for ax in m)
     return c[idx]
 

@@ -123,8 +123,9 @@ def _truncated_factors(b: np.ndarray):
 
 
 class _FactorStack:
-    """Factors (m, r_i) of one side, zero-padded to the widest r_i in one
-    array that doubles its length when full."""
+    """Factors (m, r_i) of one side, transposed and zero-padded to the
+    widest r_i in one (blocks, r_max, m) array that doubles its length when
+    full, so that the factors of blocks i.. are one (blocks r_max, m) view."""
 
     def __init__(self):
         self.ranks = []
@@ -133,13 +134,13 @@ class _FactorStack:
     def append(self, f: np.ndarray) -> None:
         p, (m, r) = len(self.ranks), f.shape
         old = self._data if self._data is not None \
-            else np.zeros((0, m, 0), f.dtype)
+            else np.zeros((0, 0, m), f.dtype)
         dtype = np.result_type(old, f)
-        if p == len(old) or r > old.shape[2] or dtype != old.dtype:
+        if p == len(old) or r > old.shape[1] or dtype != old.dtype:
             length = len(old) if p < len(old) else max(2 * p, 1)
-            self._data = np.zeros((length, m, max(old.shape[2], r)), dtype)
-            self._data[:p, :, :old.shape[2]] = old[:p]
-        self._data[p, :, :r] = f
+            self._data = np.zeros((length, max(old.shape[1], r), m), dtype)
+            self._data[:p, :old.shape[1]] = old[:p]
+        self._data[p, :r] = f.T
         self.ranks.append(r)
 
     def padded(self) -> np.ndarray:
@@ -191,19 +192,22 @@ class _Family:
 def _core_norms(stack: _FactorStack) -> np.ndarray:
     """||F_i* F_j|| for i != j, from the r_i x r_j cores F_i* F_j.
 
-    Row i takes one stacked spectral_norm of its cores with the padded
-    factors of blocks j > i; padding leaves each core's norm unchanged.  The
-    diagonal is left 0.  Cores that overflow raise DegenerateResultError.
+    Row i takes the transposed cores with the padded factors of blocks
+    j > i from one product with a view of the stack, and their norms from
+    one stacked spectral_norm; neither padding nor transposition changes a
+    norm.  The diagonal is left 0.  Overflow raises DegenerateResultError.
     """
     pad = stack.padded()
     norms = np.zeros((len(pad), len(pad)))
     for i, r in enumerate(stack.ranks):
         if r:
             with np.errstate(over="ignore", invalid="ignore"):
-                cores = pad[i, :, :r].conj().T @ pad[i + 1:]
+                cores = pad[i + 1:].reshape(-1, pad.shape[2]) \
+                    @ pad[i, :r].conj().T
             if not np.all(np.isfinite(cores)):
                 raise DegenerateResultError("Cotlar pair cores overflow")
-            norms[i, i + 1:] = spectral_norm(cores)
+            norms[i, i + 1:] = spectral_norm(
+                cores.reshape(-1, pad.shape[1], r))
     return norms + norms.T
 
 

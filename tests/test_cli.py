@@ -187,6 +187,28 @@ def test_parametrix_runs(tmp_path):
     assert report["rel_errors"] and report["rel_errors"][0] < 1e-4
 
 
+@pytest.mark.parametrize("symbol,order,excluded", [
+    ("xi1^2 - 16", 1, [[0, 1], [1, 1], [7, 1], [6, 2], [7, 2], [8, 2],
+                       [9, 2]]),
+    ("(xi1^2 - 16) * (1 + 0.3*cos(x1))", 3, None),
+], ids=["order 1", "x-dependent, order 3"])
+def test_parametrix_rejects_the_patches_on_a_zero_of_p(tmp_path, symbol,
+                                                       order, excluded):
+    # p vanishes at |xi| = 4, inside big_r = 5 where the floor is not
+    # checked: the patches whose support meets the zero are rejected, and
+    # neither q nor a Moyal correction is divided by it (either exited 2
+    # on non-finite matrix entries)
+    cfg = _parametrix(bands={"k_min": 1, "k_max": 3}, symbol=symbol,
+                      order=order, c0=0.5, big_r=5,
+                      tests={"xi0_list": [[8.0]], "sigma": 0.7})
+    code, outdir = _run(tmp_path, "parametrix", cfg)
+    assert code == 0
+    report = json.loads((outdir / "parametrix.json").read_text())
+    assert report["excluded_patches"] == excluded or (
+        excluded is None and report["excluded_patches"])
+    assert report["rel_errors"] and not report["rejected"]
+
+
 def test_radon_block_runs(tmp_path):
     cfg = _base("radon-block",
                 grid={"dim": 2, "half_width": np.pi / 2, "n_grid": 16},

@@ -4,12 +4,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microloc import partition
 from microloc.grids import GridSpec, GridSymbol, sample_on
-from microloc.metric import _fd_derivative, conformal_field, identity_field
+from microloc.metric import (_fd_derivative, conformal_field, identity_field,
+                             verify_metric_hypotheses)
 from microloc.parametrix import EllipticSymbol, build_parametrix
 from microloc.partition import (DyadicNet, EmptyNetError, Partition,
                                 _annulus_lattice, _lattice, band_sum_symbol,
@@ -578,3 +579,84 @@ def test_derivative_evaluator_calls_do_not_grow_with_the_samples(monkeypatch):
     # per band, one call per stencil point of each |gamma| <= 2 at two steps:
     # 2 gammas of order 1 (2 points), 3 of order 2 (4 points)
     assert counts == [len(part.bands) * 2 * (2 * 2 + 3 * 4)] * 2
+
+
+# the anisotropic setting: a rotated-ellipse metric in 2D -------------------
+
+@functools.cache
+def _rotated_nets(k_min, k_max):
+    return {k: build_net(k, 2) for k in range(k_min, k_max + 1)}
+
+
+def _rotated_partition(metric, k_min, k_max):
+    return Partition(metric, k_min, k_max, _rotated_nets(k_min, k_max),
+                     low_freq_cap=True)
+
+
+@settings(max_examples=6)
+@given(theta0=st.floats(0.0, 2.0 * np.pi), amp=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rotated_ellipse_partition_of_unity_and_overlap(rotated_ellipse,
+                                                        theta0, amp, seed):
+    metric = rotated_ellipse(theta0, amp)
+    part = _rotated_partition(metric, 1, 3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-np.pi, np.pi, (8, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 64)
+    xi = 2.0 ** rng.uniform(0.0, 4.0, 64)[:, None] \
+        * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    assert pou_deviation(part, x, xi) <= 1e-12
+    assert part.overlap_pairs(x, xi).max() <= 5 ** 3
+    assert verify_metric_hypotheses(metric, list(x)).ok
+
+
+@settings(max_examples=6)
+@given(theta0=st.floats(0.0, 2.0 * np.pi), amp=st.floats(0.0, 1.0))
+def test_rotated_ellipse_stacked_transforms_match_per_point(rotated_ellipse,
+                                                           theta0, amp):
+    metric = rotated_ellipse(theta0, amp)
+    part = _rotated_partition(metric, 1, 1)
+    x = _lattice(GridSpec(dim=2, half_width=np.pi,
+                          n_grid=8).x_axis_doubled(), 2)
+    t_uniq, inv = part.fiber_transforms(x)
+    g = metric(x)
+    for i in range(0, len(x), 7):
+        t = metric.sqrt_at(x[i])
+        assert np.abs(t_uniq[inv[i]] - t).max() <= 1e-11
+        assert np.abs(t @ t - g[i]).max() <= 1e-12
+    # anisotropic at every point: eigenvalues 1 and 3 + amp cos x1 >= 2
+    w = np.linalg.eigvalsh(g)
+    assert np.all(w[:, 1] >= 1.9 * w[:, 0])
+
+
+def test_rotated_ellipse_band_pass_localizers_match_pointwise(
+        rotated_ellipse):
+    # each band pass entry is Lambda_{j,k} = chi_pairs / sigma_pairs at a
+    # lattice point x of its T_x row, and the entries of a band sum to
+    # that band's share of the partition of unity
+    grid = GridSpec(dim=2, half_width=np.pi, n_grid=8)
+    part = _rotated_partition(rotated_ellipse(), 1, 2)
+    xi_pts, t_uniq, inv, sigma = part._grid_sample(grid)
+    assert len(t_uniq) > 100
+    x_all = _lattice(grid.x_axis_doubled(), 2)
+    x = x_all[[int(np.argmax(inv == r)) for r in range(len(t_uniq))]]
+    sig = part.sigma_pairs(x, xi_pts)
+    total = np.zeros(sigma.shape)
+    for k in part.bands:
+        size = part.nets[k].size
+        tab = np.zeros((size, sigma.size))
+        for cells, j, lam in part._localizer_entries(grid, k):
+            # ordered by table index, then by center
+            assert np.all((np.diff(cells) > 0)
+                          | ((np.diff(cells) == 0) & (np.diff(j) > 0)))
+            tab[j, cells] = lam
+        total += tab.sum(axis=0).reshape(sigma.shape)
+        for j in np.linspace(0, size - 1, 9).astype(int):
+            chi = part.chi_pairs(j, k, x, xi_pts)
+            want = np.where(chi > 0.0, chi / np.where(chi > 0.0, sig, 1.0),
+                            0.0)
+            assert np.abs(tab[j].reshape(sigma.shape) - want).max() <= 1e-15
+    cap = phi_profile(np.linalg.norm(xi_pts, axis=1) / 2.0)
+    on = sigma > 0.0
+    assert np.abs((total + cap / np.where(on, sigma, 1.0))[on] - 1.0).max() \
+        <= 1e-12

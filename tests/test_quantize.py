@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microloc import cli
@@ -241,6 +241,23 @@ def test_real_symbol_gives_hermitian_operator():
     sym = sample_on(G1, lambda x, xi: np.cos(x) * np.exp(-(xi / 4.0) ** 2))
     m = weyl_quantize(sym)
     assert np.abs(m - m.conj().T).max() < 1e-12
+
+
+@settings(max_examples=5)
+@given(theta0=st.floats(0.0, 2.0 * np.pi), amp=st.floats(0.0, 1.0))
+def test_real_symbol_block_is_hermitian_under_a_rotated_ellipse(
+        rotated_ellipse, theta0, amp):
+    # the localizers of an anisotropic, x-dependent metric are real, so the
+    # Weyl block of a real symbol stays Hermitian
+    grid = GridSpec(dim=2, half_width=np.pi, n_grid=8)
+    part = build_partition(rotated_ellipse(theta0, amp), 1, 2)
+    a = sample_on(grid, lambda x1, x2, xi1, xi2: (1.0 + 0.3 * np.cos(x1))
+                  * np.sin(x2) * np.exp(-(xi1 ** 2 + xi2 ** 2) / 16.0))
+    chi = make_cutoff(grid, 2.0, 2.6)
+    for k in part.bands:
+        m = assemble_block(a, part, representative_patch(part, k), k, chi)
+        assert np.abs(m).max() > 0.0
+        assert np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max()
 
 
 @given(rows=st.integers(1, 40), cols=st.integers(1, 40),
