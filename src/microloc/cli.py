@@ -1,9 +1,11 @@
 """Experiment harness: config parsing, dispatch, and report writing.
 
 Usage: ``microloc <experiment> --config <file> [--out <dir>]``.  Configs
-are JSON with a versioned schema; unknown keys are rejected.  Exit code 0
-means every invariant check in the run passed, 1 names a failing check,
-2 reports validation errors.  Output files are written atomically.
+are JSON with a versioned schema, one table (``_KEYS``) of each key's
+experiments, default and kind: unknown keys are refused, then keys that
+fail their kind, then, once every key passes, breaches of rules between
+keys.  Exit code 0 means every invariant check in the run passed, 1 names
+a failing check, 2 reports validation errors.  Output is written atomically.
 """
 
 from __future__ import annotations
@@ -19,35 +21,6 @@ SCHEMA_VERSION = 1
 # Runs must fit in 8 GB; validation refuses sizes whose largest arrays
 # would need more than this.
 _BYTES_MAX = 7 * 2 ** 30
-
-_COMMON_KEYS = {"schema_version", "experiment", "seed"}
-
-_SCHEMAS = {
-    "partition-verify": {"dim", "metric", "bands", "low_freq_cap",
-                         "samples"},
-    "band-bound": {"grid", "metric", "bands", "symbol", "m2", "k_range",
-                   "cutoff"},
-    "moyal-order": {"grid", "symbol_a", "symbol_b", "orders_n", "h_list",
-                    "cutoff"},
-    "cotlar": {"grid", "metric", "bands", "symbol", "cutoff",
-               "active_bands"},
-    "parametrix": {"grid", "metric", "bands", "low_freq_cap", "symbol",
-                   "m2", "c0", "big_r", "order", "cutoff", "tests"},
-    "radon-block": {"grid", "metric", "bands", "symbol", "m2", "k_range",
-                    "radon", "cutoff"},
-    "radon-invert": {"grid", "radon", "phantom"},
-}
-
-# the keys each object-valued entry takes
-_OBJECT_KEYS = {
-    "grid": {"dim", "half_width", "n_grid"},
-    "metric": {"kind", "expr", "lambda_min", "lambda_max"},
-    "bands": {"k_min", "k_max"},
-    "cutoff": {"r_one", "r_zero"},
-    "samples": {"n_x", "n_xi"},
-    "tests": {"sigma", "xi0_list"},
-    "radon": {"n_angles", "n_offsets"},
-}
 
 class ValidationFailure(Exception):
     def __init__(self, errors):
@@ -112,12 +85,9 @@ def _is_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _is_pow2(n) -> bool:
-    return _is_int(n) and n >= 2 and (n & (n - 1)) == 0
-
-
-def _is_pair(v, test) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(test, v))
+def _is_list(v, test) -> bool:
+    """A non-empty list whose every entry passes test."""
+    return isinstance(v, list) and bool(v) and all(map(test, v))
 
 
 def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
@@ -135,27 +105,6 @@ def _radon_bytes(n_grid: int, n_angles: int, n_offsets: int,
     if block:
         return samples + 8 * n_angles + 72 * n_grid ** 4 + 8192 * n_grid ** 2
     return samples + 2 * 12 * 1.7 * n_grid * n_angles * n_offsets
-
-
-def _radon_errors(radon, grid, experiment) -> list[str]:
-    """Errors in a ``radon`` object, including sizes beyond 8 GB."""
-    if not isinstance(radon, dict):
-        return ["radon must be an object"]
-    errors = []
-    n_angles, n_offsets = radon.get("n_angles"), radon.get("n_offsets")
-    if not (_is_int(n_angles) and n_angles >= 1):
-        errors.append("radon.n_angles must be an int >= 1")
-    if not (_is_int(n_offsets) and n_offsets >= 2):
-        errors.append("radon.n_offsets must be an int >= 2")
-    n = grid.get("n_grid") if isinstance(grid, dict) else None
-    # an n_grid above the Radon ceiling is refused with the grid; counts
-    # are capped at 2^40, far past 8 GB, so that the estimate stays finite
-    if not errors and _is_int(n) and n <= 256 and _radon_bytes(
-            n, min(n_angles, 2 ** 40), min(n_offsets, 2 ** 40),
-            experiment == "radon-block") > _BYTES_MAX:
-        errors.append("grid.n_grid, radon.n_angles and radon.n_offsets "
-                      "need more than 8 GB")
-    return errors
 
 
 def _lattice_bytes(k_max: int, dim: int) -> float:
@@ -201,22 +150,6 @@ def _cotlar_errors(k_min: int, k_max: int, dim: int, n_grid: int) -> list[str]:
             if work > ceiling]
 
 
-def _cutoff_errors(cutoff, grid) -> list[str]:
-    """Errors in a ``cutoff`` object; absent radii take their defaults."""
-    if not (isinstance(cutoff, dict)
-            and all(_is_number(cutoff[key])
-                    for key in ("r_one", "r_zero") if key in cutoff)):
-        return ["cutoff must be an object with numbers r_one, r_zero"]
-    half_width = grid.get("half_width") if isinstance(grid, dict) else None
-    if not _is_number(half_width):
-        return []
-    r_one = cutoff.get("r_one", 0.5 * half_width)
-    r_zero = cutoff.get("r_zero", 0.9 * half_width)
-    if not 0 < r_one < r_zero:
-        return ["cutoff needs 0 < r_one < r_zero"]
-    return []
-
-
 def _sample_bytes(n_x: int, n_xi: int, dim: int) -> int:
     """Bytes of a partition-verify scan: 512 per x sample, 40 per (x, xi)
     pair and, for a band's (n_xi, 7^dim) neighbor blocks, 8 (4 7^dim + 16)
@@ -225,200 +158,227 @@ def _sample_bytes(n_x: int, n_xi: int, dim: int) -> int:
     return n_x * (512 + 40 * n_xi) + 8 * (4 * 7 ** dim + 16) * n_xi
 
 
-def _sample_errors(samples, dim) -> list[str]:
-    """Errors in a partition-verify ``samples`` object, or sizes past 8 GB."""
-    if not isinstance(samples, dict):
-        return ["samples must be an object"]
-    errors = [f"samples.{key} must be an int >= 1"
-              for key in ("n_x", "n_xi")
-              if key in samples and not (_is_int(samples[key])
-                                         and samples[key] >= 1)]
-    if not errors and _is_int(dim) and dim in (1, 2) and _sample_bytes(
-            samples.get("n_x", 16), samples.get("n_xi", 400),
+# a key's kind: a test of its value, and the words completing
+# "<path> must be ..."
+_NUMBER = (_is_number, "a number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_DIM = (lambda v: _is_int(v) and v in (1, 2), "1 or 2")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an int >= 1")
+
+_PV, _BB, _MO, _CO, _PX, _RB, _RI = (
+    "partition-verify", "band-bound", "moyal-order", "cotlar", "parametrix",
+    "radon-block", "radon-invert")
+_ALL = {_PV, _BB, _MO, _CO, _PX, _RB, _RI}
+_GRID = _ALL - {_PV}
+_BANDS = {_PV, _BB, _CO, _PX, _RB}  # and a metric
+_CUTOFF = _GRID - {_RI}
+_RADON = {_RB, _RI}
+_PHANTOMS = ["disc", "gaussian", "two-bumps"]
+_REQUIRED = object()  # the default of a key a config must give
+
+# key path -> (the experiments that take it, its default or _REQUIRED, its
+# kind); a default may be a function of the validated config.  The
+# entries of an object are checked once the object passes, and a metric
+# takes expr and the lambda bounds only when its kind is conformal.
+_KEYS = {
+    "schema_version": (_ALL, _REQUIRED, (
+        lambda v: _is_int(v) and v == SCHEMA_VERSION, f"{SCHEMA_VERSION}")),
+    # matched against the requested experiment by validate_config
+    "experiment": (_ALL, None, (lambda v: True, "")),
+    "seed": (_ALL, 0, (lambda v: _is_int(v) and v >= 0, "an int >= 0")),
+    "phantom": ({_RI}, "gaussian", (lambda v: v in _PHANTOMS,
+                                    f"one of {_PHANTOMS}")),
+    "grid": (_GRID, _REQUIRED, _OBJECT),
+    "grid.dim": (_GRID, _REQUIRED, _DIM),
+    "grid.n_grid": (_GRID, _REQUIRED, (
+        lambda n: _is_int(n) and n >= 2 and n & (n - 1) == 0,
+        "a power of two")),
+    "grid.half_width": (_GRID, _REQUIRED, (_POSITIVE[0], "positive")),
+    "dim": ({_PV}, 1, _DIM),
+    "samples": ({_PV}, {}, _OBJECT),
+    "samples.n_x": ({_PV}, 16, _COUNT),
+    "samples.n_xi": ({_PV}, 400, _COUNT),
+    "orders_n": ({_MO}, _REQUIRED, (
+        lambda v: _is_list(v, lambda n: _is_int(n) and 1 <= n <= 6),
+        "a non-empty list of ints in 1..6")),
+    "h_list": ({_MO}, _REQUIRED, (
+        lambda v: _is_list(v, lambda h: _is_number(h) and 0 < h <= 1),
+        "a non-empty list of numbers in (0, 1]")),
+    "order": ({_PX}, _REQUIRED, (lambda v: _is_int(v) and 1 <= v <= 3,
+                                 "an int in 1..3")),
+    "tests": ({_PX}, {}, _OBJECT),
+    "tests.sigma": ({_PX}, 0.2, _POSITIVE),
+    "tests.xi0_list": (
+        {_PX}, lambda cfg: [[8.0] + [0.0] * (_get(cfg, "grid.dim") - 1)],
+        (lambda v: _is_list(v, lambda xi: _is_list(xi, _is_number)),
+         "a non-empty list of lists of numbers")),
+    "c0": ({_PX}, 0.5, _NUMBER),
+    "big_r": ({_PX}, 0.0, _NUMBER),
+    # None: every band the blocks reach
+    "active_bands": ({_CO}, None, (
+        lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v))),
+        "a list of ints")),
+    "symbol": (_BANDS - {_PV}, _REQUIRED, _STRING),
+    "symbol_a": ({_MO}, _REQUIRED, _STRING),
+    "symbol_b": ({_MO}, _REQUIRED, _STRING),
+    "k_range": ({_BB, _RB}, _REQUIRED, (
+        lambda v: _is_list(v, _is_int) and len(v) == 2
+        and 0 <= v[1] - v[0] <= 64,
+        "2 ascending ints at most 64 apart")),
+    "m2": ({_BB, _PX, _RB}, _REQUIRED, _NUMBER),
+    "metric": (_BANDS, {"kind": "identity"}, _OBJECT),
+    "metric.kind": (_BANDS, _REQUIRED, (
+        lambda v: v in ("identity", "conformal"),
+        "'identity' or 'conformal'")),
+    "metric.expr": (_BANDS, _REQUIRED, _STRING),
+    "metric.lambda_min": (_BANDS, _REQUIRED, _POSITIVE),
+    "metric.lambda_max": (_BANDS, _REQUIRED, _POSITIVE),
+    "bands": (_BANDS, _REQUIRED, _OBJECT),
+    "bands.k_min": (_BANDS, _REQUIRED, (_is_int, "an int")),
+    "bands.k_max": (_BANDS, _REQUIRED, (_is_int, "an int")),
+    "low_freq_cap": ({_PV, _PX}, False, (lambda v: isinstance(v, bool),
+                                         "true or false")),
+    "radon": (_RADON, _REQUIRED, _OBJECT),
+    "radon.n_angles": (_RADON, _REQUIRED, _COUNT),
+    "radon.n_offsets": (_RADON, _REQUIRED, (lambda v: _is_int(v) and v >= 2,
+                                            "an int >= 2")),
+    "cutoff": (_CUTOFF, {}, _OBJECT),
+    "cutoff.r_one": (
+        _CUTOFF, lambda cfg: 0.5 * _get(cfg, "grid.half_width"), _NUMBER),
+    "cutoff.r_zero": (
+        _CUTOFF, lambda cfg: 0.9 * _get(cfg, "grid.half_width"), _NUMBER),
+}
+_CONFORMAL = {"metric.expr", "metric.lambda_min", "metric.lambda_max"}
+
+
+def _get(cfg: dict, path: str):
+    """The value at a key path of a validated config, or its default."""
+    head, _, key = path.rpartition(".")
+    obj = _get(cfg, head) if head else cfg
+    if key in obj:
+        return obj[key]
+    default = _KEYS[path][1]
+    return default(cfg) if callable(default) else default
+
+
+def _takes(cfg: dict, path: str, experiment: str) -> bool:
+    """Whether a config of experiment takes the key path."""
+    return (path in _KEYS and experiment in _KEYS[path][0]
+            and (path not in _CONFORMAL
+                 or _get(cfg, "metric.kind") == "conformal"))
+
+
+def _cross_errors(cfg: dict, experiment: str):
+    """The errors of the rules that read several keys, sizes past 8 GB
+    among them, for a config whose every key passed its own test."""
+    dim = _get(cfg, "dim" if experiment == _PV else "grid.dim")
+    if experiment in _GRID:
+        n = _get(cfg, "grid.n_grid")
+        if experiment in _RADON and dim != 2:
+            yield "grid.dim must be 2 for a Radon experiment"
+        if dim == 1 and n > 512:
+            yield "grid.n_grid exceeds the dim-1 ceiling of 512"
+        # at 64 one real (2 n_grid)^4 symbol sample is 2.1 GB, and a block
+        # holds two of them besides a conformal metric's 2.1 GB Sigma
+        elif dim == 2 and experiment != _RI and n > 32:
+            yield "grid.n_grid exceeds the dim-2 ceiling of 32"
+        elif dim == 2 and n > 256:
+            yield "grid.n_grid exceeds the Radon ceiling of 256"
+    if experiment == _PV and _sample_bytes(
+            _get(cfg, "samples.n_x"), _get(cfg, "samples.n_xi"),
             dim) > _BYTES_MAX:
-        errors.append("samples.n_x and samples.n_xi need more than 8 GB")
-    return errors
-
-
-def _test_function_errors(tests, grid) -> list[str]:
-    """Errors in a parametrix config's wavepacket ``tests`` object."""
-    if not isinstance(tests, dict):
-        return ["tests must be an object"]
-    dim = grid.get("dim") if isinstance(grid, dict) else None
-
-    def is_point(v):
-        return (isinstance(v, list) and len(v) == dim
-                and all(map(_is_number, v)))
-
-    errors = []
-    sigma = tests.get("sigma", 0.2)
-    if not (_is_number(sigma) and sigma > 0):
-        errors.append("tests.sigma must be a positive number")
-    xi0s = tests.get("xi0_list")
-    if "xi0_list" in tests and not (isinstance(xi0s, list) and xi0s
-                                    and all(map(is_point, xi0s))):
-        errors.append("tests.xi0_list must be a non-empty list of lists "
-                      "of grid.dim numbers")
-    return errors
+        yield "samples.n_x and samples.n_xi need more than 8 GB"
+    if experiment == _PX and any(len(xi) != dim
+                                 for xi in _get(cfg, "tests.xi0_list")):
+        yield "every tests.xi0_list point must have grid.dim numbers"
+    lambdas = (1.0, 1.0)  # the eigenvalue window of the identity
+    if _get(cfg, "metric.kind") == "conformal":
+        lambdas = (_get(cfg, "metric.lambda_min"),
+                   _get(cfg, "metric.lambda_max"))
+    if lambdas[0] > lambdas[1]:
+        yield "metric.lambda_min must be <= metric.lambda_max"
+    if experiment in _BANDS:
+        k_min, k_max = _get(cfg, "bands.k_min"), _get(cfg, "bands.k_max")
+        k_range = cfg.get("k_range")
+        if k_min > k_max:
+            yield "bands.k_min must be <= bands.k_max"
+        elif _lattice_bytes(k_max, dim) > _BYTES_MAX:
+            yield "bands.k_max needs more than 8 GB to build the nets"
+        elif lambdas[0] <= lambdas[1] and _band_missed(k_max, *lambdas):
+            yield (f"metric.lambda_min and metric.lambda_max leave band "
+                   f"{k_max} no support: no |xi| meets both its radial "
+                   f"cutoff and its annulus")
+        elif k_range and not k_min <= k_range[0] <= k_range[1] <= k_max:
+            yield "k_range must lie within [bands.k_min, bands.k_max]"
+        elif experiment == _CO and n <= 512:
+            yield from _cotlar_errors(k_min, k_max, dim, n)
+    # an n_grid above the Radon ceiling is refused with the grid; counts
+    # are capped at 2^40, far past 8 GB, so that the estimate stays finite
+    if experiment in _RADON and n <= 256 and _radon_bytes(
+            n, min(_get(cfg, "radon.n_angles"), 2 ** 40),
+            min(_get(cfg, "radon.n_offsets"), 2 ** 40),
+            experiment == _RB) > _BYTES_MAX:
+        yield ("grid.n_grid, radon.n_angles and radon.n_offsets need more "
+               "than 8 GB")
+    if experiment in _CUTOFF and not (
+            0 < _get(cfg, "cutoff.r_one") < _get(cfg, "cutoff.r_zero")):
+        yield "cutoff needs 0 < r_one < r_zero"
 
 
 def validate_config(cfg: dict, experiment: str) -> list[str]:
-    errors = []
+    """Errors in a config for experiment: its unknown keys, then each key
+    that fails its own test (an object's entries only once the object
+    passes), then, only when there are none, the rules between keys."""
     if not isinstance(cfg, dict):
         return ["config root must be a JSON object"]
-    if not (_is_int(cfg.get("schema_version"))
-            and cfg["schema_version"] == SCHEMA_VERSION):
-        errors.append(f"schema_version must be {SCHEMA_VERSION}")
+    errors = []
     if cfg.get("experiment") != experiment:
         errors.append(f"config experiment {cfg.get('experiment')!r} does not "
                       f"match requested {experiment!r}")
-    schema = _SCHEMAS[experiment]
-    allowed = _COMMON_KEYS | schema
-    unknown = sorted(set(cfg) - allowed) + sorted(
-        f"{key}.{sub}" for key in schema & _OBJECT_KEYS.keys()
-        if isinstance(cfg.get(key), dict)
-        for sub in set(cfg[key]) - _OBJECT_KEYS[key])
+    paths = sorted(cfg) + sorted(
+        f"{key}.{sub}" for key in cfg if _takes(cfg, key, experiment)
+        and _KEYS[key][2] is _OBJECT and isinstance(cfg[key], dict)
+        for sub in cfg[key])
+    unknown = [path for path in paths if not _takes(cfg, path, experiment)]
     if unknown:
         errors.append(f"unknown keys: {unknown}")
-    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
-        errors.append("seed must be an int >= 0")
-    phantoms = ["disc", "gaussian", "two-bumps"]
-    if "phantom" in schema and cfg.get("phantom", "gaussian") not in phantoms:
-        errors.append(f"phantom must be one of {phantoms}")
-
-    grid = cfg.get("grid")
-    if "grid" in schema:
-        if not isinstance(grid, dict):
-            errors.append("grid must be an object")
-        else:
-            dim = grid.get("dim")
-            n = grid.get("n_grid")
-            if not (_is_int(dim) and dim in (1, 2)):
-                errors.append("grid.dim must be 1 or 2")
-            elif "radon" in schema and dim != 2:
-                errors.append("grid.dim must be 2 for a Radon experiment")
-            if not _is_pow2(n):
-                errors.append("grid.n_grid must be a power of two")
-            elif dim == 1 and n > 512:
-                errors.append("grid.n_grid exceeds the dim-1 ceiling of 512")
-            # at 64 one real (2 n_grid)^4 symbol sample is 2.1 GB, and a
-            # block holds two of them besides a conformal metric's 2.1 GB Sigma
-            elif dim == 2 and experiment != "radon-invert" and n > 32:
-                errors.append("grid.n_grid exceeds the dim-2 ceiling of 32")
-            elif dim == 2 and n > 256:
-                errors.append("grid.n_grid exceeds the Radon ceiling of 256")
-            if not (_is_number(grid.get("half_width"))
-                    and grid.get("half_width", 0) > 0):
-                errors.append("grid.half_width must be positive")
-    if experiment == "partition-verify":
-        dim = cfg.get("dim", 1)
-        if not (_is_int(dim) and dim in (1, 2)):
-            errors.append("dim must be 1 or 2")
-        errors += _sample_errors(cfg.get("samples", {}), dim)
-    if experiment == "moyal-order":
-        orders, hs = cfg.get("orders_n"), cfg.get("h_list")
-        if not (isinstance(orders, list) and orders):
-            errors.append("orders_n must be a non-empty list of ints")
-        else:
-            for n in orders:
-                if not (_is_int(n) and 1 <= n <= 6):
-                    errors.append(f"moyal order {n} outside 1..6")
-        if not (isinstance(hs, list) and hs
-                and all(_is_number(h) and 0 < h <= 1 for h in hs)):
-            errors.append("h_list must be a non-empty list of numbers in "
-                          "(0, 1]")
-    if experiment == "parametrix":
-        if not (_is_int(cfg.get("order"))
-                and 1 <= cfg.get("order", 0) <= 3):
-            errors.append("parametrix order must lie in 1..3")
-        errors += _test_function_errors(cfg.get("tests", {}), grid)
-        errors += [f"{key} must be a number" for key in ("c0", "big_r")
-                   if key in cfg and not _is_number(cfg[key])]
-    active = cfg.get("active_bands")
-    if active is not None and not (isinstance(active, list)
-                                   and all(map(_is_int, active))):
-        errors.append("active_bands must be a list of ints")
-    # keys each runner reads without a default are required
-    for key in sorted({"symbol", "symbol_a", "symbol_b"} & schema):
-        if not isinstance(cfg.get(key), str):
-            errors.append(f"{key} must be a string")
-    k_range = cfg.get("k_range")
-    if "k_range" in schema and not (_is_pair(k_range, _is_int)
-                                    and 0 <= k_range[1] - k_range[0] <= 64):
-        errors.append("k_range must be 2 ascending ints at most 64 apart")
-    if "m2" in schema and not _is_number(cfg.get("m2")):
-        errors.append("m2 must be a number")
-    lambdas = (1.0, 1.0)  # the eigenvalue window of a valid metric
-    if "metric" in schema:
-        metric = cfg.get("metric", {"kind": "identity"})
-        if not (isinstance(metric, dict)
-                and metric.get("kind") in ("identity", "conformal")):
-            errors.append("metric.kind must be 'identity' or 'conformal'")
-        elif metric["kind"] == "conformal":
-            lo, hi = metric.get("lambda_min"), metric.get("lambda_max")
-            if not (isinstance(metric.get("expr"), str) and _is_number(lo)
-                    and _is_number(hi) and 0 < lo <= hi):
-                errors.append("a conformal metric needs a string expr and "
-                              "numbers 0 < lambda_min <= lambda_max")
-            else:
-                lambdas = (lo, hi)
-    if "bands" in schema:
-        bands = cfg.get("bands")
-        dim = cfg.get("dim", 1) if experiment == "partition-verify" \
-            else grid.get("dim") if isinstance(grid, dict) else None
-        if not (isinstance(bands, dict) and _is_int(bands.get("k_min"))
-                and _is_int(bands.get("k_max"))):
-            errors.append("bands must be an object with int k_min, k_max")
-        elif bands["k_min"] > bands["k_max"]:
-            errors.append("bands.k_min must be <= bands.k_max")
-        elif (_is_int(dim) and dim in (1, 2)
-              and _lattice_bytes(bands["k_max"], dim) > _BYTES_MAX):
-            errors.append("bands.k_max needs more than 8 GB to build the "
-                          "nets")
-        elif _band_missed(bands["k_max"], *lambdas):
-            errors.append(f"metric.lambda_min and metric.lambda_max leave "
-                          f"band {bands['k_max']} no support: no |xi| meets "
-                          f"both its radial cutoff and its annulus")
-        elif _is_pair(k_range, _is_int) and not (
-                bands["k_min"] <= k_range[0] <= k_range[1] <= bands["k_max"]):
-            errors.append("k_range must lie within [bands.k_min, "
-                          "bands.k_max]")
-        elif (experiment == "cotlar" and _is_int(dim) and dim in (1, 2)
-              and _is_pow2(grid.get("n_grid")) and grid["n_grid"] <= 512):
-            errors += _cotlar_errors(bands["k_min"], bands["k_max"], dim,
-                                     grid["n_grid"])
-    if "radon" in schema:
-        errors += _radon_errors(cfg.get("radon"), grid, experiment)
-    if "cutoff" in cfg:
-        errors += _cutoff_errors(cfg["cutoff"], grid)
-    return errors
+    failed = set()
+    for path, (_, default, (test, words)) in _KEYS.items():
+        head, _, key = path.rpartition(".")
+        if head in failed or not _takes(cfg, path, experiment):
+            continue
+        obj = _get(cfg, head) if head else cfg
+        if not (test(obj[key]) if key in obj else default is not _REQUIRED):
+            failed.add(path)
+            errors.append(f"{path} must be {words}")
+    return errors or list(_cross_errors(cfg, experiment))
 
 
 def _build_grid(cfg):
     from .grids import GridSpec
-    g = cfg["grid"]
-    return GridSpec(dim=g["dim"], half_width=float(g["half_width"]),
-                    n_grid=int(g["n_grid"]))
+    return GridSpec(dim=_get(cfg, "grid.dim"),
+                    half_width=float(_get(cfg, "grid.half_width")),
+                    n_grid=_get(cfg, "grid.n_grid"))
 
 
 def _build_metric(cfg, dim):
     from .expressions import parse_expression
     from .metric import conformal_field, identity_field
-    m = cfg.get("metric", {"kind": "identity"})
-    if m["kind"] == "identity":
+    if _get(cfg, "metric.kind") == "identity":
         return identity_field(dim)
-    f = parse_expression(m["expr"], dim, with_xi=False)
+    f = parse_expression(_get(cfg, "metric.expr"), dim, with_xi=False)
     return conformal_field(lambda x: f(*x), dim,
-                           lambda_min=float(m["lambda_min"]),
-                           lambda_max=float(m["lambda_max"]))
+                           lambda_min=float(_get(cfg, "metric.lambda_min")),
+                           lambda_max=float(_get(cfg, "metric.lambda_max")))
 
 
 def _build_partition(cfg, dim):
     from .partition import build_partition
-    b = cfg["bands"]
-    return build_partition(_build_metric(cfg, dim),
-                           int(b["k_min"]), int(b["k_max"]),
-                           low_freq_cap=bool(cfg.get("low_freq_cap", False)))
+    return build_partition(_build_metric(cfg, dim), _get(cfg, "bands.k_min"),
+                           _get(cfg, "bands.k_max"),
+                           low_freq_cap=_get(cfg, "low_freq_cap"))
 
 
 def _build_symbol(expr, grid):
@@ -429,10 +389,8 @@ def _build_symbol(expr, grid):
 
 def _build_cutoff(cfg, grid):
     from .quantize import make_cutoff
-    c = cfg.get("cutoff", {})
-    r_one = float(c.get("r_one", 0.5 * grid.half_width))
-    r_zero = float(c.get("r_zero", 0.9 * grid.half_width))
-    return make_cutoff(grid, r_one, r_zero)
+    return make_cutoff(grid, float(_get(cfg, "cutoff.r_one")),
+                       float(_get(cfg, "cutoff.r_zero")))
 
 
 def _run_partition_verify(cfg, outdir):
@@ -440,13 +398,10 @@ def _run_partition_verify(cfg, outdir):
 
     from .partition import (overlap_scan, pou_deviation, validate_net,
                             verify_localizer_derivatives)
-    dim = int(cfg.get("dim", 1))
+    dim = _get(cfg, "dim")
     part = _build_partition(cfg, dim)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-
-    s = cfg.get("samples", {})
-    n_x = int(s.get("n_x", 16))
-    n_xi = int(s.get("n_xi", 400))
+    rng = np.random.default_rng(_get(cfg, "seed"))
+    n_x, n_xi = _get(cfg, "samples.n_x"), _get(cfg, "samples.n_xi")
     xs = np.linspace(-np.pi, np.pi, n_x)[:, None] \
         * np.ones(dim)[None, :]
     # log-uniform |xi| whose fiber norm |T_x xi| lies in the built annuli
@@ -568,7 +523,8 @@ def _run_cotlar(cfg, outdir):
                 if np.abs(blk).max() > floor:
                     yield (j, k), blk
 
-    report = recombine_sum(blocks(), ref, active_bands=cfg.get("active_bands"))
+    report = recombine_sum(blocks(), ref,
+                           active_bands=_get(cfg, "active_bands"))
     cert = report["certificate"]
     count = len(cert.indices)
     written = count < _PAIR_CSV_MAX_BLOCKS
@@ -600,17 +556,16 @@ def _run_parametrix(cfg, outdir):
     part = _build_partition(cfg, grid.dim)
     p_sym = _build_symbol(cfg["symbol"], grid)
     p = EllipticSymbol(symbol=p_sym, m2=float(cfg["m2"]),
-                       c0=float(cfg.get("c0", 0.5)),
-                       big_r=float(cfg.get("big_r", 0.0)))
+                       c0=float(_get(cfg, "c0")),
+                       big_r=float(_get(cfg, "big_r")))
     chi = _build_cutoff(cfg, grid)
     try:
         px = build_parametrix(p, part, int(cfg["order"]), chi)
     except PatchRejectedError as exc:
         raise ValidationFailure([str(exc)]) from exc
-    t = cfg.get("tests", {})
-    sigma = float(t.get("sigma", 0.2))
+    sigma = float(_get(cfg, "tests.sigma"))
     tests = [gaussian_wavepacket(grid, [0.0] * grid.dim, xi0, sigma)
-             for xi0 in t.get("xi0_list", [[8.0] + [0.0] * (grid.dim - 1)])]
+             for xi0 in _get(cfg, "tests.xi0_list")]
     report = parametrix_residual(px, tests)
     write_json(os.path.join(outdir, "parametrix.json"), report)
     return [("no_rejected_tests", not report["rejected"]),
@@ -625,9 +580,8 @@ def _run_radon_block(cfg, outdir):
     grid = _build_grid(cfg)
     part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
-    r = cfg["radon"]
-    rcfg = RadonConfig(grid=grid, n_angles=int(r["n_angles"]),
-                       n_offsets=int(r["n_offsets"]))
+    rcfg = RadonConfig(grid=grid, n_angles=_get(cfg, "radon.n_angles"),
+                       n_offsets=_get(cfg, "radon.n_offsets"))
     k_lo, k_hi = cfg["k_range"]
     rows, slope = radon_block_experiment(a, part, _build_cutoff(cfg, grid),
                                          range(int(k_lo), int(k_hi) + 1),
@@ -646,16 +600,15 @@ def _run_radon_invert(cfg, outdir):
     from .radon import (RadonConfig, _support_touches_boundary, fbp_invert,
                         phantom, radon_adjoint, radon_forward)
     grid = _build_grid(cfg)
-    r = cfg["radon"]
-    rcfg = RadonConfig(grid=grid, n_angles=int(r["n_angles"]),
-                       n_offsets=int(r["n_offsets"]))
-    ph = cfg.get("phantom", "gaussian")
+    rcfg = RadonConfig(grid=grid, n_angles=_get(cfg, "radon.n_angles"),
+                       n_offsets=_get(cfg, "radon.n_offsets"))
+    ph = _get(cfg, "phantom")
     img = phantom(ph, grid)
     sino = radon_forward(img, rcfg)
     recon = fbp_invert(sino, rcfg)
     rel = float(np.linalg.norm(recon - img) / np.linalg.norm(img))
 
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_get(cfg, "seed"))
     f = rng.standard_normal(img.shape)
     g = rng.standard_normal(sino.shape)
     lhs = (radon_forward(f, rcfg) * g).sum() * rcfg.ds * rcfg.dtheta
@@ -677,13 +630,13 @@ def _run_radon_invert(cfg, outdir):
 
 
 _RUNNERS = {
-    "partition-verify": _run_partition_verify,
-    "band-bound": _run_band_bound,
-    "moyal-order": _run_moyal_order,
-    "cotlar": _run_cotlar,
-    "parametrix": _run_parametrix,
-    "radon-block": _run_radon_block,
-    "radon-invert": _run_radon_invert,
+    _PV: _run_partition_verify,
+    _BB: _run_band_bound,
+    _MO: _run_moyal_order,
+    _CO: _run_cotlar,
+    _PX: _run_parametrix,
+    _RB: _run_radon_block,
+    _RI: _run_radon_invert,
 }
 
 

@@ -1,12 +1,10 @@
 import ast
 import contextlib
 import copy
-import functools
 import inspect
 import io
 import json
 import math
-import operator
 import os
 import re
 import subprocess
@@ -425,6 +423,12 @@ def _without(cfg, key):
     # entries and 5.1e11 pair-core entries, refused before any block
     (_cotlar(grid={"dim": 2, "half_width": np.pi, "n_grid": 32},
              bands={"k_min": 1, "k_max": 4}), "cotlar work above a ceiling"),
+    # bool("false") and bool([0]) are true: neither may run with the cap
+    (_parametrix(low_freq_cap="false"), "string low_freq_cap"),
+    (_base("partition-verify", dim=1, bands={"k_min": 2, "k_max": 3},
+           low_freq_cap=[0]), "list low_freq_cap"),
+    (_cotlar(metric={"kind": "conformal", "expr": "2", "lambda_min": 3,
+                     "lambda_max": 1}), "conformal bounds reversed"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -441,11 +445,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
            samples={"x_half_width": 1.0}), "samples.x_half_width"),
     (_cotlar(grid={"dim": 1, "half_width": np.pi, "n_grid": 32,
                    "lattice_step": 0.125}), "grid.lattice_step"),
+    (_band_bound(metric={"kind": "identity", "expr": 3}), "metric.expr"),
+    (_cotlar(metric={"kind": "identity", "lambda_min": "x"}),
+     "metric.lambda_min"),
+    (_parametrix(metric={"kind": "identity", "lambda_max": 2.0}),
+     "metric.lambda_max"),
 ], ids=["band-bound s", "band-bound mode", "cotlar s", "parametrix tests.x0",
-        "partition-verify samples.x_half_width", "cotlar grid.lattice_step"])
+        "partition-verify samples.x_half_width", "cotlar grid.lattice_step",
+        "identity metric.expr", "identity metric.lambda_min",
+        "identity metric.lambda_max"])
 def test_removed_keys_are_unknown(cfg, key):
     # keys no runner reads any more, at the top level or inside an object,
-    # are refused rather than silently ignored
+    # and a conformal metric's entries in an identity metric, are refused
+    # rather than silently ignored
     assert cli.validate_config(cfg, cfg["experiment"]) == [
         f"unknown keys: {[key]}"]
 
@@ -515,60 +527,79 @@ def test_an_unwritable_array_exits_2(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["phantom.bin"]
 
 
+def _tree(func):
+    return ast.parse(inspect.getsource(func))
+
+
 def _cfg_reads(func) -> set:
-    """Keys a function reads straight from ``cfg``: ``cfg["k"]`` or
-    ``cfg.get("k", ...)``."""
+    """Key paths a function reads: ``cfg["k"]`` or ``_get(cfg, "a.b")``."""
     keys = set()
-    for node in ast.walk(ast.parse(inspect.getsource(func))):
-        if isinstance(node, ast.Subscript):
-            target, key = node.value, node.slice
-        elif (isinstance(node, ast.Call) and node.args
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get"):
-            target, key = node.func.value, node.args[0]
+    for node in ast.walk(_tree(func)):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg"):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_get"):
+            key = node.args[1]
         else:
             continue
-        if (isinstance(target, ast.Name) and target.id == "cfg"
-                and isinstance(key, ast.Constant)):
+        if isinstance(key, ast.Constant):
             keys.add(key.value)
     return keys
 
 
-def test_runners_read_only_schema_keys():
-    # validation rejects keys outside the schema, so a runner reading one
-    # would always get its default
-    stray = {}
-    for experiment, runner in cli._RUNNERS.items():
-        reads = _cfg_reads(runner)
-        assert reads, experiment
-        extra = reads - cli._SCHEMAS[experiment] - cli._COMMON_KEYS
-        if extra:
-            stray[experiment] = sorted(extra)
-    assert not stray
-
-
-def _cfg_reads_with_builders(func) -> set:
-    """Keys read by func or by a ``cli._build_*`` helper it calls, directly
-    or through another such helper."""
-    keys, todo, seen = set(), [func], set()
+def _with_builders(func) -> list:
+    """func and every ``cli._build_*`` helper it calls, directly or through
+    another such helper."""
+    funcs, todo = [], [func]
     while todo:
         func = todo.pop()
-        keys |= _cfg_reads(func)
-        for node in ast.walk(ast.parse(inspect.getsource(func))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id.startswith("_build_")
-                    and node.func.id not in seen):
-                seen.add(node.func.id)
-                todo.append(getattr(cli, node.func.id))
-    return keys
+        if func not in funcs:
+            funcs.append(func)
+            todo += [getattr(cli, node.func.id)
+                     for node in ast.walk(_tree(func))
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id.startswith("_build_")]
+    return funcs
+
+
+def test_runners_read_only_schema_keys():
+    # validation refuses keys outside the table, so a runner or builder
+    # reading one would always get its default; a builder may read a key
+    # that any experiment calling it takes.  Defaults live in the table
+    # alone: no runner or builder passes one to a .get
+    reach = {e: _with_builders(r) for e, r in cli._RUNNERS.items()}
+    stray, defaults = set(), set()
+    for experiment, funcs in reach.items():
+        assert _cfg_reads(funcs[0]), experiment
+        for func in funcs:
+            callers = {e for e, fs in reach.items() if func in fs}
+            stray |= {(func.__name__, path) for path in _cfg_reads(func)
+                      if not (path in cli._KEYS
+                              and callers & cli._KEYS[path][0])}
+            defaults |= {func.__name__ for node in ast.walk(_tree(func))
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == "get"
+                         and len(node.args) + len(node.keywords) > 1}
+    assert not stray
+    assert not defaults
 
 
 def test_every_schema_key_is_read():
-    # validation accepts every schema key, so one that no runner or builder
-    # reads would be taken from a config and silently ignored
+    # validation accepts every table key of an experiment, so one that no
+    # runner or builder reads would be taken from a config and silently
+    # ignored; an object is read through its entries.  Validation reads
+    # schema_version and experiment, and every experiment takes a seed
+    # that only the runs drawing samples read
     unread = {}
     for experiment, runner in cli._RUNNERS.items():
-        missing = cli._SCHEMAS[experiment] - _cfg_reads_with_builders(runner)
+        reads = set().union(*map(_cfg_reads, _with_builders(runner)))
+        reads |= {path.rpartition(".")[0] for path in reads}
+        missing = {path for path, row in cli._KEYS.items()
+                   if experiment in row[0]} - reads - {
+            "schema_version", "experiment", "seed"}
         if missing:
             unread[experiment] = sorted(missing)
     assert not unread
@@ -593,30 +624,59 @@ _FUZZ_BASES = [
           radon={"n_angles": 8, "n_offsets": 9}, phantom="disc", seed=0),
 ]
 _FUZZ_VALUES = [None, True, "x", [], {}, [1, 2], {"a": 1}, 0, 1, -1, 2, 3,
-                0.0, 0.5, -0.5, 1e300, -1e300, math.nan, math.inf, -math.inf]
+                0.0, 0.5, -0.5, 1e300, -1e300, math.nan, math.inf, -math.inf,
+                2 ** 40]
 
 
-def _paths(obj, prefix=()):
-    items = obj.items() if isinstance(obj, dict) else \
-        enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _paths(value, prefix + (key,))
+@pytest.mark.parametrize("path", list(cli._KEYS))
+def test_each_key_is_checked_by_its_table_row(path):
+    # a missing required key, or a value failing the key's test, gives an
+    # error naming the key; a default passes its own key's test
+    cfg = copy.deepcopy(next(base for base in _FUZZ_BASES if cli._takes(
+        base, path, base["experiment"])))
+    _, default, (test, _) = cli._KEYS[path]
+    head, _, key = path.rpartition(".")
+    parent = cfg[head] if head else cfg
+    if default is cli._REQUIRED:
+        del parent[key]
+        errors = cli.validate_config(cfg, cfg["experiment"])
+        assert any(path in e for e in errors), errors
+    else:
+        assert test(default(cfg) if callable(default) else default)
+    wrong = [v for v in _FUZZ_VALUES if not test(v)]
+    if wrong:  # the experiment row takes any value
+        parent[key] = wrong[0]
+        errors = cli.validate_config(cfg, cfg["experiment"])
+        assert any(path in e for e in errors), errors
 
 
 @st.composite
 def _mutated_configs(draw):
-    """A tiny valid config with one or two keys dropped or given a value
-    of the wrong type, out of range or not finite."""
-    cfg = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
-    experiment = cfg["experiment"]
+    """A tiny valid config in which one or two of its experiment's table
+    keys are dropped, given a value of the wrong kind, given a value of
+    the valid one's type that may lie out of range, or given an unknown
+    sibling."""
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    cfg, experiment = copy.deepcopy(base), base["experiment"]
+    paths = [path for path, row in cli._KEYS.items() if experiment in row[0]]
     for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(list(_paths(cfg))))
-        parent = functools.reduce(operator.getitem, path[:-1], cfg)
-        if draw(st.booleans()):
-            del parent[path[-1]]
+        path = draw(st.sampled_from(paths))
+        head, _, key = path.rpartition(".")
+        parent = cfg.setdefault(head, {}) if head else cfg
+        if not isinstance(parent, dict):
+            continue
+        how = draw(st.sampled_from(["drop", "wrong kind", "out of range",
+                                    "unknown sibling"]))
+        if how == "drop":
+            parent.pop(key, None)
+        elif how == "unknown sibling":
+            parent["surprise"] = 1
         else:
-            parent[path[-1]] = draw(st.sampled_from(_FUZZ_VALUES))
+            test, valid = cli._KEYS[path][2][0], cli._get(base, path)
+            values = [v for v in _FUZZ_VALUES
+                      if (not test(v) if how == "wrong kind"
+                          else type(v) is type(valid))]
+            parent[key] = draw(st.sampled_from(values or _FUZZ_VALUES))
     return experiment, cfg
 
 
@@ -627,12 +687,14 @@ def test_mutated_configs_exit_0_1_or_2(tmp_path_factory, case):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([experiment, "--config", str(path),
                          "--out", str(tmp / "out")])
-    assert code in (0, 1, 2), (cfg, out.getvalue())
-    assert "Traceback" not in out.getvalue(), cfg
+    assert code in (0, 1, 2), (cfg, out.getvalue(), err.getvalue())
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), cfg
+    assert "Traceback" not in out.getvalue() + err.getvalue(), cfg
 
 
 def test_radon_beyond_8gb_rejected_before_running(tmp_path, capsys):
