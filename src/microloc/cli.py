@@ -337,11 +337,13 @@ def validate_config(cfg: dict, experiment: str) -> list[str]:
     if cfg.get("experiment") != experiment:
         errors.append(f"config experiment {cfg.get('experiment')!r} does not "
                       f"match requested {experiment!r}")
-    paths = sorted(cfg) + sorted(
-        f"{key}.{sub}" for key in cfg if _takes(cfg, key, experiment)
-        and _KEYS[key][2] is _OBJECT and isinstance(cfg[key], dict)
-        for sub in cfg[key])
-    unknown = [path for path in paths if not _takes(cfg, path, experiment)]
+    # a dotted name at the top level is no path into an object
+    known = {key for key in cfg
+             if "." not in key and _takes(cfg, key, experiment)}
+    unknown = [key for key in sorted(cfg) if key not in known] + sorted(
+        f"{key}.{sub}" for key in known
+        if _KEYS[key][2] is _OBJECT and isinstance(cfg[key], dict)
+        for sub in cfg[key] if not _takes(cfg, f"{key}.{sub}", experiment))
     if unknown:
         errors.append(f"unknown keys: {unknown}")
     failed = set()

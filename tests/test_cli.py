@@ -429,6 +429,10 @@ def _without(cfg, key):
            low_freq_cap=[0]), "list low_freq_cap"),
     (_cotlar(metric={"kind": "conformal", "expr": "2", "lambda_min": 3,
                      "lambda_max": 1}), "conformal bounds reversed"),
+    # a dotted top-level name beside a metric that is no object
+    (_cotlar(**{"metric": 5, "metric.expr": 1}), "number metric, dotted key"),
+    (_cotlar(**{"metric": "kind", "metric.lambda_min": 1}),
+     "string metric, dotted key"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -450,14 +454,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
      "metric.lambda_min"),
     (_parametrix(metric={"kind": "identity", "lambda_max": 2.0}),
      "metric.lambda_max"),
+    (_band_bound(**{"grid.n_grid": 64}), "grid.n_grid"),
+    (_cotlar(**{"metric.expr": "2"}), "metric.expr"),
 ], ids=["band-bound s", "band-bound mode", "cotlar s", "parametrix tests.x0",
         "partition-verify samples.x_half_width", "cotlar grid.lattice_step",
         "identity metric.expr", "identity metric.lambda_min",
-        "identity metric.lambda_max"])
+        "identity metric.lambda_max", "top-level grid.n_grid",
+        "top-level metric.expr"])
 def test_removed_keys_are_unknown(cfg, key):
     # keys no runner reads any more, at the top level or inside an object,
-    # and a conformal metric's entries in an identity metric, are refused
-    # rather than silently ignored
+    # a conformal metric's entries in an identity metric, and a dotted name
+    # at the top level, which is no path into an object, are refused rather
+    # than silently ignored
     assert cli.validate_config(cfg, cfg["experiment"]) == [
         f"unknown keys: {[key]}"]
 
@@ -532,12 +540,19 @@ def _tree(func):
 
 
 def _cfg_reads(func) -> set:
-    """Key paths a function reads: ``cfg["k"]`` or ``_get(cfg, "a.b")``."""
+    """Key paths a function reads: ``cfg["k"]``, ``cfg.get("k", ...)`` or
+    ``_get(cfg, "a.b")``."""
     keys = set()
     for node in ast.walk(_tree(func)):
         if (isinstance(node, ast.Subscript)
                 and isinstance(node.value, ast.Name) and node.value.id == "cfg"):
             key = node.slice
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "cfg"):
+            key = node.args[0]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "_get"):
             key = node.args[1]
@@ -650,25 +665,49 @@ def test_each_key_is_checked_by_its_table_row(path):
         assert any(path in e for e in errors), errors
 
 
+def _value(cfg, path):
+    """The value at a key path of a config, or None."""
+    head, _, key = path.rpartition(".")
+    parent = cfg.get(head) if head else cfg
+    return parent.get(key) if isinstance(parent, dict) else None
+
+
 @st.composite
 def _mutated_configs(draw):
     """A tiny valid config in which one or two of its experiment's table
     keys are dropped, given a value of the wrong kind, given a value of
     the valid one's type that may lie out of range, or given an unknown
-    sibling."""
+    sibling (or, inside an object, the dotted path at the top level), or
+    in which one entry, at any depth, of a list-valued key is given any
+    value."""
     base = draw(st.sampled_from(_FUZZ_BASES))
     cfg, experiment = copy.deepcopy(base), base["experiment"]
     paths = [path for path, row in cli._KEYS.items() if experiment in row[0]]
     for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["drop", "wrong kind", "out of range",
+                                    "unknown sibling", "one entry"]))
+        lists = [v for v in (_value(cfg, path) for path in paths)
+                 if isinstance(v, list) and v]
+        if how == "one entry":
+            if not lists:
+                continue
+            value = draw(st.sampled_from(lists))
+            index = draw(st.integers(0, len(value) - 1))
+            while (isinstance(value[index], list) and value[index]
+                   and draw(st.booleans())):
+                value = value[index]
+                index = draw(st.integers(0, len(value) - 1))
+            value[index] = draw(st.sampled_from(_FUZZ_VALUES))
+            continue
         path = draw(st.sampled_from(paths))
         head, _, key = path.rpartition(".")
         parent = cfg.setdefault(head, {}) if head else cfg
         if not isinstance(parent, dict):
             continue
-        how = draw(st.sampled_from(["drop", "wrong kind", "out of range",
-                                    "unknown sibling"]))
         if how == "drop":
             parent.pop(key, None)
+        elif how == "unknown sibling" and head and draw(st.booleans()):
+            cfg[path] = draw(st.sampled_from(_FUZZ_VALUES))
         elif how == "unknown sibling":
             parent["surprise"] = 1
         else:
