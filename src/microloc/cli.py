@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -177,6 +178,9 @@ _CUTOFF = _GRID - {_RI}
 _RADON = {_RB, _RI}
 _PHANTOMS = ["disc", "gaussian", "two-bumps"]
 _REQUIRED = object()  # the default of a key a config must give
+# coordinates reach half_width, frequencies pi n_grid / half_width: within
+# these bounds neither squares past 1e210 (at 1e300 or 1e-300 one does)
+_HALF_WIDTHS = (1e-100, 1e100)
 
 # key path -> (the experiments that take it, its default or _REQUIRED, its
 # kind); a default may be a function of the validated config.  The
@@ -195,7 +199,9 @@ _KEYS = {
     "grid.n_grid": (_GRID, _REQUIRED, (
         lambda n: _is_int(n) and n >= 2 and n & (n - 1) == 0,
         "a power of two")),
-    "grid.half_width": (_GRID, _REQUIRED, (_POSITIVE[0], "positive")),
+    "grid.half_width": (_GRID, _REQUIRED, (
+        lambda v: _is_number(v) and _HALF_WIDTHS[0] <= v <= _HALF_WIDTHS[1],
+        "a number in [1e-100, 1e100]")),
     "dim": ({_PV}, 1, _DIM),
     "samples": ({_PV}, {}, _OBJECT),
     "samples.n_x": ({_PV}, 16, _COUNT),
@@ -449,46 +455,44 @@ def _run_partition_verify(cfg, outdir):
     return checks
 
 
-def _run_band_bound(cfg, outdir):
-    import numpy as np
+def _write_band_rows(outdir, name, rows, slope):
+    """<name>.csv with the rows' keys as its header and <name>.json with
+    the rows and their slope; the check that every norm is finite."""
+    write_csv(os.path.join(outdir, f"{name}.csv"), list(rows[0]),
+              [list(r.values()) for r in rows])
+    write_json(os.path.join(outdir, f"{name}.json"),
+               {"rows": rows, "slope": slope})
+    return [("norms_finite", all(math.isfinite(r["norm"]) for r in rows))]
 
-    from .quantize import band_bound_experiment, fit_log2_slope
+
+def _run_band_bound(cfg, outdir):
+    from .quantize import band_bound_experiment
     grid = _build_grid(cfg)
     part = _build_partition(cfg, grid.dim)
     a = _build_symbol(cfg["symbol"], grid)
-    chi = _build_cutoff(cfg, grid)
     k_lo, k_hi = cfg["k_range"]
-    rows = band_bound_experiment(a, part, chi, range(int(k_lo), int(k_hi) + 1),
-                                 float(cfg["m2"]))
-    slope = fit_log2_slope([r["k"] for r in rows],
-                           [r["norm"] for r in rows]) \
-        if len(rows) >= 2 else float("nan")
-    write_csv(os.path.join(outdir, "band_bound.csv"),
-              ["k", "j", "norm", "renorm_ratio"],
-              [[r["k"], r["j"], r["norm"], r["renorm_ratio"]] for r in rows])
-    write_json(os.path.join(outdir, "band_bound.json"),
-               {"rows": rows, "slope": slope})
-    return [("norms_finite", all(np.isfinite(r["norm"]) for r in rows))]
+    return _write_band_rows(outdir, "band_bound", *band_bound_experiment(
+        a, part, _build_cutoff(cfg, grid), range(k_lo, k_hi + 1),
+        float(cfg["m2"])))
 
 
 def _run_moyal_order(cfg, outdir):
     import numpy as np
 
-    from .moyal import composition_residual
+    from .moyal import composition_residuals
     grid = _build_grid(cfg)
     a = _build_symbol(cfg["symbol_a"], grid)
     b = _build_symbol(cfg["symbol_b"], grid)
     chi = _build_cutoff(cfg, grid)
-    rows = []
+    orders, h_list = cfg["orders_n"], cfg["h_list"]
+    # one sweep over the orders per distinct h
+    by_h = {h: composition_residuals(a, b, orders, h, chi)
+            for h in dict.fromkeys(h_list)}
+    rows = [[n, h, by_h[h][i]] for i, n in enumerate(orders) for h in h_list]
     slopes = {}
-    for n in cfg["orders_n"]:
-        res = []
-        for h in cfg["h_list"]:
-            r = composition_residual(a, b, n, h, chi)
-            rows.append([n, h, r])
-            res.append(r)
-        hs = np.asarray(cfg["h_list"], dtype=float)
-        res = np.asarray(res)
+    hs = np.asarray(h_list, dtype=float)
+    for i, n in enumerate(orders):
+        res = np.asarray([by_h[h][i] for h in h_list])
         keep = res > 1e-15
         slopes[str(n)] = float(np.polyfit(np.log(hs[keep]),
                                           np.log(res[keep]), 1)[0]) \
@@ -576,8 +580,6 @@ def _run_parametrix(cfg, outdir):
 
 
 def _run_radon_block(cfg, outdir):
-    import numpy as np
-
     from .radon import RadonConfig, radon_block_experiment
     grid = _build_grid(cfg)
     part = _build_partition(cfg, grid.dim)
@@ -585,15 +587,9 @@ def _run_radon_block(cfg, outdir):
     rcfg = RadonConfig(grid=grid, n_angles=_get(cfg, "radon.n_angles"),
                        n_offsets=_get(cfg, "radon.n_offsets"))
     k_lo, k_hi = cfg["k_range"]
-    rows, slope = radon_block_experiment(a, part, _build_cutoff(cfg, grid),
-                                         range(int(k_lo), int(k_hi) + 1),
-                                         rcfg, float(cfg["m2"]))
-    write_csv(os.path.join(outdir, "radon_block.csv"),
-              ["k", "norm", "renorm_ratio"],
-              [[r_["k"], r_["norm"], r_["renorm_ratio"]] for r_ in rows])
-    write_json(os.path.join(outdir, "radon_block.json"),
-               {"rows": rows, "slope": slope})
-    return [("norms_finite", all(np.isfinite(r_["norm"]) for r_ in rows))]
+    return _write_band_rows(outdir, "radon_block", *radon_block_experiment(
+        a, part, _build_cutoff(cfg, grid), range(k_lo, k_hi + 1), rcfg,
+        float(cfg["m2"])))
 
 
 def _run_radon_invert(cfg, outdir):

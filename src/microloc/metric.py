@@ -129,7 +129,6 @@ def _fd_derivative(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 class HypothesisReport:
     """Outcome of the spectral / derivative / comparability checks."""
 
-    lambda_range: tuple[float, float]
     spectral_ok: bool
     deriv_constants: dict[tuple[int, ...], float]
     deriv_stable: dict[tuple[int, ...], bool]
@@ -202,7 +201,6 @@ def verify_metric_hypotheses(fld: MetricField,
             f"[{bound_lo:.6g}, {bound_hi:.6g}]")
 
     return HypothesisReport(
-        lambda_range=(float(lmin), float(lmax)),
         spectral_ok=spectral_ok,
         deriv_constants=consts,
         deriv_stable=stable,

@@ -8,11 +8,12 @@ The truncation at order N keeps the terms r < N of
 
 the expansion of the generator exp((i / 2)(d_x . d_eta - d_xi . d_y)).
 The sign (-1)^{|alpha|} is validated against true operator composition
-(x # xi = x xi + i/2).  ``moyal_truncated`` works at h = 1;
-``composition_residual`` measures the h-quantized residual by rescaling
-the symbols to a(x, h xi), on which the h = 1 product is the h-product.
-The residual and the patch compositions are both measured between one
-spatial cutoff chi on each side, as chi m chi.
+(x # xi = x xi + i/2).  ``moyal_truncated`` works at h = 1 and adds the
+terms order by order into one running sum; ``composition_residuals``
+reads the h-quantized residuals of several orders off that sum, on the
+symbols rescaled to a(x, h xi), on which the h = 1 product is the
+h-product.  The residuals and the patch compositions are both measured
+between one spatial cutoff chi on each side, as chi m chi.
 """
 
 from __future__ import annotations
@@ -31,52 +32,56 @@ class InsufficientDataError(ValueError):
     """Decay fit requested with fewer than 3 distinct separations."""
 
 
-def moyal_truncated(a: GridSymbol, b: GridSymbol, order: int) -> GridSymbol:
-    """Truncated Moyal product a # b at h = 1: the terms r < order (1..6)."""
-    if not 1 <= order <= 6:
-        raise ValueError("order must lie in 1..6")
+def _running_sums(a: GridSymbol, b: GridSymbol, order: int):
+    """Yield a #_N b at h = 1 for N = 1..order: one array, to which the
+    r = N - 1 terms are added before each yield (so read each before the
+    next), holding one term's derivatives at a time."""
     if a.grid != b.grid:
         raise ValueError("symbols live on different grids")
     d = a.grid.dim
     # the coefficients are complex even when a and b are real
     out = np.zeros(a.values.shape, dtype=complex)
-    deriv_a: dict = {}
-    deriv_b: dict = {}
     for r in range(order):
         pref = (1j / 2.0) ** r
         for ra in range(r + 1):
-            rb = r - ra
             for alpha in _multi_indices(d, ra):
-                for beta in _multi_indices(d, rb):
-                    if (alpha, beta) not in deriv_a:
-                        deriv_a[(alpha, beta)] = symbol_derivative(
-                            a, alpha, beta).values
-                    if (beta, alpha) not in deriv_b:
-                        deriv_b[(beta, alpha)] = symbol_derivative(
-                            b, beta, alpha).values
+                for beta in _multi_indices(d, r - ra):
                     coeff = pref * (-1.0) ** sum(alpha) / (
                         np.prod([factorial(m) for m in alpha])
                         * np.prod([factorial(m) for m in beta]))
-                    out += coeff * deriv_a[(alpha, beta)] * deriv_b[(beta, alpha)]
-    return GridSymbol(grid=a.grid, values=out)
+                    out += (coeff * symbol_derivative(a, alpha, beta).values
+                            * symbol_derivative(b, beta, alpha).values)
+        yield GridSymbol(grid=a.grid, values=out)
 
 
-def composition_residual(a: GridSymbol, b: GridSymbol, order: int, h: float,
-                         chi: np.ndarray) -> float:
-    """||chi (Op_h(a) Op_h(b) - Op_h(a #_h b_N)) chi|| in L2 -> L2.
+def moyal_truncated(a: GridSymbol, b: GridSymbol, order: int) -> GridSymbol:
+    """Truncated Moyal product a # b at h = 1: the terms r < order (1..6)."""
+    if not 1 <= order <= 6:
+        raise ValueError("order must lie in 1..6")
+    *_, prod = _running_sums(a, b, order)
+    return prod
 
-    ``h`` lies in (0, 1].  All three quantizations are performed at scale 1 on the rescaled
-    symbols a(x, h eta), b(x, h eta); the truncated product commutes with
-    that change of variables, so this equals the h-quantized residual
-    while keeping every symbol resolvable on the grid.
+
+def composition_residuals(a: GridSymbol, b: GridSymbol, orders, h: float,
+                          chi: np.ndarray) -> list[float]:
+    """||chi (Op_h(a) Op_h(b) - Op_h(a #_h b_N)) chi|| in L2 -> L2 for each
+    N of orders (each in 1..6; any order, repeats allowed).
+
+    ``h`` lies in (0, 1].  All quantizations are performed at scale 1 on
+    the rescaled symbols a(x, h eta), b(x, h eta), sampled and multiplied
+    as Op(a_h) Op(b_h) once; the truncated product commutes with that
+    change of variables, so this equals the h-quantized residual while
+    keeping every symbol resolvable on the grid.
     """
-    if not 0.0 < h <= 1.0:
-        raise ValueError("h must lie in (0, 1]")
+    if not (0.0 < h <= 1.0 and orders and set(orders) <= set(range(1, 7))):
+        raise ValueError("h must lie in (0, 1] and orders in 1..6")
     ar = a.resampled(h) if h != 1.0 else a
     br = b.resampled(h) if h != 1.0 else b
-    prod = moyal_truncated(ar, br, order)
-    return spectral_norm(cut(weyl_quantize(ar) @ weyl_quantize(br)
-                             - weyl_quantize(prod), chi))
+    ab = weyl_quantize(ar) @ weyl_quantize(br)
+    norms = {n: spectral_norm(cut(ab - weyl_quantize(prod), chi))
+             for n, prod in enumerate(_running_sums(ar, br, max(orders)), 1)
+             if n in orders}
+    return [norms[n] for n in orders]
 
 
 def separated_patch_decay(a: GridSymbol, part: Partition, k: int,

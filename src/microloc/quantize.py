@@ -216,10 +216,13 @@ def assemble_block(a: GridSymbol, part: Partition, j: int, k: int,
     return cut(weyl_quantize(a, weight=lam.values), chi)
 
 
-def fit_log2_slope(ks, vals) -> float:
-    """Least-squares slope of log2(vals) against k."""
-    ks = np.asarray(ks, dtype=float)
-    vals = np.asarray(vals, dtype=float)
+def fit_log2_slope(rows) -> float:
+    """Least-squares slope of log2(norm) against k over band rows; NaN for
+    a single row."""
+    if len(rows) < 2:
+        return float("nan")
+    ks = np.asarray([r["k"] for r in rows], dtype=float)
+    vals = np.asarray([r["norm"] for r in rows], dtype=float)
     mask = vals > 1e-14
     if mask.sum() < 2:
         raise DegenerateResultError(
@@ -228,8 +231,8 @@ def fit_log2_slope(ks, vals) -> float:
 
 
 def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
-                          k_range, m2: float) -> list[dict]:
-    """Per-band block norms against the 2^{k m2} scale.
+                          k_range, m2: float) -> tuple[list[dict], float]:
+    """Per-band block norms against the 2^{k m2} scale, and their slope.
 
     Each block T is measured as ||<2^{-k} D>^{-m2} T||, in the
     semiclassically weighted Sobolev norm whose weights <2^{-k} xi>^{-m2}
@@ -247,4 +250,4 @@ def band_bound_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
         norm = spectral_norm(fourier_weighted(block, a.grid, w))
         rows.append({"k": k, "j": j, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * m2)})
-    return rows
+    return rows, fit_log2_slope(rows)

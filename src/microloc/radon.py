@@ -340,10 +340,7 @@ def radon_block_experiment(a: GridSymbol, part: Partition, chi: np.ndarray,
             np.sqrt(_top_eigenvalue(c.conj().T @ (gram @ c))))
         rows.append({"k": k, "norm": norm,
                      "renorm_ratio": norm / 2.0 ** (k * (m2 - 0.5))})
-    slope = fit_log2_slope([r["k"] for r in rows],
-                           [r["norm"] for r in rows]) \
-        if len(rows) >= 2 else float("nan")
-    return rows, slope
+    return rows, fit_log2_slope(rows)
 
 
 def radon_recombine(blocks, reference: np.ndarray, cfg: RadonConfig,

@@ -433,6 +433,14 @@ def _without(cfg, key):
     (_cotlar(**{"metric": 5, "metric.expr": 1}), "number metric, dotted key"),
     (_cotlar(**{"metric": "kind", "metric.lambda_min": 1}),
      "string metric, dotted key"),
+    # coordinates or frequencies that square past the float range
+    (_cotlar(grid={"dim": 1, "half_width": 1e300, "n_grid": 32},
+             cutoff={"r_one": 2.4, "r_zero": 3.0}), "cotlar half width 1e300"),
+    (_base("radon-invert", grid={"dim": 2, "half_width": 1e300, "n_grid": 8},
+           radon={"n_angles": 8, "n_offsets": 9}, phantom="disc"),
+     "radon-invert half width 1e300"),
+    (_cotlar(grid={"dim": 1, "half_width": 1e-300, "n_grid": 32}),
+     "cotlar half width 1e-300"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_config_exits_2(tmp_path, capsys, cfg, desc):
     code, _ = _run(tmp_path, cfg["experiment"], cfg)
@@ -640,7 +648,12 @@ _FUZZ_BASES = [
 ]
 _FUZZ_VALUES = [None, True, "x", [], {}, [1, 2], {"a": 1}, 0, 1, -1, 2, 3,
                 0.0, 0.5, -0.5, 1e300, -1e300, math.nan, math.inf, -math.inf,
-                2 ** 40]
+                2 ** 40, 1e-300,
+                # the half width's bounds and the floats just outside them
+                *cli._HALF_WIDTHS, math.nextafter(cli._HALF_WIDTHS[0], 0.0),
+                math.nextafter(cli._HALF_WIDTHS[1], math.inf)]
+# a copy, since a later mutation may write into a drawn list or object
+_FUZZ_VALUE = st.sampled_from(_FUZZ_VALUES).map(copy.deepcopy)
 
 
 @pytest.mark.parametrize("path", list(cli._KEYS))
@@ -697,7 +710,7 @@ def _mutated_configs(draw):
                    and draw(st.booleans())):
                 value = value[index]
                 index = draw(st.integers(0, len(value) - 1))
-            value[index] = draw(st.sampled_from(_FUZZ_VALUES))
+            value[index] = draw(_FUZZ_VALUE)
             continue
         path = draw(st.sampled_from(paths))
         head, _, key = path.rpartition(".")
@@ -707,7 +720,7 @@ def _mutated_configs(draw):
         if how == "drop":
             parent.pop(key, None)
         elif how == "unknown sibling" and head and draw(st.booleans()):
-            cfg[path] = draw(st.sampled_from(_FUZZ_VALUES))
+            cfg[path] = draw(_FUZZ_VALUE)
         elif how == "unknown sibling":
             parent["surprise"] = 1
         else:
@@ -715,7 +728,8 @@ def _mutated_configs(draw):
             values = [v for v in _FUZZ_VALUES
                       if (not test(v) if how == "wrong kind"
                           else type(v) is type(valid))]
-            parent[key] = draw(st.sampled_from(values or _FUZZ_VALUES))
+            parent[key] = draw(st.sampled_from(values or _FUZZ_VALUES)
+                               .map(copy.deepcopy))
     return experiment, cfg
 
 

@@ -58,3 +58,27 @@ def test_every_public_function_reads_each_parameter():
             unread += [f"{fname}:{d.lineno} {d.name}({p.arg})"
                        for p in params if p.arg not in read]
     assert not unread
+
+
+def _dataclass_fields(tree):
+    """(class, field) of every annotated field of a module's dataclasses."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from ((node.name, f.target.id) for f in node.body
+                        if isinstance(f, ast.AnnAssign))
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no module or test reads as an attribute is state that
+    # is built and carried for nothing
+    src = _trees()
+    trees = list(src.values()) + [
+        ast.parse(p.read_text())
+        for p in sorted(Path(__file__).parent.glob("*.py"))]
+    read = {n.attr for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{fname}: {cls}.{name}"
+              for fname, tree in src.items()
+              for cls, name in _dataclass_fields(tree) if name not in read]
+    assert not unread

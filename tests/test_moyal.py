@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from microloc.grids import GridSpec, GridSymbol, sample_on
 from microloc.metric import identity_field
-from microloc.moyal import (InsufficientDataError, composition_residual,
+from microloc.moyal import (InsufficientDataError, composition_residuals,
                             moyal_truncated, separated_patch_decay)
 from microloc.partition import build_partition
-from microloc.quantize import make_cutoff
+from microloc.quantize import cut, make_cutoff, spectral_norm, weyl_quantize
 
 G = GridSpec(dim=1, half_width=np.pi, n_grid=32)
 
@@ -31,10 +33,12 @@ def test_truncation_validation():
         moyal_truncated(a, a, 0)
     with pytest.raises(ValueError):
         moyal_truncated(a, a, 7)
-    with pytest.raises(ValueError):
-        composition_residual(a, a, 2, 1.5, ones)
-    with pytest.raises(ValueError):
-        composition_residual(a, a, 2, 0.0, ones)
+    for h in (1.5, 0.0, -0.5, np.nan):
+        with pytest.raises(ValueError):
+            composition_residuals(a, a, [2], h, ones)
+    for orders in ([0], [7], [1, 7], [2, 0, 3], [2.5], []):
+        with pytest.raises(ValueError):
+            composition_residuals(a, a, orders, 0.5, ones)
 
 
 def test_order_one_is_pointwise_product():
@@ -79,7 +83,7 @@ def test_composition_residual_decreases_in_h():
     b = sample_on(g, lambda x, xi: np.cos((x - 0.3) / 2.0) ** 2
                   * np.exp(-(xi / 0.5) ** 2))
     chi = make_cutoff(g, 2.9, 3.1)
-    res = [composition_residual(a, b, 1, h, chi)
+    res = [composition_residuals(a, b, [1], h, chi)[0]
            for h in (0.25, 0.125, 0.0625)]
     assert res[0] > res[1] > res[2]
     assert res[2] < 0.4 * res[0]
@@ -103,3 +107,47 @@ def test_real_and_complex_samples_give_the_same_products():
     for order in (1, 2, 3):
         assert np.array_equal(moyal_truncated(a, b, order).values,
                               moyal_truncated(ac, bc, order).values)
+
+
+def _residual_of_one_order(a, b, order, h, chi):
+    # each order on its own: resample, truncate, quantize, multiply, cut
+    ar = a.resampled(h) if h != 1.0 else a
+    br = b.resampled(h) if h != 1.0 else b
+    prod = moyal_truncated(ar, br, order)
+    return spectral_norm(cut(weyl_quantize(ar) @ weyl_quantize(br)
+                             - weyl_quantize(prod), chi))
+
+
+@pytest.mark.parametrize("h", [1.0, 0.25])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_composition_residuals_match_one_order_at_a_time(dim, h):
+    # orders out of order and repeated: each norm is read off one running
+    # sum, bit for bit the norm of that order's truncation on its own
+    g = GridSpec(dim=dim, half_width=np.pi, n_grid=16 if dim == 1 else 4)
+    a = sample_on(g, lambda *v: np.cos(v[0] / 2.0) ** 2
+                  * np.exp(-sum(k ** 2 for k in v[dim:]) / 0.3))
+    b = sample_on(g, lambda *v: np.cos((v[0] - 0.3) / 2.0) ** 2
+                  * np.exp(-sum(k ** 2 for k in v[dim:]) / 0.25))
+    chi = make_cutoff(g, 2.4, 3.0)
+    orders = [3, 1, 3, 2]
+    got = composition_residuals(a, b, orders, h, chi)
+    want = [_residual_of_one_order(a, b, n, h, chi) for n in orders]
+    assert got == want
+    assert len(set(got)) == 3
+
+
+def test_truncation_holds_one_term_at_a_time():
+    # at order 3 on a 2D grid, 15 derivative pairs are summed; keeping
+    # them all would hold 30 symbol-sized arrays, the running sum about 5
+    g = GridSpec(dim=2, half_width=np.pi, n_grid=8)
+    a = sample_on(g, lambda x1, x2, k1, k2: np.cos(x1) * np.sin(x2)
+                  * np.exp(-(k1 ** 2 + k2 ** 2) / 9.0))
+    b = sample_on(g, lambda x1, x2, k1, k2: np.sin(x1 + x2)
+                  * np.exp(-(k1 ** 2 + 2.0 * k2 ** 2) / 16.0))
+    tracemalloc.start()
+    try:
+        moyal_truncated(a, b, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * a.values.size * 16

@@ -174,7 +174,7 @@ def test_band_bound_memory_guard():
     try:
         a = sample_on(g, lambda x1, x2, xi1, xi2:
                       np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2))
-        rows = band_bound_experiment(a, part, chi, range(1, 4), 1.0)
+        rows, _ = band_bound_experiment(a, part, chi, range(1, 4), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,8 +195,9 @@ def test_band_bound_weights_the_output_by_the_band_scale(dim, m2):
     chi = make_cutoff(g, 0.5 * np.pi, 0.9 * np.pi)
     a = sample_on(g, lambda *v: (1.0 + 0.3 * np.cos(v[0]))
                   * (1.0 + sum(xi ** 2 for xi in v[dim:])) ** (m2 / 2.0))
-    rows = band_bound_experiment(a, part, chi, range(1, 4), m2)
+    rows, slope = band_bound_experiment(a, part, chi, range(1, 4), m2)
     assert [r["k"] for r in rows] == [1, 2, 3]
+    assert slope == fit_log2_slope(rows)
     for r in rows:
         k = r["k"]
         w = fourier_multiplier(bracket_weights(g, -m2, 2.0 ** -k), g)
@@ -370,11 +371,11 @@ def test_make_cutoff_profile():
 
 
 def test_fit_log2_slope_exact():
-    ks = np.arange(2, 7)
-    vals = 3.0 * 2.0 ** (1.5 * ks)
-    assert fit_log2_slope(ks, vals) == pytest.approx(1.5, abs=1e-12)
+    rows = [{"k": k, "norm": 3.0 * 2.0 ** (1.5 * k)} for k in range(2, 7)]
+    assert fit_log2_slope(rows) == pytest.approx(1.5, abs=1e-12)
+    assert np.isnan(fit_log2_slope(rows[:1]))
     with pytest.raises(ValueError):
-        fit_log2_slope(ks, np.zeros_like(ks, dtype=float))
+        fit_log2_slope([{"k": k, "norm": 0.0} for k in range(2, 7)])
 
 
 def test_assemble_block_zero_symbol():
